@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chemodel import prob_high_1d
+from .chemodel import prob_high_1d, table_1d
 from .lattice import Grid, line
 
 MODE_PROBABILISTIC = "probabilistic"
@@ -88,19 +88,21 @@ def single_seed(width: int) -> np.ndarray:
     return cs
 
 
+def _neighbors(x: np.ndarray, periodic: bool):
+    """Left and right neighbor of every cell; 0 beyond the ends of an open chain."""
+    zero = np.zeros(1, x.dtype)
+    padded = np.concatenate((x[-1:], x, x[:1]) if periodic else (zero, x, zero))
+    return padded[:-2], padded[2:]
+
+
 def _rule_phase(grid: Grid, cs: np.ndarray, rule: Rule1D):
-    """Digital phase: new cell and interface stirrer bits from chemical states."""
-    n = grid.width
-    stir = np.empty(n, np.uint8)
-    for i in range(n):
-        l = int(cs[(i - 1) % n]) if (grid.periodic or i > 0) else 0
-        r = int(cs[(i + 1) % n]) if (grid.periodic or i < n - 1) else 0
-        stir[i] = apply_rule_a(rule.rule_a, l, int(cs[i]), r)
-    n_iface = n if grid.periodic else n - 1
-    iface = np.empty(max(n_iface, 0), np.uint8)
-    for j in range(n_iface):
-        iface[j] = apply_rule_b(rule.rule_b, int(cs[j]), int(cs[(j + 1) % n]))
-    return stir, iface
+    """Digital phase: new cell and interface stirrer bits from chemical states.
+
+    Interface j joins cells j and j + 1, wrapping only on a periodic chain."""
+    left, right = _neighbors(cs, grid.periodic)
+    stir = apply_rule_a(rule.rule_a, left, cs, right)
+    iface = apply_rule_b(rule.rule_b, cs, right)
+    return stir, (iface if grid.periodic else iface[:-1])
 
 
 def step_1d(
@@ -117,21 +119,16 @@ def step_1d(
     and inactive interfaces. `model` maps (s_c, s_l, s_r, i_l, i_r) to the
     high-state probability; one uniform draw per cell, in index order.
     """
-    n = grid.width
     stir, iface = _rule_phase(grid, state.cs, rule)
     if mode == MODE_DISPLAY:
         new_cs = stir.copy()
     elif mode == MODE_PROBABILISTIC:
-        probs = np.empty(n)
-        for i in range(n):
-            s_l = int(stir[(i - 1) % n]) if (grid.periodic or i > 0) else 0
-            s_r = int(stir[(i + 1) % n]) if (grid.periodic or i < n - 1) else 0
-            i_l = int(iface[(i - 1) % n]) if (grid.periodic or i > 0) else 0
-            i_r = int(iface[i % n]) if (grid.periodic or i < n - 1) else 0
-            probs[i] = model(int(stir[i]), s_l, s_r, i_l, i_r)
-        if np.any((probs < 0) | (probs > 1)):
-            raise ValueError("model produced a probability outside [0, 1]")
-        new_cs = (rng.random(n) < probs).astype(np.uint8)
+        s_l, s_r = _neighbors(stir, grid.periodic)
+        # each cell's right interface; an open chain's last cell has none
+        i_r = iface if grid.periodic else np.append(iface, np.uint8(0))
+        i_l, _ = _neighbors(i_r, grid.periodic)
+        probs = table_1d(model)[stir | s_l << 1 | s_r << 2 | i_l << 3 | i_r << 4]
+        new_cs = (rng.random(grid.width) < probs).astype(np.uint8)
     else:
         raise ValueError(f"unknown mode: {mode!r}")
     return Cca1dState(new_cs, stir, iface, state.step + 1)

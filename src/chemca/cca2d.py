@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,9 +44,6 @@ class PwmGrid:
     def copy(self) -> "PwmGrid":
         return PwmGrid(self.classes.copy(), self.iface_h.copy(), self.iface_v.copy())
 
-    def core_cells(self) -> list[tuple[int, int]]:
-        return [tuple(rc) for rc in np.argwhere(self.classes == PwmClass.CORE)]
-
 
 @dataclass
 class ChemitEventCounts:
@@ -56,11 +53,6 @@ class ChemitEventCounts:
     competition_died: int = 0
     annihilation: int = 0
     random_selection: int = 0
-
-    def __add__(self, other: "ChemitEventCounts") -> "ChemitEventCounts":
-        return ChemitEventCounts(
-            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
-        )
 
 
 class _NeighborTables:

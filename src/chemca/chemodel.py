@@ -2,14 +2,19 @@
 
 Phenomenological models for three settings: a 1D chain driven by binary
 cell/interfacial stirrer bits, a 2D torus driven by four-level PWM classes
-with hysteresis, and an isolated cell with retention. Probability
-evaluation is pure; sampling takes an owned RNG.
+with hysteresis, and an isolated cell with retention. Each law is written
+once and read by every caller from a table over all its inputs:
+`table_1d` (32 entries, code s_c | s_l<<1 | s_r<<2 | i_l<<3 | i_r<<4),
+`table_2d` (2048 entries, code center | left<<2 | right<<4 | up<<6 |
+down<<8 | prev_cs<<10) and `table_single` (2x2, [commanded, prev_cs]).
+Evaluation is pure; callers sample with their own RNG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,6 +111,17 @@ def prob_high_1d(s_c: int, s_l: int, s_r: int, i_l: int, i_r: int) -> float:
     return 0.0
 
 
+@lru_cache(maxsize=16)
+def table_1d(model=prob_high_1d) -> np.ndarray:
+    """`model` tabulated over all 32 stirrer patterns (code layout in the
+    module docstring); raises if any entry falls outside [0, 1]."""
+    table = np.array([model(*((code >> b) & 1 for b in range(5))) for code in range(32)], float)
+    if np.any((table < 0) | (table > 1)):
+        raise ValueError("model produced a probability outside [0, 1]")
+    table.flags.writeable = False
+    return table
+
+
 def _cascade(n_core: int, n_halo: int, n_off: int, p: ChemModel2DParams) -> float:
     if n_core >= 3:
         return p.p1
@@ -118,75 +134,67 @@ def _cascade(n_core: int, n_halo: int, n_off: int, p: ChemModel2DParams) -> floa
     return 0.0
 
 
+def _law_2d(center: int, neighbors: list[int], prev_cs: int, p: ChemModel2DParams) -> float:
+    """The 2D law: hysteresis factor times the class weight, times the
+    neighbor cascade unless the cell is a core."""
+    k = p.k_low if prev_cs == 0 else p.k_high
+    if center == PwmClass.CORE:
+        return k * p.q3
+    q = {PwmClass.OFF: p.q1, PwmClass.FLUCT: p.q2, PwmClass.HALO: p.q4}[center]
+    counts = (neighbors.count(x) for x in (PwmClass.CORE, PwmClass.HALO, PwmClass.OFF))
+    return k * (q * _cascade(*counts, p))
+
+
+def _code_2d(center, left, right, up, down, prev_cs):
+    return center | left << 2 | right << 4 | up << 6 | down << 8 | prev_cs << 10
+
+
+@lru_cache(maxsize=64)
+def table_2d(params: ChemModel2DParams) -> np.ndarray:
+    """The 2D law tabulated over all 2048 codes (layout in the module docstring)."""
+    table = np.empty(2048)
+    for code in range(2048):
+        center, *neighbors = ((code >> s) & 3 for s in range(0, 10, 2))
+        table[code] = _law_2d(center, neighbors, code >> 10, params)
+    table.flags.writeable = False
+    return table
+
+
 def prob_high_2d(
-    center: PwmClass,
-    neighbor_pwms,
-    prev_cs: int,
-    params: ChemModel2DParams | None = None,
+    center: PwmClass, neighbor_pwms, prev_cs: int, params: ChemModel2DParams | None = None
 ) -> float:
     """High-state probability for one torus cell from its 4-neighbor PWM
-    classes, its own class, and its previous chemical state (hysteresis)."""
-    params = params or ChemModel2DParams()
+    classes (left, right, up, down), its own class, and its previous
+    chemical state (hysteresis)."""
     if len(neighbor_pwms) != 4:
         raise ValueError("exactly 4 neighbor classes required on the torus")
-    n_core = sum(1 for c in neighbor_pwms if c == PwmClass.CORE)
-    n_halo = sum(1 for c in neighbor_pwms if c == PwmClass.HALO)
-    n_off = sum(1 for c in neighbor_pwms if c == PwmClass.OFF)
-    c = _cascade(n_core, n_halo, n_off, params)
-    k = params.k_low if prev_cs == 0 else params.k_high
-    if center == PwmClass.CORE:
-        return k * params.q3
-    q = {PwmClass.OFF: params.q1, PwmClass.FLUCT: params.q2, PwmClass.HALO: params.q4}[
-        PwmClass(center)
-    ]
-    return k * q * c
+    table = table_2d(params or ChemModel2DParams())
+    return float(table[_code_2d(int(center), *map(int, neighbor_pwms), int(prev_cs != 0))])
 
 
 def prob_high_2d_grid(
     classes: np.ndarray, prev_cs: np.ndarray, params: ChemModel2DParams | None = None
 ) -> np.ndarray:
-    """Vectorized prob_high_2d over a full (h, w) torus of PWM classes."""
-    params = params or ChemModel2DParams()
-    shifts = [
-        np.roll(classes, 1, axis=1),   # left
-        np.roll(classes, -1, axis=1),  # right
-        np.roll(classes, 1, axis=0),   # up
-        np.roll(classes, -1, axis=0),  # down
-    ]
-    n_core = sum((s == PwmClass.CORE).astype(np.int8) for s in shifts)
-    n_halo = sum((s == PwmClass.HALO).astype(np.int8) for s in shifts)
-    n_off = sum((s == PwmClass.OFF).astype(np.int8) for s in shifts)
-    c = np.select(
-        [n_core >= 3, n_core >= 1, n_halo >= 3, (n_halo >= 1) & (n_off <= 3)],
-        [params.p1, params.p2, params.p3, params.p4],
-        default=0.0,
-    )
-    k = np.where(prev_cs == 0, params.k_low, params.k_high)
-    branch = np.select(
-        [classes == PwmClass.OFF, classes == PwmClass.FLUCT, classes == PwmClass.CORE],
-        [params.q1 * c, params.q2 * c, params.q3],
-        default=params.q4 * c,
-    )
-    return k * branch
+    """prob_high_2d over a full (h, w) torus of PWM classes."""
+    table = table_2d(params or ChemModel2DParams())
+    c = np.asarray(classes, np.intp)
+    neighbors = [np.roll(c, shift, axis) for axis in (1, 0) for shift in (1, -1)]  # l, r, u, d
+    return table[_code_2d(c, *neighbors, np.asarray(prev_cs) != 0)]
 
 
-def prob_high_single(
-    commanded: int, prev_cs: int, params: SingleCellHysteresisParams | None = None
-) -> float:
-    """Isolated-cell high-state probability under a commanded PWM bit.
+def table_single(params: SingleCellHysteresisParams) -> np.ndarray:
+    """Isolated-cell law, indexed [commanded, prev_cs].
 
     A high command excites with p_read; after the command drops, an
     existing high state is retained with the complement 1 - p_read; a quiet
     cell with no history stays quiet.
     """
-    params = params or SingleCellHysteresisParams()
-    if commanded:
-        return params.p_read
-    return (1.0 - params.p_read) if prev_cs else 0.0
+    return np.array([[0.0, 1.0 - params.p_read], [params.p_read, params.p_read]])
 
 
-def sample_cs(p: float, rng: np.random.Generator) -> int:
-    """Bernoulli draw of a chemical state; deterministic given rng state."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    return 1 if rng.random() < p else 0
+def prob_high_single(
+    commanded: int, prev_cs: int, params: SingleCellHysteresisParams | None = None
+) -> float:
+    """Isolated-cell high-state probability under a commanded PWM bit."""
+    table = table_single(params or SingleCellHysteresisParams())
+    return float(table[int(bool(commanded)), int(bool(prev_cs))])

@@ -91,46 +91,51 @@ class ExperimentConfig:
         return d
 
 
-def _require(params: dict, key: str, types, prefix: str):
+def _field(params: dict, key: str, prefix: str, types, lo=None, hi=None, required=False):
+    """Check one key's type (a bool is no number) and inclusive bounds;
+    return its value, or None when the key is absent."""
+    name = f"{prefix}.{key}"
     if key not in params:
-        raise ConfigError(f"{prefix}.{key}: required")
-    if not isinstance(params[key], types):
-        raise ConfigError(f"{prefix}.{key}: wrong type {type(params[key]).__name__}")
-    return params[key]
+        if required:
+            raise ConfigError(f"{name}: required")
+        return None
+    value = params[key]
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+        raise ConfigError(f"{name}: wrong type {type(value).__name__}")
+    if lo is not None and not value >= lo:
+        raise ConfigError(f"{name}: must be >= {lo}")
+    if hi is not None and not value <= hi:
+        raise ConfigError(f"{name}: must be <= {hi}")
+    return value
 
 
 def _validate_count(p: dict):
     for key in ("n", "cell_levels", "iface_levels"):
-        v = _require(p, key, int, "count")
-        if v < 1:
-            raise ConfigError(f"count.{key}: must be >= 1")
-    if "chem_levels" in p and (not isinstance(p["chem_levels"], int) or p["chem_levels"] < 1):
-        raise ConfigError("count.chem_levels: must be >= 1")
+        _field(p, key, "count", int, lo=1, required=True)
+    _field(p, "chem_levels", "count", int, lo=1)
 
 
 def _validate_cca1d(p: dict):
-    _require(p, "rule", str, "cca1d")
-    Rule1D.from_label(p["rule"])
-    cells = _require(p, "cells", int, "cca1d")
-    if cells < 1:
-        raise ConfigError("cca1d.cells: must be >= 1")
-    steps = _require(p, "steps", int, "cca1d")
-    if steps < 0:
-        raise ConfigError("cca1d.steps: must be >= 0")
+    try:
+        Rule1D.from_label(_field(p, "rule", "cca1d", str, required=True))
+    except ValueError as exc:
+        raise ConfigError(f"cca1d.rule: {exc}") from None
+    cells = _field(p, "cells", "cca1d", int, lo=1, required=True)
+    _field(p, "steps", "cca1d", int, lo=0, required=True)
     if p.get("mode", "probabilistic") not in (MODE_PROBABILISTIC, MODE_DISPLAY):
         raise ConfigError("cca1d.mode: expected 'probabilistic' or 'display'")
+    _field(p, "periodic", "cca1d", bool)
+    if p.get("init") is not None:
+        init = _field(p, "init", "cca1d", list)
+        if len(init) != cells or any(v not in (0, 1) for v in init):
+            raise ConfigError(f"cca1d.init: expected {cells} chemical states, each 0 or 1")
 
 
 def _validate_cca2d(p: dict):
-    side = _require(p, "side", int, "cca2d")
-    if side < 1:
-        raise ConfigError("cca2d.side: must be >= 1")
-    steps = _require(p, "steps", int, "cca2d")
-    if steps < 0:
-        raise ConfigError("cca2d.steps: must be >= 0")
-    init = _require(p, "initial_chemits", int, "cca2d")
-    if init < 0 or init > side * side:
-        raise ConfigError("cca2d.initial_chemits: must fit on the grid")
+    side = _field(p, "side", "cca2d", int, lo=1, required=True)
+    _field(p, "steps", "cca2d", int, lo=0, required=True)
+    _field(p, "initial_chemits", "cca2d", int, lo=0, hi=side * side, required=True)
+    _field(p, "fluct_ratio", "cca2d", (int, float), lo=0, hi=1)
     if "model" in p:
         try:
             ChemModel2DParams.from_dict(p["model"])
@@ -139,28 +144,32 @@ def _validate_cca2d(p: dict):
 
 
 def _validate_solve(p: dict):
-    _require(p, "problem", dict, "solve")
-    solver = p.get("solver", 2)
-    if solver not in (1, 2):
+    _field(p, "problem", "solve", dict, required=True)
+    if p.get("solver", 2) not in (1, 2):
         raise ConfigError("solve.solver: expected 1 or 2")
+    _field(p, "p_chem", "solve", (int, float), lo=0, hi=1)
+    k_temp = _field(p, "k_temp", "solve", (int, float))
+    if k_temp is not None and not k_temp > 0:
+        raise ConfigError("solve.k_temp: must be > 0")
+    _field(p, "max_steps", "solve", int, lo=0)
+    if p.get("target_energy") is not None:
+        _field(p, "target_energy", "solve", (int, float))
 
 
 def _validate_markov(p: dict):
-    _require(p, "problem", dict, "markov")
+    _field(p, "problem", "markov", dict, required=True)
     indices = p.get("deterministic_indices", [1.0])
     if not isinstance(indices, list) or not all(
         isinstance(v, (int, float)) and 0.0 <= v <= 1.0 for v in indices
     ):
         raise ConfigError("markov.deterministic_indices: expected probabilities in [0, 1]")
+    if p.get("horizon") is not None:
+        _field(p, "horizon", "markov", int, lo=0)
 
 
 def _validate_clock(p: dict):
-    cells = p.get("cells", 7)
-    if not isinstance(cells, int) or cells < 1:
-        raise ConfigError("clock-demo.cells: must be >= 1")
-    cycles = p.get("cycles", 4)
-    if not isinstance(cycles, int) or cycles < 1:
-        raise ConfigError("clock-demo.cycles: must be >= 1")
+    _field(p, "cells", "clock-demo", int, lo=1)
+    _field(p, "cycles", "clock-demo", int, lo=1)
 
 
 _VALIDATORS = {

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chemodel import SingleCellHysteresisParams, prob_high_single
+from .chemodel import SingleCellHysteresisParams, table_single
 from .qubo import (
     QuboProblem,
     bits_to_spins,
@@ -170,8 +170,8 @@ def solve_type1(
     params = params or SolverParams()
     rng = rng or np.random.default_rng()
     cmd = _init_bits(p, init, rng)
-    hyst = params.hysteresis
-    read = _readout(cmd, np.zeros(p.n, np.uint8), hyst, rng)
+    law = table_single(params.hysteresis)
+    read = (rng.random(p.n) < law[cmd, 0]).astype(np.uint8)
     e_read = energy(p, read)
     trace = SolveTrace(p.n, config_index(read))
     trace.best_energy = e_read
@@ -186,7 +186,7 @@ def solve_type1(
         e_cmd_old = energy(p, cmd)
         cmd[h] ^= 1
         true_de = energy(p, cmd) - e_cmd_old
-        new_read = _readout(cmd, read, hyst, rng)
+        new_read = (rng.random(p.n) < law[cmd, read]).astype(np.uint8)
         e_new = energy(p, new_read)
         obs_de = e_new - e_read
         accept = rng.random() < min(1.0, math.exp(-obs_de / params.k_temp))
@@ -201,13 +201,6 @@ def solve_type1(
         if _done(trace, params, since_accept, patience):
             break
     return trace
-
-
-def _readout(cmd: np.ndarray, prev: np.ndarray, hyst: SingleCellHysteresisParams, rng):
-    probs = np.where(
-        cmd == 1, hyst.p_read, np.where(prev == 1, 1.0 - hyst.p_read, 0.0)
-    )
-    return (rng.random(cmd.shape[0]) < probs).astype(np.uint8)
 
 
 def observed_delta_e(p: QuboProblem, s, h: int, consistency) -> float:
@@ -243,13 +236,13 @@ class PairwiseChemistry:
 
     def __init__(self, n: int, hysteresis: SingleCellHysteresisParams | None = None):
         self.hysteresis = hysteresis or SingleCellHysteresisParams()
+        self.law = table_single(self.hysteresis)
         self.cs = np.zeros(n, np.uint8)
 
     def check(self, i: int, j: int, cmd_i: int, cmd_j: int, rng: np.random.Generator) -> int:
         ok = 1
         for cell, cmd in ((i, cmd_i), (j, cmd_j)):
-            prob = prob_high_single(cmd, int(self.cs[cell]), self.hysteresis)
-            out = 1 if rng.random() < prob else 0
+            out = 1 if rng.random() < self.law[cmd, self.cs[cell]] else 0
             self.cs[cell] = out
             if out != cmd:
                 ok = 0

@@ -74,20 +74,26 @@ def test_label_parse_errors():
         Rule1D(256, 0)
 
 
-@pytest.mark.parametrize("rule_a", [30, 110, 250])
-def test_display_mode_matches_eca_oracle(rule_a):
-    grid = default_chain(7)
-    init = single_seed(7)
+# widths 1 and 2 put every cell at a chain end, where shifted neighbors go wrong
+@pytest.mark.parametrize(
+    "rule_a, width",
+    [(30, 7), (110, 7), (250, 7), (30, 1), (30, 2), (110, 1), (110, 2)],
+    ids=["30", "110", "250", "30-w1", "30-w2", "110-w1", "110-w2"],
+)
+def test_display_mode_matches_eca_oracle(rule_a, width):
+    grid = default_chain(width)
+    init = single_seed(width)
     raster = run_1d(grid, init, Rule1D(rule_a, 0), 25, mode=MODE_DISPLAY)
     want = eca_run(rule_a, list(init), 25)
     assert raster.tolist() == want
 
 
 def test_display_mode_periodic_matches_oracle():
-    grid = line(11, periodic=True)
-    init = single_seed(11)
-    raster = run_1d(grid, init, Rule1D(30, 0), 20, mode=MODE_DISPLAY)
-    assert raster.tolist() == eca_run(30, list(init), 20, periodic=True)
+    for width in (11, 1, 2):
+        grid = line(width, periodic=True)
+        init = single_seed(width)
+        raster = run_1d(grid, init, Rule1D(30, 0), 20, mode=MODE_DISPLAY)
+        assert raster.tolist() == eca_run(30, list(init), 20, periodic=True)
 
 
 def test_interfaces_off_probabilistic_equals_display():
@@ -108,6 +114,49 @@ def test_thresholded_single_step_matches_eca_row():
     hard = lambda *args: 1.0 if prob_high_1d(*args) >= 0.75 else 0.0
     nxt = step_1d(grid, state, rule, np.random.default_rng(0), model=hard)
     assert nxt.cs.tolist() == eca_run(30, list(single_seed(7)), 1)[1]
+
+
+def _step_by_cell_loop(cs, rule, periodic, u):
+    """Per-cell reference for both phases: stirrer bits, interface bits and
+    next chemical states given the step's uniform draws `u`."""
+    n = len(cs)
+
+    def at(x, i):  # neighbor i of a cell; 0 beyond the ends of an open chain
+        return int(x[i % n]) if periodic or 0 <= i < n else 0
+
+    stir = [apply_rule_a(rule.rule_a, at(cs, i - 1), int(cs[i]), at(cs, i + 1)) for i in range(n)]
+    n_iface = n if periodic else n - 1
+    iface = [apply_rule_b(rule.rule_b, int(cs[j]), int(cs[(j + 1) % n])) for j in range(n_iface)]
+
+    def iface_at(i):  # interface i; an open chain has none beyond its ends
+        return at(iface, i) if periodic or 0 <= i < n_iface else 0
+
+    new_cs = []
+    for i in range(n):
+        p = prob_high_1d(stir[i], at(stir, i - 1), at(stir, i + 1), iface_at(i - 1), iface_at(i))
+        new_cs.append(int(u[i] < p))
+    return stir, iface, new_cs
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_probabilistic_step_matches_cell_loop(periodic):
+    rng = np.random.default_rng(11)
+    for width in (1, 2, 3, 8):
+        grid = line(width, periodic=periodic)
+        for _ in range(30):
+            rule = Rule1D(int(rng.integers(256)), int(rng.integers(16)))
+            state = Cca1dState.initial(grid, rng.integers(0, 2, width))
+            nxt = step_1d(grid, state, rule, np.random.default_rng(5))
+            u = np.random.default_rng(5).random(width)
+            got = (nxt.cell_stirrers.tolist(), nxt.iface_stirrers.tolist(), nxt.cs.tolist())
+            assert got == _step_by_cell_loop(state.cs, rule, periodic, u)
+
+
+def test_model_outside_unit_interval_rejected():
+    grid = default_chain(7)
+    state = Cca1dState.initial(grid, single_seed(7))
+    with pytest.raises(ValueError, match="outside"):
+        step_1d(grid, state, Rule1D(30, 15), np.random.default_rng(0), model=lambda *bits: 1.5)
 
 
 def test_quiescent_all_zero():

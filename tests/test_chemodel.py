@@ -12,7 +12,6 @@ from chemca.chemodel import (
     prob_high_2d,
     prob_high_2d_grid,
     prob_high_single,
-    sample_cs,
 )
 
 
@@ -117,22 +116,21 @@ def test_display_screen_limit_is_deterministic(params, center, neighbors, prev):
 
 
 def test_grid_model_matches_scalar():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        h, w = int(rng.integers(3, 8)), int(rng.integers(3, 8))
-        classes = rng.integers(0, 4, (h, w)).astype(np.int8)
-        prev = rng.integers(0, 2, (h, w)).astype(np.uint8)
-        grid_p = prob_high_2d_grid(classes, prev)
-        for r in range(h):
-            for c in range(w):
-                nb = [
-                    PwmClass(classes[r, (c - 1) % w]),
-                    PwmClass(classes[r, (c + 1) % w]),
-                    PwmClass(classes[(r - 1) % h, c]),
-                    PwmClass(classes[(r + 1) % h, c]),
-                ]
-                want = prob_high_2d(PwmClass(classes[r, c]), nb, int(prev[r, c]))
-                assert grid_p[r, c] == pytest.approx(want)
+    # every (center, left, right, up, down, prev) code, exactly
+    custom = ChemModel2DParams(0.45, 0.35, 0.2, 0.15, 0.05, 0.15, 0.6, 0.4, 0.65, 0.95)
+    codes = itertools.product(range(4), range(4), range(4), range(4), range(4), (0, 1))
+    for params, (center, left, right, up, down, prev) in itertools.product(
+        (ChemModel2DParams(), custom), codes
+    ):
+        classes = np.zeros((3, 3), np.int8)
+        classes[1, 1], classes[1, 0], classes[1, 2], classes[0, 1], classes[2, 1] = (
+            center, left, right, up, down
+        )
+        prev_grid = np.zeros((3, 3), np.uint8)
+        prev_grid[1, 1] = prev
+        nb = [PwmClass(c) for c in (left, right, up, down)]
+        want = prob_high_2d(PwmClass(center), nb, prev, params)
+        assert prob_high_2d_grid(classes, prev_grid, params)[1, 1] == want
 
 
 def test_prob_single():
@@ -141,31 +139,6 @@ def test_prob_single():
     assert prob_high_single(0, 1, hp) == pytest.approx(0.1)
     assert prob_high_single(0, 0, hp) == 0.0
     assert prob_high_single(1, 1, hp) == 0.9
-
-
-def test_sample_cs_degenerate_and_validated():
-    rng = np.random.default_rng(0)
-    assert all(sample_cs(0.0, rng) == 0 for _ in range(100))
-    assert all(sample_cs(1.0, rng) == 1 for _ in range(100))
-    with pytest.raises(ValueError):
-        sample_cs(1.2, rng)
-
-
-def test_sample_cs_frequency():
-    rng = np.random.default_rng(2024)
-    n = 100_000
-    mean = sum(sample_cs(0.8, rng) for _ in range(n)) / n
-    # binomial 3-sigma bound around 0.8
-    assert abs(mean - 0.8) < 3 * (0.8 * 0.2 / n) ** 0.5
-
-
-def test_sample_cs_chi_square_at_half():
-    rng = np.random.default_rng(99)
-    n = 100_000
-    ones = sum(sample_cs(0.37, rng) for _ in range(n))
-    expected = 0.37 * n
-    chi2 = (ones - expected) ** 2 / expected + ((n - ones) - (n - expected)) ** 2 / (n - expected)
-    assert chi2 < 6.635  # chi-square 1 dof at p=0.01
 
 
 def test_params_dict_round_trip():

@@ -56,18 +56,38 @@ def test_stream_rng_reproducible():
 
 
 def test_config_validation_errors():
-    with pytest.raises(ConfigError, match="kind"):
-        ExperimentConfig.from_dict({"kind": "nope"})
-    with pytest.raises(ConfigError, match="count.n"):
-        ExperimentConfig.from_dict({"kind": "count", "cell_levels": 4, "iface_levels": 2})
-    with pytest.raises(ConfigError, match="cca1d.steps"):
-        ExperimentConfig.from_dict({"kind": "cca1d", "rule": "30-1", "cells": 7, "steps": -1})
-    with pytest.raises(ConfigError, match="seed"):
-        ExperimentConfig.from_dict({"kind": "count", "n": 7, "cell_levels": 4, "iface_levels": 2, "seed": -4})
-    with pytest.raises(ConfigError, match="initial_chemits"):
-        ExperimentConfig.from_dict(
-            {"kind": "cca2d", "side": 5, "steps": 1, "initial_chemits": 26}
-        )
+    count = {"kind": "count", "n": 7, "cell_levels": 4, "iface_levels": 2}
+    cca1d = {"kind": "cca1d", "rule": "30-1", "cells": 7, "steps": 3}
+    cca2d = {"kind": "cca2d", "side": 5, "steps": 1, "initial_chemits": 1}
+    problem = {"kind": "partition", "numbers": [1, 3, 4, 8]}
+    solve = {"kind": "solve", "problem": problem}
+    markov = {"kind": "markov", "problem": problem}
+    cases = [
+        ({"kind": "nope"}, "kind"),
+        ({"kind": "count", "cell_levels": 4, "iface_levels": 2}, "count.n"),
+        (dict(cca1d, steps=-1), "cca1d.steps"),
+        (dict(count, seed=-4), "seed"),
+        (dict(cca2d, initial_chemits=26), "initial_chemits"),
+        (dict(markov, horizon=-3), "markov.horizon"),
+        (dict(markov, horizon="10"), "markov.horizon"),
+        (dict(solve, p_chem="0.9"), "solve.p_chem"),
+        (dict(solve, p_chem=1.5), "solve.p_chem"),
+        (dict(solve, max_steps="10"), "solve.max_steps"),
+        (dict(solve, k_temp=0), "solve.k_temp"),
+        (dict(solve, target_energy="0"), "solve.target_energy"),
+        (dict(cca2d, fluct_ratio="0.1"), "cca2d.fluct_ratio"),
+        (dict(cca2d, fluct_ratio=7), "cca2d.fluct_ratio"),
+        (dict(cca1d, periodic="yes"), "cca1d.periodic"),
+        (dict(cca1d, init=[0, 1]), "cca1d.init"),
+        (dict(cca1d, init=[0, 1, 2, 0, 0, 0, 0]), "cca1d.init"),
+        (dict(cca1d, rule="30-0"), "cca1d.rule"),
+        (dict(cca1d, cells=True), "cca1d.cells"),
+    ]
+    for raw, field in cases:
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.from_dict(raw)
+    for raw in (count, cca1d, cca2d, solve, markov, dict(markov, horizon=None)):
+        ExperimentConfig.from_dict(raw)
 
 
 def test_count_run_outputs(tmp_path):
