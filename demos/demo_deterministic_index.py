@@ -9,7 +9,8 @@ probabilistic chemistry (0.99, 0.95) frees all of them.
 
 import numpy as np
 
-from chemca.markov import build_transition_matrix, empirical_success, success_probabilities, trajectory_raster
+from chemca.hybrid import SolverParams, solve_type2
+from chemca.markov import build_transition_matrix, empirical_success, success_probabilities
 from chemca.qubo import brute_force_min, build_partition, config_index, index_config
 
 numbers = [1, 3, 4, 9, 3, 5, 3, 6]
@@ -40,7 +41,9 @@ print(f"at index 0.99 the worst start still succeeds with p = {reports[0.99].min
 # one sampled trajectory from a trapped start, greedy vs hybrid
 start = int(trapped[0])
 for index in (1.0, 0.95):
-    path = trajectory_raster(p8, index, index_config(start, 8), 400, np.random.default_rng(5))
+    params = SolverParams(p_chem=index, max_steps=400, patience=0)
+    trace = solve_type2(p8, params, np.random.default_rng(5), init=index_config(start, 8))
+    path = [trace.init_config] + trace.configs
     hit = bool(set(path) & set(minima))
     print(f"trajectory from config {start} at index {index}: visited "
           f"{len(set(path))} distinct configs, reached a minimum: {hit}")

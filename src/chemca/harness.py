@@ -170,6 +170,9 @@ def _validate_markov(p: dict):
 def _validate_clock(p: dict):
     _field(p, "cells", "clock-demo", int, lo=1)
     _field(p, "cycles", "clock-demo", int, lo=1)
+    _field(p, "period", "clock-demo", int, lo=4)  # synthesize_trace needs 4 frames
+    _field(p, "jitter", "clock-demo", int, lo=0)
+    _field(p, "confirmations", "clock-demo", int, lo=1)
 
 
 _VALIDATORS = {

@@ -189,7 +189,8 @@ def solve_type1(
         new_read = (rng.random(p.n) < law[cmd, read]).astype(np.uint8)
         e_new = energy(p, new_read)
         obs_de = e_new - e_read
-        accept = rng.random() < min(1.0, math.exp(-obs_de / params.k_temp))
+        u = rng.random()  # drawn on every proposal, downhill ones included
+        accept = obs_de <= 0.0 or u < math.exp(-obs_de / params.k_temp)
         if accept:
             read = new_read
             e_read = e_new
@@ -203,24 +204,25 @@ def solve_type1(
     return trace
 
 
-def observed_delta_e(p: QuboProblem, s, h: int, consistency) -> float:
-    """Observed energy change for flipping spin h of spin config s.
+def observed_change(
+    lin, terms: np.ndarray, p_chem: float, rng: np.random.Generator | None, signs=None
+):
+    """The Type-2 flip law: the energy change as the consistency checks see it.
 
-    One consistency bit per interacting partner (nonzero coupling), in
-    ascending partner order; a 0 bit flips the sign of that pair's term.
-    The linear self-term is never sign-flipped.
+    Each pairwise term (last axis of `terms`, from qubo.flip_terms) keeps
+    its sign when its check agrees, with probability p_chem, one uniform
+    drawn per term, and is negated otherwise; the linear term is never
+    negated. Explicit +-1 `signs` replace the draws. At p_chem = 1 nothing
+    is drawn and the result is the true change. The flip is accepted when
+    the result is <= 0.
     """
-    s = np.asarray(s, dtype=np.int8)
-    ising = qubo_to_ising(p)
-    lin, pair = flip_terms(ising, s.astype(float), h)
-    partners = np.flatnonzero(ising.coupling[h])
-    bits = np.asarray(consistency, dtype=int)
-    if bits.shape != (partners.size,):
-        raise ValueError(
-            f"expected {partners.size} consistency bits for spin {h}, got {bits.shape}"
-        )
-    signs = 2.0 * bits - 1.0
-    return float(lin + (signs * pair[partners]).sum())
+    if signs is None:
+        if p_chem >= 1.0:
+            return lin + terms.sum(axis=-1)
+        signs = np.where(rng.random(terms.shape) < p_chem, 1.0, -1.0)
+    elif np.shape(signs) != terms.shape:
+        raise ValueError(f"expected {terms.shape} consistency signs, got {np.shape(signs)}")
+    return lin + (signs * terms).sum(axis=-1)
 
 
 class PairwiseChemistry:
@@ -261,10 +263,10 @@ def solve_type2(
     Each step flips one uniformly random spin and evaluates the energy
     change pair by pair; every pairwise term keeps its sign when its
     consistency check agrees (probability p_chem) and is negated otherwise.
-    The flip is accepted when the observed total is <= 0; the true
-    configuration changes only on acceptance and true energies are recorded.
-    At p_chem = 1 no checks are drawn and the run is identical, proposal for
-    proposal, to greedy descent. Passing a PairwiseChemistry instance
+    The flip is accepted when the observed total is <= 0 (observed_change);
+    the true configuration changes only on acceptance and true energies are
+    recorded. At p_chem = 1 no checks are drawn and the run is random
+    single-flip greedy descent. Passing a PairwiseChemistry instance
     replaces the Bernoulli checks with the chemical-loop backend.
     """
     params = params or SolverParams()
@@ -287,20 +289,11 @@ def solve_type2(
         lin, pair = flip_terms(ising, s, h)
         terms = pair[partners[h]]
         true_de = lin + terms.sum()
+        signs = None
         if chemistry is not None:
-            bits = np.array(
-                [
-                    chemistry.check(h, int(j), int(x[h] ^ 1), int(x[j]), rng)
-                    for j in partners[h]
-                ]
-            )
-            signs = 2.0 * bits - 1.0
-            obs_de = lin + (signs * terms).sum()
-        elif params.p_chem >= 1.0:
-            obs_de = true_de
-        else:
-            signs = np.where(rng.random(terms.shape[0]) < params.p_chem, 1.0, -1.0)
-            obs_de = lin + (signs * terms).sum()
+            bits = [chemistry.check(h, int(j), int(x[h] ^ 1), int(x[j]), rng) for j in partners[h]]
+            signs = 2.0 * np.array(bits, dtype=float) - 1.0
+        obs_de = observed_change(lin, terms, params.p_chem, rng, signs)
         accept = obs_de <= 0.0
         if accept:
             x[h] ^= 1

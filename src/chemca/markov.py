@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hybrid import observed_change
 from .qubo import (
     CapacityError,
     QuboProblem,
@@ -155,6 +156,8 @@ def success_probabilities(
         raise ValueError("minima set must be nonempty")
     if horizon is None:
         horizon = 100 * t.n
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     t_abs = t.matrix.copy()
     for m in minima:
         t_abs[m] = 0.0
@@ -162,37 +165,6 @@ def success_probabilities(
     power = np.linalg.matrix_power(t_abs, horizon)
     success = power[:, minima].sum(axis=1)
     return SuccessReport(success, minima, t.p_chem, horizon)
-
-
-def trajectory_raster(
-    p: QuboProblem,
-    p_chem: float,
-    init,
-    steps: int,
-    rng: np.random.Generator,
-) -> list[int]:
-    """One sampled Type-2 trajectory as config indices (init included)."""
-    x = np.asarray(init, dtype=np.uint8).copy()
-    if x.shape != (p.n,):
-        raise ValueError("initial config length mismatch")
-    ising = qubo_to_ising(p)
-    partners = [np.flatnonzero(ising.coupling[h]) for h in range(p.n)]
-    s = bits_to_spins(x).astype(float)
-    path = [config_index(x)]
-    for _ in range(steps):
-        h = int(rng.integers(p.n))
-        lin, pair = flip_terms(ising, s, h)
-        terms = pair[partners[h]]
-        if p_chem >= 1.0:
-            obs = lin + terms.sum()
-        else:
-            signs = np.where(rng.random(terms.shape[0]) < p_chem, 1.0, -1.0)
-            obs = lin + (signs * terms).sum()
-        if obs <= 0.0:
-            x[h] ^= 1
-            s[h] = -s[h]
-        path.append(config_index(x))
-    return path
 
 
 def empirical_success(
@@ -205,41 +177,29 @@ def empirical_success(
 ) -> float:
     """Monte-Carlo estimate of the success probability for one start.
 
-    Runs the Type-2 proposal law vectorized across `runs` independent
-    chains for `horizon` proposals; a chain succeeds when it visits any
-    global-minimum config. The per-chain law is exactly the solver's.
+    Runs `runs` independent chains of the solver's flip law (flip_terms and
+    hybrid.observed_change, batched over chains) for `horizon` proposals;
+    a chain succeeds when it visits any global-minimum config.
     """
     from .qubo import brute_force_min
 
-    emin, configs = brute_force_min(p)
+    if not 0 <= init_index < 1 << p.n:
+        raise ValueError(f"init_index must be in [0, {1 << p.n}), got {init_index}")
+    _, configs = brute_force_min(p)
     minima = np.array(sorted(config_index(c) for c in configs), dtype=np.int64)
-    n = p.n
     ising = qubo_to_ising(p)
-    coupling = ising.coupling
-    g = ising.g
-    pow2 = (1 << np.arange(n)).astype(np.int64)
-
-    x = np.tile(index_config(init_index, n), (runs, 1)).astype(np.int8)
-    s = (2 * x - 1).astype(np.float64)
-    hit = np.isin(np.full(runs, init_index, dtype=np.int64), minima)
+    s = np.tile(bits_to_spins(index_config(init_index, p.n)).astype(float), (runs, 1))
+    idx = np.full(runs, init_index, dtype=np.int64)
+    hit = np.isin(idx, minima)
     rows = np.arange(runs)
     for _ in range(horizon):
         if hit.all():
             break
-        h = rng.integers(n, size=runs)
-        delta = -2.0 * s[rows, h]
-        pair = delta[:, None] * coupling[h] * s
-        lin = delta * g[h]
-        if p_chem >= 1.0:
-            obs = lin + pair.sum(axis=1)
-        else:
-            signs = np.where(rng.random((runs, n)) < p_chem, 1.0, -1.0)
-            obs = lin + (signs * pair).sum(axis=1)
-        accept = obs <= 0.0
-        flip_rows = rows[accept]
-        flip_cols = h[accept]
-        x[flip_rows, flip_cols] ^= 1
+        h = rng.integers(p.n, size=runs)
+        lin, pair = flip_terms(ising, s, h)
+        accept = observed_change(lin, pair, p_chem, rng) <= 0.0
+        flip_rows, flip_cols = rows[accept], h[accept]
         s[flip_rows, flip_cols] = -s[flip_rows, flip_cols]
-        idx = (x.astype(np.int64) * pow2).sum(axis=1)
+        idx[accept] ^= np.int64(1) << flip_cols
         hit |= np.isin(idx, minima)
     return float(hit.mean())

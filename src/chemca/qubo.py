@@ -1,4 +1,4 @@
-"""QUBO/Ising problem model, Hamiltonian builders, oracle and greedy search.
+"""QUBO/Ising problem model, Hamiltonian builders and oracle.
 
 Energy convention: E(x) = offset + linear . x + x^T quad x over bits
 x in {0,1}^n, where quad is symmetric with zero diagonal, so the pairwise
@@ -241,62 +241,17 @@ def ising_energy(m: IsingModel, s) -> float:
     return float(m.offset + m.g @ s + (s @ m.coupling @ s) / 2.0)
 
 
-def flip_terms(m: IsingModel, s: np.ndarray, h: int) -> tuple[float, np.ndarray]:
+def flip_terms(m: IsingModel, s: np.ndarray, h):
     """Energy-change decomposition for flipping spin h.
 
     Returns (linear_term, pairwise_terms) with true delta-E equal to
-    linear_term + pairwise_terms.sum(); pairwise_terms[i] is the
-    contribution of partner i (zero where the coupling is zero).
+    linear_term + pairwise_terms.sum(axis=-1); pairwise_terms[..., i] is the
+    contribution of partner i (zero where the coupling is zero). For R
+    chains, s is (R, n) and h holds one spin per row; the linear terms are
+    then an (R,) array and the pairwise terms an (R, n) array.
     """
-    delta = -2.0 * s[h]
-    return float(delta * m.g[h]), delta * m.coupling[h] * s
-
-
-@dataclass
-class GreedyTrace:
-    init_config: int
-    flips: list[int]
-    accepted: list[bool]
-    configs: list[int]
-    energies: list[float]
-
-    @property
-    def final_energy(self) -> float:
-        return self.energies[-1] if self.energies else np.nan
-
-
-def greedy_descent(
-    p: QuboProblem,
-    init,
-    rng: np.random.Generator,
-    max_iters: int = 10_000,
-) -> GreedyTrace:
-    """Random single-flip descent: flip a uniformly picked variable when
-    delta-E <= 0; stop once no strictly improving flip exists anywhere
-    (equal-energy flips are taken while improvements remain elsewhere) or
-    after max_iters proposals. Every visited configuration is recorded.
-    """
-    x = np.asarray(init, dtype=np.uint8).copy()
-    if x.shape != (p.n,):
-        raise ValueError("initial config length mismatch")
-    pair = p.pairwise()
-    e = energy(p, x)
-    trace = GreedyTrace(config_index(x), [], [], [], [])
-    for _ in range(max_iters):
-        all_de = (1.0 - 2.0 * x) * (p.linear + pair @ x)
-        if all_de.min() >= 0.0:
-            break
-        h = int(rng.integers(p.n))
-        de = float(all_de[h])
-        accepted = de <= 0.0
-        if accepted:
-            x[h] ^= 1
-            e = energy(p, x)
-        trace.flips.append(h)
-        trace.accepted.append(accepted)
-        trace.configs.append(config_index(x))
-        trace.energies.append(e)
-    return trace
+    delta = -2.0 * (s[h] if s.ndim == 1 else s[np.arange(s.shape[0]), h])
+    return delta * m.g[h], delta[..., None] * m.coupling[h] * s
 
 
 def dump_problem(p: QuboProblem) -> dict:

@@ -82,6 +82,12 @@ def test_config_validation_errors():
         (dict(cca1d, init=[0, 1, 2, 0, 0, 0, 0]), "cca1d.init"),
         (dict(cca1d, rule="30-0"), "cca1d.rule"),
         (dict(cca1d, cells=True), "cca1d.cells"),
+        ({"kind": "clock-demo", "period": "12"}, "clock-demo.period"),
+        ({"kind": "clock-demo", "period": 3}, "clock-demo.period"),
+        ({"kind": "clock-demo", "jitter": "1"}, "clock-demo.jitter"),
+        ({"kind": "clock-demo", "jitter": -1}, "clock-demo.jitter"),
+        ({"kind": "clock-demo", "confirmations": "2"}, "clock-demo.confirmations"),
+        ({"kind": "clock-demo", "confirmations": 0}, "clock-demo.confirmations"),
     ]
     for raw, field in cases:
         with pytest.raises(ConfigError, match=field):
@@ -225,6 +231,24 @@ def test_cli_config_file(tmp_path):
     )
     assert code == EXIT_OK
     assert (tmp_path / "o" / "solve_summary.json").exists()
+
+
+def test_cli_type1_steep_downhill_readout(tmp_path):
+    # readout changes far below -709 * k_temp must not overflow math.exp
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "problem": {"kind": "partition", "numbers": [19, 18, 17, 16, 15, 14, 13, 12]},
+                "solver": 1,
+                "max_steps": 2000,
+            }
+        )
+    )
+    code = main(
+        ["solve", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "o"), "--quiet"]
+    )
+    assert code == EXIT_OK
 
 
 def test_cli_user_error(tmp_path, capsys):

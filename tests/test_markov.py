@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from chemca.hybrid import SolverParams, solve_type2
 from chemca.markov import (
     acceptance_prob,
     build_transition_matrix,
     empirical_success,
     success_probabilities,
-    trajectory_raster,
 )
 from chemca.qubo import (
     CapacityError,
@@ -23,6 +23,13 @@ from chemca.qubo import (
 
 P4 = build_partition([1, 3, 4, 8])
 P8 = build_partition([1, 3, 4, 9, 3, 5, 3, 6])
+
+
+def trajectory(p, p_chem, init, steps, rng):
+    """One sampled Type-2 trajectory as config indices, init included."""
+    params = SolverParams(p_chem=p_chem, max_steps=steps, patience=0)
+    trace = solve_type2(p, params, rng, init=init)
+    return [trace.init_config] + trace.configs
 
 
 def minima_indices(p):
@@ -169,6 +176,15 @@ def test_default_horizon_and_empty_minima():
         success_probabilities(t, [])
 
 
+def test_negative_horizon_rejected():
+    # a negative matrix power would invert T_abs (or fail on a singular one)
+    minima = minima_indices(P4)
+    for p_chem in (0.95, 1.0):
+        t = build_transition_matrix(P4, p_chem)
+        with pytest.raises(ValueError, match="horizon"):
+            success_probabilities(t, minima, -3)
+
+
 def test_dense_capacity_cap():
     big = QuboProblem(0.0, np.zeros(15), np.zeros((15, 15)))
     with pytest.raises(CapacityError):
@@ -178,7 +194,7 @@ def test_dense_capacity_cap():
 def test_trajectory_zero_steps():
     rng = np.random.default_rng(0)
     init = index_config(50, 8)
-    assert trajectory_raster(P8, 0.5, init, 0, rng) == [50]
+    assert trajectory(P8, 0.5, init, 0, rng) == [50]
 
 
 def test_trajectory_trapped_at_index_one_never_hits_minima():
@@ -188,15 +204,15 @@ def test_trajectory_trapped_at_index_one_never_hits_minima():
     trapped = int(np.argmin(r.success))
     assert r.success[trapped] < 1e-9
     for seed in range(5):
-        path = trajectory_raster(P8, 1.0, index_config(trapped, 8), 400, np.random.default_rng(seed))
+        path = trajectory(P8, 1.0, index_config(trapped, 8), 400, np.random.default_rng(seed))
         assert not (set(path) & minima)
 
 
 def test_trajectory_random_walk_covers_more_configs():
     init = index_config(50, 8)
     for seed in range(5):
-        greedy_path = trajectory_raster(P8, 1.0, init, 300, np.random.default_rng(seed))
-        random_path = trajectory_raster(P8, 0.5, init, 300, np.random.default_rng(seed))
+        greedy_path = trajectory(P8, 1.0, init, 300, np.random.default_rng(seed))
+        random_path = trajectory(P8, 0.5, init, 300, np.random.default_rng(seed))
         assert len(set(random_path)) > len(set(greedy_path))
 
 
@@ -214,10 +230,15 @@ def test_empirical_success_matches_matrix():
             assert abs(hit - want) <= 3 * sigma + 1e-9
 
 
+def test_empirical_success_rejects_start_out_of_range():
+    rng = np.random.default_rng(0)
+    for start in (-1, 16):
+        with pytest.raises(ValueError, match="init_index"):
+            empirical_success(P4, 0.95, start, 10, 10, rng)
+
+
 def test_solver_success_matches_matrix_law():
     # the scalar Type-2 solver, capped at the horizon, obeys the same law
-    from chemca.hybrid import SolverParams, solve_type2
-
     emin, _ = brute_force_min(P4)
     minima = set(minima_indices(P4))
     t = build_transition_matrix(P4, 0.95)

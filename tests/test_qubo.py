@@ -15,7 +15,7 @@ from chemca.qubo import (
     distance_matrix_from_coords,
     dump_problem,
     energy,
-    greedy_descent,
+    flip_terms,
     index_config,
     ising_energy,
     load_problem,
@@ -240,41 +240,18 @@ def test_energy_length_mismatch():
         energy(p, [0, 1])
 
 
-def test_greedy_stays_at_minimum():
-    p = build_partition([1, 3, 4, 8])
-    trace = greedy_descent(p, index_config(8, 4), np.random.default_rng(0))  # (0,0,0,1)
-    assert trace.flips == []  # no strictly improving flip exists
-    assert trace.init_config == 8
-
-
-def test_greedy_reaches_zero_from_origin():
-    p = build_partition([1, 3, 4, 8])
-    reached = 0
-    for seed in range(20):
-        trace = greedy_descent(p, np.zeros(4, np.uint8), np.random.default_rng(seed))
-        reached += trace.energies[-1] == 0.0
-    assert reached >= 15  # most seeds descend straight to a global minimum
-
-
-def test_greedy_energy_never_rises():
-    p = build_partition([1, 3, 4, 6, 5, 1])
-    trace = greedy_descent(p, np.ones(6, np.uint8), np.random.default_rng(3))
-    energies = trace.energies
-    assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
-
-
-def test_greedy_local_minimum_trap_exists():
-    # at least one 8-number start never reaches the global minimum greedily
-    p = build_partition([1, 3, 4, 9, 3, 5, 3, 6])
-    emin, _ = brute_force_min(p)
-    trapped = 0
-    for idx in range(256):
-        trace = greedy_descent(p, index_config(idx, 8), np.random.default_rng(1), max_iters=2000)
-        if (trace.energies and trace.energies[-1] > emin) or (
-            not trace.energies and energy(p, index_config(idx, 8)) > emin
-        ):
-            trapped += 1
-    assert trapped > 0
+def test_flip_terms_batched_rows_equal_single_chain():
+    rng = np.random.default_rng(4)
+    for p in (build_tsp(distance_matrix_from_coords(CITIES)), build_partition([1, 3, 4, 9, 3, 5, 3, 6])):
+        m = qubo_to_ising(p)
+        s = bits_to_spins(rng.integers(0, 2, (12, p.n))).astype(float)
+        h = rng.integers(p.n, size=12)
+        lin, pair = flip_terms(m, s, h)
+        assert lin.shape == (12,) and pair.shape == (12, p.n)
+        for r in range(12):
+            lin_r, pair_r = flip_terms(m, s[r], int(h[r]))
+            assert lin[r] == lin_r
+            assert np.array_equal(pair[r], pair_r)
 
 
 def test_config_index_round_trip():
