@@ -1,6 +1,6 @@
 """Deterministic-index study on the 8-number partition problem.
 
-Builds the exact one-proposal transition matrix of the Type-2 chain over
+Builds the exact one-proposal acceptance table of the Type-2 chain over
 all 256 spin configurations and computes, for every starting config, the
 probability of hitting a global minimum within the horizon. Pure greedy
 (index 1.0) strands a whole class of starts in local minima; a slightly

@@ -143,8 +143,16 @@ def _validate_cca2d(p: dict):
             raise ConfigError(f"cca2d.model: {exc}") from None
 
 
+def _validate_problem(p: dict, prefix: str):
+    _field(p, "problem", prefix, dict, required=True)
+    try:
+        load_problem(p["problem"])
+    except (TypeError, ValueError, KeyError, IndexError) as exc:
+        raise ConfigError(f"{prefix}.problem: {exc}") from None
+
+
 def _validate_solve(p: dict):
-    _field(p, "problem", "solve", dict, required=True)
+    _validate_problem(p, "solve")
     if p.get("solver", 2) not in (1, 2):
         raise ConfigError("solve.solver: expected 1 or 2")
     _field(p, "p_chem", "solve", (int, float), lo=0, hi=1)
@@ -157,10 +165,11 @@ def _validate_solve(p: dict):
 
 
 def _validate_markov(p: dict):
-    _field(p, "problem", "markov", dict, required=True)
+    _validate_problem(p, "markov")
     indices = p.get("deterministic_indices", [1.0])
     if not isinstance(indices, list) or not all(
-        isinstance(v, (int, float)) and 0.0 <= v <= 1.0 for v in indices
+        isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v <= 1.0
+        for v in indices
     ):
         raise ConfigError("markov.deterministic_indices: expected probabilities in [0, 1]")
     if p.get("horizon") is not None:

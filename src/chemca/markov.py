@@ -4,7 +4,7 @@ The solver's proposal law (uniform single-spin flip, pairwise consistency
 signs iid with probability p_chem, accept when the observed change is
 <= 0) defines a discrete-time chain over all 2^N spin configurations.
 Acceptance probabilities are computed exactly by enumerating the sign
-patterns; success is finite-horizon absorption mass on the global minima.
+patterns into a (2^N, N) table; success is absorption on the global minima.
 """
 
 from __future__ import annotations
@@ -26,63 +26,60 @@ from .qubo import (
     qubo_to_ising,
 )
 
-_ENUM_CAP = 23  # subset-sum enumeration over nonzero pairwise terms
-_DENSE_CAP = 14  # dense 2^N x 2^N transition matrices
+_BYTE_BUDGET = 1 << 28  # one (configs, max(N, 2^k)) float enumeration
 
 
-def acceptance_prob(p: QuboProblem, x, h: int, p_chem: float) -> float:
+def _check_budget(rows: int, n: int, k: int):
+    if 8 * rows * max(n, 1 << k) > _BYTE_BUDGET:
+        raise CapacityError(f"{rows} configs with {k} pairwise terms exceed {_BYTE_BUDGET} bytes")
+
+
+def acceptance_prob(p: QuboProblem, x, h: int, p_chem: float):
     """Exact probability that the Type-2 check accepts flipping variable h.
 
     P[ lin + sum_i sigma_i d_i <= 0 ] where the d_i are the true pairwise
     terms of the flip, sigma_i = +1 with probability p_chem else -1, and
     the linear self-term enters unflipped. Enumerates all sign patterns
-    over the nonzero terms.
+    over the nonzero terms, for one config x (n,) or one per row (R, n).
     """
     if not 0.0 <= p_chem <= 1.0:
         raise ValueError("p_chem must be in [0, 1]")
     x = np.asarray(x, dtype=np.uint8)
     ising = qubo_to_ising(p)
-    s = bits_to_spins(x).astype(float)
-    lin, pair = flip_terms(ising, s, h)
-    d = pair[np.flatnonzero(ising.coupling[h])]
-    true_de = lin + d.sum()
+    partners = np.flatnonzero(ising.coupling[h])
+    _check_budget(len(np.atleast_2d(x)), p.n, 0 if p_chem == 1.0 else partners.size)
+    lin, pair = flip_terms(ising, bits_to_spins(x).astype(float), h)
+    # contiguous, so each row sums pairwise like the solver's 1-D terms (ties at 0)
+    d = np.ascontiguousarray(pair[..., partners])
     if p_chem == 1.0:
-        return 1.0 if true_de <= 0.0 else 0.0
-    if d.size > _ENUM_CAP:
-        raise CapacityError(f"enumeration capped at {_ENUM_CAP} pairwise terms, got {d.size}")
-    sums = np.zeros(1)
+        return (observed_change(lin, d, 1.0, None) <= 0.0).astype(float)
+    sums = np.zeros(np.shape(lin) + (1,))
     probs = np.ones(1)
-    for di in d:
-        sums = np.concatenate([sums + di, sums - di])
+    for di in d.T[..., None]:
+        sums = np.concatenate([sums + di, sums - di], axis=-1)
         probs = np.concatenate([probs * p_chem, probs * (1.0 - p_chem)])
-    return float(probs[lin + sums <= 0.0].sum())
+    return np.where(lin[..., None] + sums <= 0.0, probs, 0.0).sum(axis=-1)
 
 
 @dataclass
 class TransitionMatrix:
-    """Row-stochastic matrix over all 2^n configs; index bit i is x_i."""
+    """accept[c, h] / n: probability of c -> c xor 2^h; rejected mass stays at c."""
 
-    matrix: np.ndarray
+    accept: np.ndarray
     n: int
     p_chem: float
 
 
 def build_transition_matrix(p: QuboProblem, p_chem: float) -> TransitionMatrix:
-    """Dense one-proposal transition matrix of the Type-2 chain.
-
-    Entry (c, c xor 2^h) is acceptance_prob(c, h) / n; the diagonal absorbs
-    the rejected mass. Only Hamming-distance-1 transitions are nonzero.
-    """
-    if p.n > _DENSE_CAP:
-        raise CapacityError(f"dense transition matrix capped at {_DENSE_CAP} variables")
-    size = 1 << p.n
-    t = np.zeros((size, size))
-    for c in range(size):
-        x = index_config(c, p.n)
-        for h in range(p.n):
-            t[c, c ^ (1 << h)] = acceptance_prob(p, x, h, p_chem) / p.n
-        t[c, c] = 1.0 - t[c].sum()
-    return TransitionMatrix(t, p.n, p_chem)
+    """Acceptance table of the Type-2 chain, one acceptance_prob call over all
+    configs per flipped spin. Raises CapacityError before allocating."""
+    k = 0 if p_chem == 1.0 else int(np.count_nonzero(p.pairwise(), axis=1).max(initial=0))
+    _check_budget(1 << p.n, p.n, k)
+    configs = ((np.arange(1 << p.n)[:, None] >> np.arange(p.n)) & 1).astype(np.uint8)
+    accept = np.empty((1 << p.n, p.n))
+    for h in range(p.n):
+        accept[:, h] = acceptance_prob(p, configs, h, p_chem)
+    return TransitionMatrix(accept, p.n, p_chem)
 
 
 @dataclass
@@ -147,9 +144,9 @@ def success_probabilities(
 ) -> SuccessReport:
     """Absorption mass on the minima within `horizon` proposals.
 
-    Minima rows are made absorbing; success of config c is the probability
-    mass row c of T_abs^horizon places on the minima. Default horizon is
-    100 * n proposals.
+    Minima are absorbing; success of config c is the probability that a
+    chain started at c visits a minimum within the horizon, iterated
+    backwards one proposal at a time. Default horizon is 100 * n proposals.
     """
     minima = sorted(int(m) for m in minima)
     if not minima:
@@ -158,12 +155,14 @@ def success_probabilities(
         horizon = 100 * t.n
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    t_abs = t.matrix.copy()
-    for m in minima:
-        t_abs[m] = 0.0
-        t_abs[m, m] = 1.0
-    power = np.linalg.matrix_power(t_abs, horizon)
-    success = power[:, minima].sum(axis=1)
+    move = t.accept / t.n
+    stay = 1.0 - move.sum(axis=1)
+    neighbours = np.arange(1 << t.n)[:, None] ^ (1 << np.arange(t.n))
+    success = np.zeros(1 << t.n)
+    success[minima] = 1.0
+    for _ in range(horizon):
+        success = stay * success + (move * success[neighbours]).sum(axis=1)
+        success[minima] = 1.0
     return SuccessReport(success, minima, t.p_chem, horizon)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 
 class CapacityError(Exception):
-    """Problem size exceeds an enumeration or dense-matrix bound."""
+    """Problem size exceeds an enumeration or byte-budget bound."""
 
 
 @dataclass

@@ -94,7 +94,6 @@ class GlobalClock:
 
     mode: str = MODE_1D
     state: str = "none"  # "none" | "tick"
-    tock_count_this_cycle: int = 0
 
     def __post_init__(self):
         if self.mode not in (MODE_1D, MODE_2D):
@@ -116,15 +115,15 @@ def global_clock_step(g: GlobalClock, locals_: list[LocalClock]) -> tuple[Global
     Firing resets `locals_` in place to None and returns a None-state clock.
     """
     n_tick = sum(1 for c in locals_ if c is LocalClock.TICK)
-    n_tock = sum(1 for c in locals_ if c is LocalClock.TOCK)
     if g.state == "none":
         if n_tick:
-            return GlobalClock(g.mode, "tick", n_tock), False
-        return GlobalClock(g.mode, "none", n_tock), False
+            return GlobalClock(g.mode, "tick"), False
+        return GlobalClock(g.mode, "none"), False
+    n_tock = sum(1 for c in locals_ if c is LocalClock.TOCK)
     if n_tick == 0 and n_tock >= tock_threshold(g.mode, len(locals_)):
         locals_[:] = [LocalClock.NONE] * len(locals_)
-        return GlobalClock(g.mode, "none", 0), True
-    return GlobalClock(g.mode, "tick", n_tock), False
+        return GlobalClock(g.mode, "none"), True
+    return GlobalClock(g.mode, "tick"), False
 
 
 @dataclass

@@ -88,7 +88,19 @@ def test_config_validation_errors():
         ({"kind": "clock-demo", "jitter": -1}, "clock-demo.jitter"),
         ({"kind": "clock-demo", "confirmations": "2"}, "clock-demo.confirmations"),
         ({"kind": "clock-demo", "confirmations": 0}, "clock-demo.confirmations"),
+        (dict(markov, deterministic_indices=[True]), "markov.deterministic_indices"),
     ]
+    bad_problems = [
+        {"kind": "partition", "numbers": 5},
+        {"kind": "2sat", "clauses": [1, 2]},
+        {"kind": "tsp", "coords": 5},
+        {"kind": "explicit", "linear": [0, 0], "pairs": {"0,5": 1}},
+        {"kind": "explicit", "linear": 5, "quad": [[0]]},
+        {"kind": "tsp", "coords": [[0, 0], [1, 0], [0, 1]], "scale": "x"},
+    ]
+    for bad in bad_problems:
+        cases.append((dict(solve, problem=bad), "solve.problem"))
+        cases.append((dict(markov, problem=bad), "markov.problem"))
     for raw, field in cases:
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig.from_dict(raw)
@@ -259,7 +271,13 @@ def test_cli_user_error(tmp_path, capsys):
 def test_cli_capacity_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
-        json.dumps({"problem": {"kind": "partition", "numbers": list(range(1, 19))}, "horizon": 10})
+        json.dumps(
+            {
+                "problem": {"kind": "partition", "numbers": list(range(1, 19))},
+                "deterministic_indices": [0.95],
+                "horizon": 10,
+            }
+        )
     )
     code = main(["markov", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
     assert code == EXIT_CAPACITY

@@ -1,10 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chemca.hybrid import SolverParams, solve_type2
+from chemca.hybrid import SolverParams, observed_change, solve_type2
 from chemca.markov import (
     acceptance_prob,
     build_transition_matrix,
@@ -14,15 +15,21 @@ from chemca.markov import (
 from chemca.qubo import (
     CapacityError,
     QuboProblem,
+    bits_to_spins,
     brute_force_min,
     build_partition,
+    build_tsp,
     config_index,
+    distance_matrix_from_coords,
     energy,
+    flip_terms,
     index_config,
+    qubo_to_ising,
 )
 
 P4 = build_partition([1, 3, 4, 8])
 P8 = build_partition([1, 3, 4, 9, 3, 5, 3, 6])
+TSP3 = build_tsp(distance_matrix_from_coords([[0, 0], [1, 0], [3, 3]]))
 
 
 def trajectory(p, p_chem, init, steps, rng):
@@ -78,8 +85,6 @@ def test_acceptance_matches_monte_carlo():
     p_chem = 0.95
     want = acceptance_prob(P8, x, h, p_chem)
 
-    from chemca.qubo import flip_terms, qubo_to_ising, bits_to_spins
-
     ising = qubo_to_ising(P8)
     s = bits_to_spins(x).astype(float)
     lin, pair = flip_terms(ising, s, h)
@@ -90,26 +95,38 @@ def test_acceptance_matches_monte_carlo():
     assert abs(hits - want) < 3 * math.sqrt(want * (1 - want) / n)
 
 
+def test_acceptance_batched_rows_equal_single_config():
+    # one config per row is the same law as one config at a time, and at
+    # index 1 the same law as the solver's 1-D partner terms (a strided
+    # gather of the pairwise terms sums its rows sequentially and breaks
+    # ties at a true change of 0 differently)
+    for p in (P8, TSP3):
+        ising = qubo_to_ising(p)
+        configs = np.array([index_config(c, p.n) for c in range(1 << p.n)])
+        for p_chem, h in itertools.product((1.0, 0.95, 0.5), range(p.n)):
+            batched = acceptance_prob(p, configs, h, p_chem)
+            assert batched.shape == (1 << p.n,)
+            for c, x in enumerate(configs):
+                assert acceptance_prob(p, x, h, p_chem) == batched[c]
+                if p_chem == 1.0:
+                    lin, pair = flip_terms(ising, bits_to_spins(x).astype(float), h)
+                    terms = pair[np.flatnonzero(ising.coupling[h])]
+                    assert batched[c] == float(observed_change(lin, terms, 1.0, None) <= 0.0)
+
+
 def test_transition_matrix_n1_descends():
     p = QuboProblem(1.0, np.array([-1.0]), np.zeros((1, 1)))
     t = build_transition_matrix(p, 1.0)
-    assert t.matrix[0].tolist() == [0.0, 1.0]  # x=0 (E=1) -> x=1 (E=0)
-    assert t.matrix[1].tolist() == [0.0, 1.0]  # staying put at the minimum
+    assert t.accept[0].tolist() == [1.0]  # x=0 (E=1) -> x=1 (E=0)
+    assert t.accept[1].tolist() == [0.0]  # staying put at the minimum
 
 
 def test_transition_matrix_row_stochastic():
     for p_chem in (1.0, 0.99, 0.95, 0.5):
         t = build_transition_matrix(P8, p_chem)
-        assert np.allclose(t.matrix.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(t.matrix >= 0)
-
-
-def test_transition_matrix_neighbors_only():
-    t = build_transition_matrix(P4, 0.9)
-    for c in range(16):
-        for d in range(16):
-            if c != d and bin(c ^ d).count("1") != 1:
-                assert t.matrix[c, d] == 0.0
+        assert t.accept.shape == (256, 8)
+        assert np.all(t.accept >= 0)
+        assert np.all(t.accept.sum(axis=1) / t.n <= 1.0 + 1e-12)
 
 
 def test_minima_absorbing_at_index_one():
@@ -117,8 +134,39 @@ def test_minima_absorbing_at_index_one():
     for m in minima_indices(P4):
         # all strict moves uphill; only the zero-delta plateau moves leak
         x = index_config(m, 4)
-        out = sum(t.matrix[m, m ^ (1 << h)] for h in range(4) if true_delta(P4, x, h) > 0)
+        out = sum(t.accept[m, h] for h in range(4) if true_delta(P4, x, h) > 0)
         assert out == 0.0
+
+
+def dense_success(t, minima, horizon):
+    """Oracle: the dense 2^n x 2^n one-proposal matrix with absorbing
+    minima, raised to the horizon."""
+    size = 1 << t.n
+    m = np.zeros((size, size))
+    for c, h in itertools.product(range(size), range(t.n)):
+        m[c, c ^ (1 << h)] = t.accept[c, h] / t.n
+    m[np.arange(size), np.arange(size)] = 1.0 - m.sum(axis=1)
+    m[minima] = 0.0
+    m[minima, minima] = 1.0
+    return np.linalg.matrix_power(m, horizon)[:, minima].sum(axis=1)
+
+
+def test_success_matches_dense_oracle():
+    for p in (P4, P8):
+        minima = minima_indices(p)
+        for p_chem in (1.0, 0.99, 0.95, 0.5):
+            t = build_transition_matrix(p, p_chem)
+            for horizon in (0, 10, 100, 800):
+                got = success_probabilities(t, minima, horizon).success
+                assert np.abs(got - dense_success(t, minima, horizon)).max() <= 1e-12
+
+
+def test_histogram_counts_every_start():
+    # success values rounded above 1.0 fell outside the histogram range
+    minima = minima_indices(P4)
+    for p_chem in (0.99, 0.95, 0.5):
+        report = success_probabilities(build_transition_matrix(P4, p_chem), minima, 800)
+        assert report.histogram()[0].sum() == 16
 
 
 def test_success_from_minimum_is_one():
@@ -177,7 +225,6 @@ def test_default_horizon_and_empty_minima():
 
 
 def test_negative_horizon_rejected():
-    # a negative matrix power would invert T_abs (or fail on a singular one)
     minima = minima_indices(P4)
     for p_chem in (0.95, 1.0):
         t = build_transition_matrix(P4, p_chem)
@@ -186,9 +233,17 @@ def test_negative_horizon_rejected():
 
 
 def test_dense_capacity_cap():
-    big = QuboProblem(0.0, np.zeros(15), np.zeros((15, 15)))
-    with pytest.raises(CapacityError):
-        build_transition_matrix(big, 1.0)
+    free = QuboProblem(0.0, np.zeros(15), np.zeros((15, 15)))
+    assert np.all(build_transition_matrix(free, 1.0).accept == 1.0)
+    # 2^14 configs times 2^13 sign patterns: rejected before allocating
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            build_transition_matrix(build_partition(list(range(1, 15))), 0.95)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_trajectory_zero_steps():
