@@ -21,9 +21,6 @@ from .lattice import Grid, line
 MODE_PROBABILISTIC = "probabilistic"
 MODE_DISPLAY = "display"
 
-RULE_SPACE = 256 * 16
-
-
 @dataclass(frozen=True)
 class Rule1D:
     """Cell rule x interface rule, displayed as "A-{i}" with i = rule_b + 1."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chemodel import ChemModel2DParams, PwmClass, prob_high_2d_grid
-from .lattice import CellIndex, Grid, nearest_neighbors, next_nearest_neighbors, torus
+from .lattice import Grid, nearest_neighbors, next_nearest_neighbors, torus
 
 DEFAULT_FLUCT_RATIO = 0.1
 
@@ -201,35 +201,6 @@ def step_chemits(
     return new_pwm, new_cs, counts
 
 
-def analyze_transition(grid: Grid, old_cores, new_cores) -> ChemitEventCounts:
-    """Classify core-set changes between consecutive steps.
-
-    Appeared cores adjacent to a disappeared old core count as propagation
-    (each disappeared core consumed at most once); other appearances are
-    replications. Annihilations are the disappeared cores not consumed by a
-    propagation, so |new| - |old| = replication - annihilation.
-    """
-    old = {tuple(c) for c in old_cores}
-    new = {tuple(c) for c in new_cores}
-    disappeared = old - new
-    appeared = sorted(new - old)
-    counts = ChemitEventCounts()
-    consumed: set[tuple[int, int]] = set()
-    for cell in appeared:
-        sources = [
-            tuple(p)
-            for p in nearest_neighbors(grid, CellIndex(*cell))
-            if tuple(p) in disappeared and tuple(p) not in consumed
-        ]
-        if sources:
-            counts.propagation += 1
-            consumed.add(sorted(sources)[0])
-        else:
-            counts.replication += 1
-    counts.annihilation = len(disappeared) - len(consumed)
-    return counts
-
-
 def place_chemits(
     grid: Grid, n_chemits: int, rng: np.random.Generator
 ) -> tuple[PwmGrid, list[tuple[int, int]]]:
@@ -330,26 +301,6 @@ def format_pwm_grid(pwm: PwmGrid) -> str:
         )
         + "\n"
     )
-
-
-_CLASS_RGB = {
-    PwmClass.OFF: (255, 255, 255),
-    PwmClass.FLUCT: (255, 165, 0),
-    PwmClass.HALO: (60, 60, 255),
-    PwmClass.CORE: (255, 0, 0),
-}
-
-
-def write_ppm(path, classes: np.ndarray):
-    """Portable-pixmap (P3) frame of a PWM class grid, for external animation."""
-    h, w = classes.shape
-    lines = [f"P3 {w} {h} 255"]
-    for row in classes:
-        lines.append(
-            " ".join(" ".join(map(str, _CLASS_RGB[PwmClass(v)])) for v in row)
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def write_population_csv(path, series: PopulationSeries):

@@ -160,22 +160,10 @@ def table_2d(params: ChemModel2DParams) -> np.ndarray:
     return table
 
 
-def prob_high_2d(
-    center: PwmClass, neighbor_pwms, prev_cs: int, params: ChemModel2DParams | None = None
-) -> float:
-    """High-state probability for one torus cell from its 4-neighbor PWM
-    classes (left, right, up, down), its own class, and its previous
-    chemical state (hysteresis)."""
-    if len(neighbor_pwms) != 4:
-        raise ValueError("exactly 4 neighbor classes required on the torus")
-    table = table_2d(params or ChemModel2DParams())
-    return float(table[_code_2d(int(center), *map(int, neighbor_pwms), int(prev_cs != 0))])
-
-
 def prob_high_2d_grid(
     classes: np.ndarray, prev_cs: np.ndarray, params: ChemModel2DParams | None = None
 ) -> np.ndarray:
-    """prob_high_2d over a full (h, w) torus of PWM classes."""
+    """The 2D law over a full (h, w) torus of PWM classes (4-neighbors wrap)."""
     table = table_2d(params or ChemModel2DParams())
     c = np.asarray(classes, np.intp)
     neighbors = [np.roll(c, shift, axis) for axis in (1, 0) for shift in (1, -1)]  # l, r, u, d
@@ -191,10 +179,3 @@ def table_single(params: SingleCellHysteresisParams) -> np.ndarray:
     """
     return np.array([[0.0, 1.0 - params.p_read], [params.p_read, params.p_read]])
 
-
-def prob_high_single(
-    commanded: int, prev_cs: int, params: SingleCellHysteresisParams | None = None
-) -> float:
-    """Isolated-cell high-state probability under a commanded PWM bit."""
-    table = table_single(params or SingleCellHysteresisParams())
-    return float(table[int(bool(commanded)), int(bool(prev_cs))])

@@ -1,4 +1,6 @@
-"""Command-line entry point: one subcommand per experiment kind.
+"""Command-line entry point: one subcommand per experiment kind, with one
+flag per scalar key of that kind's `harness.SCHEMA` rows (`--key-name`,
+plus `-k` for a one-letter key); list and dict keys come from `--config`.
 
 Exit codes: 0 success, 1 user/config error, 2 capacity exceeded.
 """
@@ -9,78 +11,69 @@ import argparse
 import json
 import sys
 
-from .harness import KINDS, ConfigError, ExperimentConfig, run
+from .harness import COMMON, NUMBER, SCHEMA, ConfigError, ExperimentConfig, run
 from .qubo import CapacityError
 
 EXIT_OK = 0
 EXIT_USER = 1
 EXIT_CAPACITY = 2
 
+# how argparse reads each scalar type; the schema checks the value
+_FLAG_OPTIONS = {
+    int: {"type": int},
+    NUMBER: {"type": float},
+    str: {},
+    bool: {"action": argparse.BooleanOptionalAction},
+}
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="JSON experiment config file")
-    sub.add_argument("--seed", type=int, help="master seed (overrides config)")
-    sub.add_argument("--out", help="output directory (overrides config)")
-    sub.add_argument("--replicas", type=int, help="replica count (overrides config)")
-    sub.add_argument("--quiet", action="store_true", help="suppress progress output")
+
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a user error (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chemca",
         description="Probabilistic chemical cellular automata and hybrid Ising solvers",
     )
     subs = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
+    for kind, rows in SCHEMA.items():
         sub = subs.add_parser(kind, help=f"run a {kind} experiment")
-        _add_common(sub)
-        if kind == "count":
-            sub.add_argument("-n", "--side", type=int, help="grid side length")
-            sub.add_argument("--cell-levels", type=int, help="cell stirrer levels")
-            sub.add_argument("--iface-levels", type=int, help="interfacial stirrer levels")
-            sub.add_argument("--chem-levels", type=int, help="chemical states per cell")
-        if kind == "cca1d":
-            sub.add_argument("--rule", help="rule label, e.g. 30-1")
-            sub.add_argument("--cells", type=int, help="chain length")
-            sub.add_argument("--steps", type=int, help="number of steps")
-            sub.add_argument("--mode", choices=("probabilistic", "display"))
+        sub.add_argument("--config", help="JSON experiment config file")
+        sub.add_argument("--quiet", action="store_true", help="suppress progress output")
+        for row in (*COMMON.values(), *rows.values()):
+            if row.type in _FLAG_OPTIONS:
+                flags = [f"-{row.key}"] if len(row.key) == 1 else []
+                flags.append(f"--{row.key.replace('_', '-')}")
+                sub.add_argument(*flags, dest=row.key, help=row.help, **_FLAG_OPTIONS[row.type])
     return parser
 
 
 def _assemble(args) -> dict:
+    """The config file's keys, overridden by every flag given."""
     raw: dict = {}
     if args.config:
         with open(args.config) as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"--config: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"--config: expected a JSON object, got {type(raw).__name__}")
     raw["kind"] = args.kind
-    if args.kind == "count":
-        if args.side is not None:
-            raw["n"] = args.side
-        if args.cell_levels is not None:
-            raw["cell_levels"] = args.cell_levels
-        if args.iface_levels is not None:
-            raw["iface_levels"] = args.iface_levels
-        if args.chem_levels is not None:
-            raw["chem_levels"] = args.chem_levels
-    if args.kind == "cca1d":
-        for key in ("rule", "cells", "steps", "mode"):
-            val = getattr(args, key)
-            if val is not None:
-                raw[key] = val
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out is not None:
-        raw["out"] = args.out
-    if args.replicas is not None:
-        raw["replicas"] = args.replicas
+    for key in (*COMMON, *SCHEMA[args.kind]):
+        if getattr(args, key, None) is not None:
+            raw[key] = getattr(args, key)
     return raw
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = ExperimentConfig.from_dict(_assemble(args))
-        run(cfg, quiet=args.quiet)
+        args = build_parser().parse_args(argv)
+        run(ExperimentConfig.from_dict(_assemble(args)), quiet=args.quiet)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -4,7 +4,8 @@ A run takes a JSON config (kind plus kind-specific keys), derives one RNG
 stream per replica from the master seed, writes CSV/JSON/text outputs into
 the output directory and finishes with a manifest. Re-running a manifest
 reproduces every output byte-for-byte; only the manifest's timestamps
-differ.
+differ. `SCHEMA` lists each kind's keys (type, bounds, default, help): it
+checks every config and gives the CLI one flag per scalar key.
 """
 
 from __future__ import annotations
@@ -14,33 +15,145 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .cca1d import MODE_DISPLAY, MODE_PROBABILISTIC, Rule1D, run_1d, raster_to_text, write_raster_csv, single_seed
-from .cca2d import run_population_experiment, write_population_csv
+from .cca2d import DEFAULT_FLUCT_RATIO, run_population_experiment, write_population_csv
 from .chemodel import ChemModel2DParams
-from .lattice import (
-    chemical_state_count,
-    expansion_ratio,
-    format_scientific,
-    input_state_count,
-    line,
-)
-from .markov import build_transition_matrix, success_probabilities
+from .lattice import chemical_state_count, expansion_ratio, format_scientific, input_state_count, line
+from .markov import build_transition_matrix, check_capacity, success_probabilities
 from .qubo import brute_force_min, config_index, load_problem, write_solution_json
 from .signals import ClockedCellBank, ColorState, decode_trace, synthesize_trace, write_trace_csv
 from .hybrid import SolverParams, solve_type1, solve_type2
 
-KINDS = ("count", "cca1d", "cca2d", "solve", "markov", "clock-demo")
-
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+REQUIRED = object()  # the default of a key that must be given
+NUMBER = (int, float)
 
 
 class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field."""
+
+
+class Key(NamedTuple):
+    """One config key: its type (a bool is no number), inclusive bounds (None:
+    unbounded), default and help. `check(value, params)` raises ValueError
+    (or the TypeError/KeyError/IndexError of a parser) for what a type and a
+    bound cannot say; it sees the keys listed before it already checked."""
+
+    key: str
+    type: type | tuple
+    lo: float | None
+    hi: float | None
+    default: object
+    help: str
+    check: Callable[[object, dict], object] | None = None
+
+
+def _require(ok: bool, message: str):
+    if not ok:
+        raise ValueError(message)
+
+
+def _is_a(value, types) -> bool:
+    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
+
+
+def _rows(*rows: Key) -> dict[str, Key]:
+    return {row.key: row for row in rows}
+
+
+COMMON = _rows(
+    Key("seed", int, 0, None, 0, "master seed"),
+    Key("replicas", int, 1, None, 1, "replica count"),
+    Key("out", str, None, None, "out", "output directory"),
+)
+
+# kind -> its keys, in checking order; a default of None means "absent"
+SCHEMA = {
+    "count": _rows(
+        Key("n", int, 1, None, REQUIRED, "grid side length"),
+        Key("cell_levels", int, 1, None, REQUIRED, "cell stirrer levels"),
+        Key("iface_levels", int, 1, None, REQUIRED, "interfacial stirrer levels"),
+        Key("chem_levels", int, 1, None, 2, "chemical states per cell"),
+    ),
+    "cca1d": _rows(
+        Key("rule", str, None, None, REQUIRED, "rule label A-i, e.g. 30-1", lambda v, p: Rule1D.from_label(v)),
+        Key("cells", int, 1, None, REQUIRED, "chain length"),
+        Key("steps", int, 0, None, REQUIRED, "number of steps"),
+        Key("mode", str, None, None, MODE_PROBABILISTIC, "probabilistic or display",
+            lambda v, p: _require(v in (MODE_PROBABILISTIC, MODE_DISPLAY),
+                                  "expected 'probabilistic' or 'display'")),
+        Key("periodic", bool, None, None, False, "close the chain into a ring"),
+        Key("init", list, None, None, None, "initial chemical states (default: one seed cell)",
+            lambda v, p: _require(len(v) == p["cells"] and all(s in (0, 1) for s in v),
+                                  f"expected {p['cells']} chemical states, each 0 or 1")),
+    ),
+    "cca2d": _rows(
+        Key("side", int, 1, None, REQUIRED, "torus side length"),
+        Key("steps", int, 0, None, REQUIRED, "number of steps"),
+        Key("initial_chemits", int, 0, None, REQUIRED, "Chemits placed at step 0",
+            lambda v, p: _require(v <= p["side"] ** 2, f"must be <= {p['side'] ** 2}")),
+        Key("fluct_ratio", NUMBER, 0, 1, DEFAULT_FLUCT_RATIO, "share of cells made FLUCT per step"),
+        Key("model", dict, None, None, {}, "chemical-model parameters", lambda v, p: ChemModel2DParams.from_dict(v)),
+    ),
+    "solve": _rows(
+        Key("problem", dict, None, None, REQUIRED, "problem spec", lambda v, p: load_problem(v)),
+        Key("solver", int, 1, 2, 2, "hybrid solver type, 1 or 2"),
+        Key("p_chem", NUMBER, 0, 1, SolverParams.p_chem, "deterministic index"),
+        Key("k_temp", NUMBER, None, None, SolverParams.k_temp, "Type-1 temperature, > 0",
+            lambda v, p: _require(v > 0, "must be > 0")),
+        Key("max_steps", int, 0, None, SolverParams.max_steps, "proposals per run"),
+        Key("target_energy", NUMBER, None, None, SolverParams.target_energy, "stop a run at this energy"),
+    ),
+    "markov": _rows(
+        Key("problem", dict, None, None, REQUIRED, "problem spec", lambda v, p: load_problem(v)),
+        Key("deterministic_indices", list, None, None, (1.0,), "indices to analyse",
+            lambda v, p: _require(all(_is_a(i, NUMBER) and 0.0 <= i <= 1.0 for i in v),
+                                  "expected probabilities in [0, 1]")),
+        Key("horizon", int, 0, None, None, "proposals (default 100 * n)"),
+    ),
+    "clock-demo": _rows(
+        Key("cells", int, 1, None, 7, "cells in the bank"),
+        Key("cycles", int, 1, None, 4, "oscillation cycles"),
+        Key("period", int, 4, None, 12, "frames per cycle"),  # synthesize_trace needs 4
+        Key("jitter", int, 0, None, 0, "segment-length jitter in frames"),
+        Key("confirmations", int, 1, None, ClockedCellBank.confirmations, "clock fires per decision"),
+    ),
+}
+KINDS = tuple(SCHEMA)
+
+
+def _check(kind: str, rows: dict[str, Key], values: dict):
+    """Check `values` against every row in order; messages name kind.key."""
+    for row in rows.values():
+        name = f"{kind}.{row.key}"
+        value = values.get(row.key)
+        if value is None and (row.key not in values or row.default is None):
+            if row.default is REQUIRED:
+                raise ConfigError(f"{name}: required")
+            continue
+        if not _is_a(value, row.type):
+            raise ConfigError(f"{name}: wrong type {type(value).__name__}")
+        if row.lo is not None and not value >= row.lo:
+            raise ConfigError(f"{name}: must be >= {row.lo}")
+        if row.hi is not None and not value <= row.hi:
+            raise ConfigError(f"{name}: must be <= {row.hi}")
+        if row.check is not None:
+            try:
+                row.check(value, values)
+            except (TypeError, ValueError, KeyError, IndexError) as exc:
+                raise ConfigError(f"{name}: {exc}") from None
+
+
+def _value(rows: dict[str, Key], values: dict, key: str):
+    value = values.get(key)
+    return rows[key].default if value is None else value
 
 
 def derive_seed(master: int, stream_id: int) -> int:
@@ -63,135 +176,37 @@ def stream_rng(master: int, stream_id: int) -> np.random.Generator:
 
 @dataclass
 class ExperimentConfig:
+    """A checked config. `params` holds the kind's keys as given, without
+    defaults, so the manifest and its hash record the input; `get` reads
+    a key or its default."""
+
     kind: str
     params: dict
-    master_seed: int = 0
-    replicas: int = 1
-    out_dir: Path = Path("out")
+    master_seed: int
+    replicas: int
+    out_dir: Path
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         kind = raw.get("kind")
         if kind not in KINDS:
             raise ConfigError(f"kind: expected one of {KINDS}, got {kind!r}")
-        seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
-            raise ConfigError("seed: expected a nonnegative integer")
-        replicas = raw.get("replicas", 1)
-        if not isinstance(replicas, int) or replicas < 1:
-            raise ConfigError("replicas: expected a positive integer")
-        params = {k: v for k, v in raw.items() if k not in ("kind", "seed", "replicas", "out")}
-        cfg = cls(kind, params, seed, replicas, Path(raw.get("out", "out")))
-        _VALIDATORS[kind](cfg.params)
-        return cfg
+        rows = {**COMMON, **SCHEMA[kind]}
+        unknown = [f"{kind}.{key}" for key in raw if key != "kind" and key not in rows]
+        if unknown:
+            raise ConfigError(f"{', '.join(unknown)}: unknown key")
+        _check(kind, rows, raw)
+        params = {k: v for k, v in raw.items() if k in SCHEMA[kind]}
+        seed, replicas, out = (_value(COMMON, raw, key) for key in COMMON)
+        return cls(kind, params, seed, replicas, Path(out))
+
+    def get(self, key: str):
+        return _value(SCHEMA[self.kind], self.params, key)
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "seed": self.master_seed, "replicas": self.replicas}
         d.update(self.params)
         return d
-
-
-def _field(params: dict, key: str, prefix: str, types, lo=None, hi=None, required=False):
-    """Check one key's type (a bool is no number) and inclusive bounds;
-    return its value, or None when the key is absent."""
-    name = f"{prefix}.{key}"
-    if key not in params:
-        if required:
-            raise ConfigError(f"{name}: required")
-        return None
-    value = params[key]
-    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-        raise ConfigError(f"{name}: wrong type {type(value).__name__}")
-    if lo is not None and not value >= lo:
-        raise ConfigError(f"{name}: must be >= {lo}")
-    if hi is not None and not value <= hi:
-        raise ConfigError(f"{name}: must be <= {hi}")
-    return value
-
-
-def _validate_count(p: dict):
-    for key in ("n", "cell_levels", "iface_levels"):
-        _field(p, key, "count", int, lo=1, required=True)
-    _field(p, "chem_levels", "count", int, lo=1)
-
-
-def _validate_cca1d(p: dict):
-    try:
-        Rule1D.from_label(_field(p, "rule", "cca1d", str, required=True))
-    except ValueError as exc:
-        raise ConfigError(f"cca1d.rule: {exc}") from None
-    cells = _field(p, "cells", "cca1d", int, lo=1, required=True)
-    _field(p, "steps", "cca1d", int, lo=0, required=True)
-    if p.get("mode", "probabilistic") not in (MODE_PROBABILISTIC, MODE_DISPLAY):
-        raise ConfigError("cca1d.mode: expected 'probabilistic' or 'display'")
-    _field(p, "periodic", "cca1d", bool)
-    if p.get("init") is not None:
-        init = _field(p, "init", "cca1d", list)
-        if len(init) != cells or any(v not in (0, 1) for v in init):
-            raise ConfigError(f"cca1d.init: expected {cells} chemical states, each 0 or 1")
-
-
-def _validate_cca2d(p: dict):
-    side = _field(p, "side", "cca2d", int, lo=1, required=True)
-    _field(p, "steps", "cca2d", int, lo=0, required=True)
-    _field(p, "initial_chemits", "cca2d", int, lo=0, hi=side * side, required=True)
-    _field(p, "fluct_ratio", "cca2d", (int, float), lo=0, hi=1)
-    if "model" in p:
-        try:
-            ChemModel2DParams.from_dict(p["model"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"cca2d.model: {exc}") from None
-
-
-def _validate_problem(p: dict, prefix: str):
-    _field(p, "problem", prefix, dict, required=True)
-    try:
-        load_problem(p["problem"])
-    except (TypeError, ValueError, KeyError, IndexError) as exc:
-        raise ConfigError(f"{prefix}.problem: {exc}") from None
-
-
-def _validate_solve(p: dict):
-    _validate_problem(p, "solve")
-    if p.get("solver", 2) not in (1, 2):
-        raise ConfigError("solve.solver: expected 1 or 2")
-    _field(p, "p_chem", "solve", (int, float), lo=0, hi=1)
-    k_temp = _field(p, "k_temp", "solve", (int, float))
-    if k_temp is not None and not k_temp > 0:
-        raise ConfigError("solve.k_temp: must be > 0")
-    _field(p, "max_steps", "solve", int, lo=0)
-    if p.get("target_energy") is not None:
-        _field(p, "target_energy", "solve", (int, float))
-
-
-def _validate_markov(p: dict):
-    _validate_problem(p, "markov")
-    indices = p.get("deterministic_indices", [1.0])
-    if not isinstance(indices, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v <= 1.0
-        for v in indices
-    ):
-        raise ConfigError("markov.deterministic_indices: expected probabilities in [0, 1]")
-    if p.get("horizon") is not None:
-        _field(p, "horizon", "markov", int, lo=0)
-
-
-def _validate_clock(p: dict):
-    _field(p, "cells", "clock-demo", int, lo=1)
-    _field(p, "cycles", "clock-demo", int, lo=1)
-    _field(p, "period", "clock-demo", int, lo=4)  # synthesize_trace needs 4 frames
-    _field(p, "jitter", "clock-demo", int, lo=0)
-    _field(p, "confirmations", "clock-demo", int, lo=1)
-
-
-_VALIDATORS = {
-    "count": _validate_count,
-    "cca1d": _validate_cca1d,
-    "cca2d": _validate_cca2d,
-    "solve": _validate_solve,
-    "markov": _validate_markov,
-    "clock-demo": _validate_clock,
-}
 
 
 @dataclass
@@ -206,9 +221,13 @@ class RunManifest:
     outputs: list[str] = field(default_factory=list)
 
     def write(self, path: Path):
-        with open(path, "w") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self.__dict__)
+
+
+def _write_json(path: Path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -249,7 +268,7 @@ def run_from_manifest(manifest_path, out_dir=None, quiet: bool = True) -> RunMan
 def _run_count(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     p = cfg.params
     n, pl, ql = p["n"], p["cell_levels"], p["iface_levels"]
-    kl = p.get("chem_levels", 2)
+    kl = cfg.get("chem_levels")
     inputs = input_state_count(n, pl, ql)
     chems = chemical_state_count(n, kl)
     payload = {
@@ -266,9 +285,7 @@ def _run_count(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
         ratio = expansion_ratio(n, pl, ql, kl)
         payload["expansion_ratio"] = str(ratio)
         payload["expansion_ratio_sci"] = format_scientific(ratio, 2)
-    with open(out / "counts.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "counts.json", payload)
     if not quiet:
         print(f"input states: {payload['input_states_sci']}")
         print(f"chemical states: {payload['chemical_states_sci']}")
@@ -280,10 +297,10 @@ def _run_count(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
 def _run_cca1d(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     p = cfg.params
     rule = Rule1D.from_label(p["rule"])
-    grid = line(p["cells"], periodic=p.get("periodic", False))
-    init = p.get("init")
+    grid = line(p["cells"], periodic=cfg.get("periodic"))
+    init = cfg.get("init")
     init_cs = np.asarray(init, np.uint8) if init is not None else single_seed(p["cells"])
-    mode = p.get("mode", MODE_PROBABILISTIC)
+    mode = cfg.get("mode")
     outputs = []
     for k in range(cfg.replicas):
         rng = stream_rng(cfg.master_seed, k)
@@ -299,14 +316,13 @@ def _run_cca1d(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
 
 def _run_cca2d(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     p = cfg.params
-    params = ChemModel2DParams.from_dict(p["model"]) if "model" in p else ChemModel2DParams()
     result = run_population_experiment(
         p["side"],
         p["initial_chemits"],
         p["steps"],
         cfg.replicas,
-        params,
-        p.get("fluct_ratio", 0.1),
+        ChemModel2DParams.from_dict(cfg.get("model")),
+        cfg.get("fluct_ratio"),
         cfg.master_seed,
     )
     outputs = []
@@ -323,9 +339,7 @@ def _run_cca2d(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
         "std_final": float(result.std[-1]),
         "mean_series_tail": [float(v) for v in result.mean[-10:]],
     }
-    with open(out / "population_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "population_summary.json", summary)
     outputs.append("population_summary.json")
     if not quiet:
         print(f"final mean population: {summary['mean_final']:.2f}")
@@ -333,15 +347,9 @@ def _run_cca2d(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
 
 
 def _run_solve(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
-    p = cfg.params
-    problem = load_problem(p["problem"])
-    solver = p.get("solver", 2)
-    sp = SolverParams(
-        p_chem=p.get("p_chem", 1.0),
-        k_temp=p.get("k_temp", 5.0),
-        max_steps=p.get("max_steps", 10_000),
-        target_energy=p.get("target_energy"),
-    )
+    problem = load_problem(cfg.params["problem"])
+    solver = cfg.get("solver")
+    sp = SolverParams(**{key: cfg.get(key) for key in ("p_chem", "k_temp", "max_steps", "target_energy")})
     solve = solve_type1 if solver == 1 else solve_type2
     outputs = []
     summaries = []
@@ -352,9 +360,7 @@ def _run_solve(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
         trace.write_jsonl(out / name)
         outputs.append(name)
         summaries.append(trace.summary())
-    with open(out / "solve_summary.json", "w") as fh:
-        json.dump({"solver": solver, "runs": summaries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "solve_summary.json", {"solver": solver, "runs": summaries})
     outputs.append("solve_summary.json")
     if not quiet:
         best = min(s["best_energy"] for s in summaries)
@@ -363,14 +369,16 @@ def _run_solve(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
 
 
 def _run_markov(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
-    p = cfg.params
-    problem = load_problem(p["problem"])
+    problem = load_problem(cfg.params["problem"])
+    indices = cfg.get("deterministic_indices")
+    for idx in indices:  # before paying for the exhaustive oracle
+        check_capacity(problem, float(idx))
     emin, configs = brute_force_min(problem)
     minima = [config_index(c) for c in configs]
     write_solution_json(out / "oracle.json", problem, emin, configs)
     outputs = ["oracle.json"]
-    horizon = p.get("horizon")
-    for idx in p.get("deterministic_indices", [1.0]):
+    horizon = cfg.get("horizon")
+    for idx in indices:
         t = build_transition_matrix(problem, float(idx))
         report = success_probabilities(t, minima, horizon)
         tag = f"{float(idx):.4g}".replace(".", "p")
@@ -386,11 +394,7 @@ def _run_markov(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
 
 
 def _run_clock_demo(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
-    p = cfg.params
-    cells = p.get("cells", 7)
-    cycles = p.get("cycles", 4)
-    period = p.get("period", 12)
-    jitter = p.get("jitter", 0)
+    cells, cycles, period, jitter = (cfg.get(k) for k in ("cells", "cycles", "period", "jitter"))
     rng = stream_rng(cfg.master_seed, 0)
     traces = {i: [] for i in range(cells)}
     targets = []
@@ -403,7 +407,7 @@ def _run_clock_demo(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
         for i, burst in enumerate(bursts):
             traces[i].extend(burst + [ColorState.RED] * (span - len(burst)))
     length = min(len(v) for v in traces.values())
-    bank = ClockedCellBank(cells, confirmations=p.get("confirmations", 2))
+    bank = ClockedCellBank(cells, confirmations=cfg.get("confirmations"))
     decisions = []
     for frame in range(length):
         decision = bank.step_frame([traces[i][frame] for i in range(cells)])
@@ -417,9 +421,7 @@ def _run_clock_demo(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
         "decisions": decisions,
         "decoded": {str(i): decode_trace(traces[i]) for i in range(cells)},
     }
-    with open(out / "decisions.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "decisions.json", payload)
     if not quiet:
         print(f"{len(decisions)} gated decisions over {cycles} cycles")
     return ["trace.csv", "decisions.json"]

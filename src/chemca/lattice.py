@@ -19,16 +19,6 @@ class CellIndex(NamedTuple):
     col: int
 
 
-class InterfaceIndex(NamedTuple):
-    """Interface between two nearest-neighbor cells, canonically ordered.
-
-    cell_a precedes cell_b in row-major order.
-    """
-
-    cell_a: CellIndex
-    cell_b: CellIndex
-
-
 @dataclass(frozen=True)
 class Grid:
     """Cell array topology.
@@ -128,24 +118,6 @@ def next_nearest_neighbors(grid: Grid, c: CellIndex) -> list[CellIndex]:
         if cell not in seen and cell != c:
             seen.add(cell)
             out.append(cell)
-    return out
-
-
-def interfaces(grid: Grid) -> list[InterfaceIndex]:
-    """All interfaces, canonically ordered (cell_a before cell_b row-major)."""
-    out: list[InterfaceIndex] = []
-    w, h = grid.width, grid.height
-    if grid.kind == LINE_1D:
-        for i in range(w - 1):
-            out.append(InterfaceIndex(CellIndex(0, i), CellIndex(0, i + 1)))
-        if grid.periodic and w > 2:
-            out.append(InterfaceIndex(CellIndex(0, 0), CellIndex(0, w - 1)))
-        return out
-    for r in range(h):
-        for col in range(w):
-            a = CellIndex(r, col)
-            out.append(InterfaceIndex(a, CellIndex(r, (col + 1) % w)))
-            out.append(InterfaceIndex(a, CellIndex((r + 1) % h, col)))
     return out
 
 

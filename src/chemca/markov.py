@@ -70,11 +70,16 @@ class TransitionMatrix:
     p_chem: float
 
 
+def check_capacity(p: QuboProblem, p_chem: float):
+    """Raise CapacityError if the acceptance table of p at p_chem exceeds the byte budget."""
+    k = 0 if p_chem == 1.0 else int(np.count_nonzero(p.pairwise(), axis=1).max(initial=0))
+    _check_budget(1 << p.n, p.n, k)
+
+
 def build_transition_matrix(p: QuboProblem, p_chem: float) -> TransitionMatrix:
     """Acceptance table of the Type-2 chain, one acceptance_prob call over all
     configs per flipped spin. Raises CapacityError before allocating."""
-    k = 0 if p_chem == 1.0 else int(np.count_nonzero(p.pairwise(), axis=1).max(initial=0))
-    _check_budget(1 << p.n, p.n, k)
+    check_capacity(p, p_chem)
     configs = ((np.arange(1 << p.n)[:, None] >> np.arange(p.n)) & 1).astype(np.uint8)
     accept = np.empty((1 << p.n, p.n))
     for h in range(p.n):

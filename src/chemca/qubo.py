@@ -70,10 +70,6 @@ def index_config(idx: int, n: int) -> np.ndarray:
     return np.array([(idx >> i) & 1 for i in range(n)], dtype=np.uint8)
 
 
-def spins_to_bits(s) -> np.ndarray:
-    return ((np.asarray(s) + 1) // 2).astype(np.uint8)
-
-
 def bits_to_spins(x) -> np.ndarray:
     return (2 * np.asarray(x, dtype=int) - 1).astype(np.int8)
 
@@ -236,11 +232,6 @@ def qubo_to_ising(p: QuboProblem) -> IsingModel:
     return IsingModel(float(offset), g, c / 4.0)
 
 
-def ising_energy(m: IsingModel, s) -> float:
-    s = np.asarray(s, dtype=float)
-    return float(m.offset + m.g @ s + (s @ m.coupling @ s) / 2.0)
-
-
 def flip_terms(m: IsingModel, s: np.ndarray, h):
     """Energy-change decomposition for flipping spin h.
 
@@ -252,18 +243,6 @@ def flip_terms(m: IsingModel, s: np.ndarray, h):
     """
     delta = -2.0 * (s[h] if s.ndim == 1 else s[np.arange(s.shape[0]), h])
     return delta * m.g[h], delta[..., None] * m.coupling[h] * s
-
-
-def dump_problem(p: QuboProblem) -> dict:
-    d = dict(p.metadata)
-    d.setdefault("kind", "explicit")
-    if d["kind"] == "explicit":
-        d.update(
-            offset=p.offset,
-            linear=[float(v) for v in p.linear],
-            quad=[[float(v) for v in row] for row in p.quad],
-        )
-    return d
 
 
 def load_problem(source) -> QuboProblem:

@@ -176,14 +176,12 @@ def synthesize_trace(
     period_frames: int,
     jitter: int = 0,
     rng: np.random.Generator | None = None,
-    mislabel: float = 0.0,
 ) -> list[ColorState]:
     """One full color excursion encoding `target_cs`.
 
     Shape R..,LB,(B if target is 1),LB,R.. over roughly `period_frames`
     frames, with each segment length jittered uniformly in [-jitter, jitter]
-    but kept >= 1 so the segment order is intact. `mislabel` optionally
-    flips each frame to a random wrong color (classifier noise surrogate).
+    but kept >= 1 so the segment order is intact.
     """
     if period_frames < 4:
         raise ValueError("period_frames must be >= 4")
@@ -210,16 +208,6 @@ def synthesize_trace(
     trace: list[ColorState] = []
     for color, L in zip(segments, lengths):
         trace.extend([color] * L)
-    if mislabel > 0.0:
-        others = {
-            ColorState.RED: (ColorState.LIGHT_BLUE, ColorState.BLUE),
-            ColorState.LIGHT_BLUE: (ColorState.RED, ColorState.BLUE),
-            ColorState.BLUE: (ColorState.RED, ColorState.LIGHT_BLUE),
-        }
-        trace = [
-            others[c][int(rng.integers(2))] if rng.random() < mislabel else c
-            for c in trace
-        ]
     return trace
 
 
@@ -232,12 +220,3 @@ def write_trace_csv(path, traces: dict[int, list[ColorState]]):
             for frame, color in enumerate(traces[cell_id]):
                 writer.writerow([cell_id, frame, color.value])
 
-
-def read_trace_csv(path) -> dict[int, list[ColorState]]:
-    by_code = {c.value: c for c in ColorState}
-    traces: dict[int, list[ColorState]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            traces.setdefault(int(row["cell_id"]), []).append(by_code[row["color"]])
-    return traces

@@ -26,11 +26,11 @@ from chemca.qubo import (
     config_index,
     distance_matrix_from_coords,
     energy,
-    spins_to_bits,
 )
 from chemca.signals import ColorState, GlobalClock, LocalClock, decode_trace, global_clock_step, local_clock_step, synthesize_trace
 
 from .eca_reference import eca_run
+from .spin_bits import spins_to_bits
 
 CITIES = [[0, 0], [1, 0], [3, 3], [0, 10]]
 SAT1 = [(1, 2), (2, -4), (3, 4)]

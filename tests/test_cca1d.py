@@ -5,7 +5,6 @@ from chemca.cca1d import (
     MODE_DISPLAY,
     MODE_PROBABILISTIC,
     Cca1dState,
-    RULE_SPACE,
     Rule1D,
     apply_rule_a,
     apply_rule_b,
@@ -60,7 +59,7 @@ def test_label_bijection_over_rule_space():
             back = Rule1D.from_label(rule.label)
             assert back == rule
             seen.add(rule.label)
-    assert len(seen) == RULE_SPACE == 4096
+    assert len(seen) == 256 * 16
 
 
 def test_label_parse_errors():

@@ -4,14 +4,12 @@ import pytest
 from chemca.cca2d import (
     ChemitEventCounts,
     PwmGrid,
-    analyze_transition,
     cca2d_update,
     format_pwm_grid,
     place_chemits,
     run_population_experiment,
     step_chemits,
     write_population_csv,
-    write_ppm,
 )
 from chemca.chemodel import ChemModel2DParams, PwmClass
 from chemca.lattice import torus
@@ -227,30 +225,6 @@ def test_write_once_classes():
         assert (r, c) not in cores
 
 
-def test_analyze_transition_cases():
-    grid = torus(7)
-    c = analyze_transition(grid, {(2, 2)}, {(2, 3)})
-    assert (c.propagation, c.replication, c.annihilation) == (1, 0, 0)
-    c = analyze_transition(grid, {(2, 2)}, {(2, 2), (4, 3)})
-    assert (c.propagation, c.replication, c.annihilation) == (0, 1, 0)
-    c = analyze_transition(grid, {(2, 2)}, set())
-    assert (c.propagation, c.replication, c.annihilation) == (0, 0, 1)
-
-
-def test_event_count_conservation():
-    grid = torus(10)
-    rng = np.random.default_rng(9)
-    pwm, _ = place_chemits(grid, 8, rng)
-    cs = np.zeros((10, 10), np.uint8)
-    old = cores_of(pwm)
-    for _ in range(40):
-        pwm, cs, _ = step_chemits(grid, pwm, cs, rng=rng)
-        new = cores_of(pwm)
-        c = analyze_transition(grid, old, new)
-        assert len(new) - len(old) == c.replication - c.annihilation
-        old = new
-
-
 def test_seed_determinism():
     a = run_population_experiment(10, 3, 50, 2, master_seed=123)
     b = run_population_experiment(10, 3, 50, 2, master_seed=123)
@@ -282,8 +256,6 @@ def test_snapshot_and_csv_outputs(tmp_path):
     pwm = chemit_at(grid, 2, 2)
     text = format_pwm_grid(pwm)
     assert text.splitlines()[2] == ".hCh."
-    write_ppm(tmp_path / "frame.ppm", pwm.classes)
-    assert (tmp_path / "frame.ppm").read_text().startswith("P3 5 5 255")
     res = run_population_experiment(8, 2, 5, 1, master_seed=1)
     write_population_csv(tmp_path / "pop.csv", res.series[0])
     lines = (tmp_path / "pop.csv").read_text().splitlines()

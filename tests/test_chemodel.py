@@ -8,11 +8,20 @@ from chemca.chemodel import (
     ChemModel2DParams,
     PwmClass,
     SingleCellHysteresisParams,
+    _code_2d,
+    _law_2d,
     prob_high_1d,
-    prob_high_2d,
     prob_high_2d_grid,
-    prob_high_single,
+    table_2d,
+    table_single,
 )
+
+
+def law_2d(center, neighbors, prev, params=ChemModel2DParams()):
+    """The table entry for one cell; it must equal the definition, _law_2d."""
+    value = table_2d(params)[_code_2d(*map(int, (center, *neighbors, prev)))]
+    assert value == _law_2d(center, list(neighbors), prev, params)
+    return value
 
 
 def test_pwm_class_levels():
@@ -55,40 +64,35 @@ def test_prob_1d_range_and_mirror_symmetry():
 
 
 def test_prob_2d_core_center():
-    assert prob_high_2d(PwmClass.CORE, [PwmClass.OFF] * 4, 1) == 0.5
-    assert prob_high_2d(PwmClass.CORE, [PwmClass.OFF] * 4, 0) == pytest.approx(0.35)
+    assert law_2d(PwmClass.CORE, [PwmClass.OFF] * 4, 1) == 0.5
+    assert law_2d(PwmClass.CORE, [PwmClass.OFF] * 4, 0) == pytest.approx(0.35)
 
 
 def test_prob_2d_fluct_one_core_neighbor():
     nb = [PwmClass.CORE, PwmClass.OFF, PwmClass.OFF, PwmClass.OFF]
-    assert prob_high_2d(PwmClass.FLUCT, nb, 1) == pytest.approx(0.03)
+    assert law_2d(PwmClass.FLUCT, nb, 1) == pytest.approx(0.03)
 
 
 def test_prob_2d_off_center_annihilated_by_q1():
     for nb in itertools.product(list(PwmClass), repeat=4):
-        assert prob_high_2d(PwmClass.OFF, list(nb), 0) == 0.0
+        assert law_2d(PwmClass.OFF, list(nb), 0) == 0.0
 
 
 def test_prob_2d_cascade_order():
     p = ChemModel2DParams()
     core3 = [PwmClass.CORE] * 3 + [PwmClass.OFF]
-    assert prob_high_2d(PwmClass.HALO, core3, 1) == pytest.approx(p.q4 * p.p1)
+    assert law_2d(PwmClass.HALO, core3, 1) == pytest.approx(p.q4 * p.p1)
     halo3 = [PwmClass.HALO] * 3 + [PwmClass.OFF]
-    assert prob_high_2d(PwmClass.HALO, halo3, 1) == pytest.approx(p.q4 * p.p3)
+    assert law_2d(PwmClass.HALO, halo3, 1) == pytest.approx(p.q4 * p.p3)
     halo1 = [PwmClass.HALO] + [PwmClass.FLUCT] * 3
-    assert prob_high_2d(PwmClass.HALO, halo1, 1) == pytest.approx(p.q4 * p.p4)
+    assert law_2d(PwmClass.HALO, halo1, 1) == pytest.approx(p.q4 * p.p4)
     quiet = [PwmClass.OFF] * 4
-    assert prob_high_2d(PwmClass.HALO, quiet, 1) == 0.0
-
-
-def test_prob_2d_requires_four_neighbors():
-    with pytest.raises(ValueError):
-        prob_high_2d(PwmClass.CORE, [PwmClass.OFF] * 3, 0)
+    assert law_2d(PwmClass.HALO, quiet, 1) == 0.0
 
 
 @given(st.integers(0, 3), st.lists(st.integers(0, 3), min_size=4, max_size=4), st.integers(0, 1))
 def test_prob_2d_in_unit_interval(center, neighbors, prev):
-    v = prob_high_2d(PwmClass(center), [PwmClass(c) for c in neighbors], prev)
+    v = law_2d(PwmClass(center), [PwmClass(c) for c in neighbors], prev)
     assert 0.0 <= v <= 1.0
 
 
@@ -111,7 +115,7 @@ def test_prob_2d_in_unit_interval(center, neighbors, prev):
     st.integers(0, 1),
 )
 def test_display_screen_limit_is_deterministic(params, center, neighbors, prev):
-    v = prob_high_2d(PwmClass(center), [PwmClass(c) for c in neighbors], prev, params)
+    v = law_2d(PwmClass(center), [PwmClass(c) for c in neighbors], prev, params)
     assert v in (0.0, 1.0)
 
 
@@ -128,17 +132,16 @@ def test_grid_model_matches_scalar():
         )
         prev_grid = np.zeros((3, 3), np.uint8)
         prev_grid[1, 1] = prev
-        nb = [PwmClass(c) for c in (left, right, up, down)]
-        want = prob_high_2d(PwmClass(center), nb, prev, params)
+        want = _law_2d(center, [left, right, up, down], prev, params)
         assert prob_high_2d_grid(classes, prev_grid, params)[1, 1] == want
 
 
 def test_prob_single():
-    hp = SingleCellHysteresisParams(0.9)
-    assert prob_high_single(1, 0, hp) == 0.9
-    assert prob_high_single(0, 1, hp) == pytest.approx(0.1)
-    assert prob_high_single(0, 0, hp) == 0.0
-    assert prob_high_single(1, 1, hp) == 0.9
+    table = table_single(SingleCellHysteresisParams(0.9))  # [commanded, prev_cs]
+    assert table[1, 0] == 0.9
+    assert table[0, 1] == pytest.approx(0.1)
+    assert table[0, 0] == 0.0
+    assert table[1, 1] == 0.9
 
 
 def test_params_dict_round_trip():

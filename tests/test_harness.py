@@ -1,10 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chemca.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USER, main
 from chemca.harness import (
+    SCHEMA,
     ConfigError,
     ExperimentConfig,
     derive_seed,
@@ -89,6 +92,12 @@ def test_config_validation_errors():
         ({"kind": "clock-demo", "confirmations": "2"}, "clock-demo.confirmations"),
         ({"kind": "clock-demo", "confirmations": 0}, "clock-demo.confirmations"),
         (dict(markov, deterministic_indices=[True]), "markov.deterministic_indices"),
+        (dict(solve, p_chme=0.9), "solve.p_chme: unknown key"),
+        (dict(count, side=7, bogus=1), "count.side, count.bogus: unknown key"),
+        (dict(cca1d, out=5), "cca1d.out"),
+        (dict(count, seed=True), "count.seed"),
+        (dict(solve, solver=3), "solve.solver"),
+        (dict(cca1d, mode="foo"), "cca1d.mode"),
     ]
     bad_problems = [
         {"kind": "partition", "numbers": 5},
@@ -268,6 +277,56 @@ def test_cli_user_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_input_errors_exit_one(tmp_path, capsys):
+    # argparse errors, bad config files and bad values all exit 1, naming the flag or field
+    def config(payload):
+        path = tmp_path / f"cfg{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        return ["--config", str(path)]
+
+    cca1d = ["cca1d", "--rule", "30-1", "--steps", "3"]
+    cases = [
+        (cca1d + ["--cells", "abc"], "--cells"),
+        (cca1d + ["--cells", "7", "--mode", "foo"], "cca1d.mode"),
+        (["cca1d"] + config([1, 2]), "--config"),
+        (["cca1d"] + config("{bad"), "--config"),
+        (cca1d + ["--cells", "7"] + config({"out": 5}), "cca1d.out"),
+        (cca1d + ["--cells", "7"] + config({"p_chme": 0.9}), "cca1d.p_chme"),
+        (["count", "--side", "7", "--cell-levels", "4", "--iface-levels", "2"], "--side"),
+        (["nope"], "nope"),
+        ([], "kind"),
+    ]
+    for argv, name in cases:
+        assert main(argv) == EXIT_USER, argv
+        assert name in capsys.readouterr().err, argv
+
+
+def test_cli_flag_per_scalar_key(tmp_path):
+    out = tmp_path / "clock"
+    argv = ["clock-demo", "--cells", "3", "--cycles", "2", "--period", "8", "--jitter", "1",
+            "--confirmations", "1", "--seed", "4", "--replicas", "1", "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_OK
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config == {"kind": "clock-demo", "cells": 3, "cycles": 2, "period": 8, "jitter": 1,
+                      "confirmations": 1, "seed": 4, "replicas": 1}
+    argv = ["cca1d", "--rule", "30-1", "--cells", "5", "--steps", "2", "--periodic",
+            "--mode", "display", "--out", str(tmp_path / "ring"), "--quiet"]
+    assert main(argv) == EXIT_OK
+    config = json.loads((tmp_path / "ring" / "manifest.json").read_text())["config"]
+    assert config["periodic"] is True and config["mode"] == "display"
+
+
+def test_readme_key_table_matches_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`"):
+            kind, keys = cells[1].strip().strip("`"), cells[2]
+            table[kind] = set(re.findall(r"`([a-z_]+)`", keys))
+    assert table == {kind: set(rows) for kind, rows in SCHEMA.items()}
+
+
 def test_cli_capacity_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -281,6 +340,7 @@ def test_cli_capacity_error(tmp_path, capsys):
     )
     code = main(["markov", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
     assert code == EXIT_CAPACITY
+    assert not (tmp_path / "o" / "oracle.json").exists()  # the budget is checked first
 
 
 def test_full_reproducibility_all_kinds(tmp_path):

@@ -24,9 +24,10 @@ from chemca.qubo import (
     flip_terms,
     index_config,
     qubo_to_ising,
-    spins_to_bits,
     tour_from_config,
 )
+
+from .spin_bits import spins_to_bits
 
 P4 = build_partition([1, 3, 4, 8])
 P6 = build_partition([1, 3, 4, 6, 5, 1])

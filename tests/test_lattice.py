@@ -8,7 +8,6 @@ from chemca.lattice import (
     expansion_ratio,
     format_scientific,
     input_state_count,
-    interfaces,
     line,
     nearest_neighbors,
     next_nearest_neighbors,
@@ -75,11 +74,6 @@ def test_neighbor_symmetry_and_counts(side, r, c):
     assert len(nnn) == 8
     for other in nnn:
         assert cell in next_nearest_neighbors(g, other)
-
-
-def test_interfaces_canonical_counts():
-    assert len(interfaces(line(7))) == 6
-    assert len(interfaces(torus(7))) == 2 * 49
 
 
 def test_input_state_count_published():

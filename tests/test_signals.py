@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from chemca.signals import (
     decode_trace,
     global_clock_step,
     local_clock_step,
-    read_trace_csv,
     rfsm_step,
     synthesize_trace,
     tock_threshold,
@@ -139,7 +140,13 @@ def test_trace_csv_round_trip(tmp_path):
     traces = {i: synthesize_trace(i % 2, 8, 1, rng) for i in range(3)}
     path = tmp_path / "trace.csv"
     write_trace_csv(path, traces)
-    assert read_trace_csv(path) == traces
+    by_code = {c.value: c for c in ColorState}
+    read: dict[int, list[ColorState]] = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            assert int(row["frame"]) == len(read.setdefault(int(row["cell_id"]), []))
+            read[int(row["cell_id"])].append(by_code[row["color"]])
+    assert read == traces
     header = path.read_text().splitlines()[0]
     assert header == "cell_id,frame,color"
 
@@ -175,12 +182,3 @@ def test_clocked_bank_every_cycle_updates_each_cell_once():
                 decisions.append(out)
     assert decisions == expected
 
-
-def test_synthesize_mislabel_noise():
-    rng = np.random.default_rng(21)
-    clean = synthesize_trace(1, 12, 0, rng)
-    noisy = synthesize_trace(1, 12, 0, np.random.default_rng(21), mislabel=1.0)
-    assert len(noisy) == len(clean)
-    assert all(a != b for a, b in zip(clean, noisy))  # every frame corrupted
-    untouched = synthesize_trace(1, 12, 0, np.random.default_rng(5), mislabel=0.0)
-    assert decode_trace(untouched) == [1]
