@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chemodel import ChemModel2DParams, PwmClass, prob_high_2d_grid
-from .lattice import Grid, nearest_neighbors, next_nearest_neighbors, torus
+from .lattice import Grid, neighbor_table, torus
 
 DEFAULT_FLUCT_RATIO = 0.1
+_CORE, _FLUCT, _HALO = int(PwmClass.CORE), int(PwmClass.FLUCT), int(PwmClass.HALO)
 
 
 @dataclass
@@ -53,30 +54,8 @@ class ChemitEventCounts:
     competition_died: int = 0
     annihilation: int = 0
     random_selection: int = 0
-
-
-class _NeighborTables:
-    """Flat-index neighbor lists per cell, in the fixed lattice order."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        n = grid.n_cells
-        self.nn: list[tuple[int, ...]] = [()] * n
-        self.nnn: list[tuple[int, ...]] = [()] * n
-        for i in range(n):
-            c = grid.unflat(i)
-            self.nn[i] = tuple(grid.flat(x) for x in nearest_neighbors(grid, c))
-            self.nnn[i] = tuple(grid.flat(x) for x in next_nearest_neighbors(grid, c))
-
-
-_tables_cache: dict[tuple[int, int], _NeighborTables] = {}
-
-
-def _tables(grid: Grid) -> _NeighborTables:
-    key = (grid.height, grid.width)
-    if key not in _tables_cache:
-        _tables_cache[key] = _NeighborTables(grid)
-    return _tables_cache[key]
+    merged: int = 0  # born cores that landed on the same cell as another
+    fluct_clamped: int = 0  # budgeted FLUCT cells that found no unfrozen cell
 
 
 def cca2d_update(
@@ -97,77 +76,75 @@ def cca2d_update(
     next-nearest non-core candidate means replication (a second core
     appears there and the original survives). A core with no high
     neighbor, or whose candidate is a distant core, simply persists.
+    Candidates are gathered for all cores at once and only the draws run
+    per core; an outcome writes either its own old core or an old non-core
+    pick, so the outcomes are applied together afterwards.
 
-    A second pass turns on every new core's four interfaces and paints its
-    unfrozen non-core neighbors HALO; a core cell is never repainted as
-    halo, so adjacent survivors coexist. Finally `fluct_budget` of the
-    still-unfrozen cells become FLUCT (clamped with a warning if the budget
-    exceeds the unfrozen count).
+    Every new core then turns on its four interfaces, and its nearest
+    neighbors become HALO unless they are new cores or cells that a core
+    propagated from. Finally `fluct_budget` of the still-unfrozen cells
+    become FLUCT (clamped with a warning if the budget exceeds the unfrozen
+    count).
     """
     if fluct_budget < 0:
         raise ValueError("fluct_budget must be >= 0")
     h, w = grid.height, grid.width
-    tab = _tables(grid)
+    nb = neighbor_table(h, w)
     old = np.ascontiguousarray(pwm.classes).reshape(-1)
     cs_flat = np.asarray(cs, dtype=np.uint8).reshape(-1)
     if cs_flat.shape != old.shape:
         raise ValueError("chemical-state grid does not match the PWM grid")
-
-    new = np.zeros_like(old)
-    freeze = np.zeros(old.shape[0], dtype=bool)
-    iface_h = np.zeros((h, w), np.uint8)
-    iface_v = np.zeros((h, w), np.uint8)
     counts = ChemitEventCounts()
-    core = int(PwmClass.CORE)
-    fluct = int(PwmClass.FLUCT)
-    halo = int(PwmClass.HALO)
 
-    for cell in np.flatnonzero(old == core):
-        cell = int(cell)
-        cand = [(j, True) for j in tab.nn[cell] if cs_flat[j]]
-        cand += [(j, False) for j in tab.nnn[cell] if cs_flat[j]]
-        if not cand:
-            new[cell] = core
+    was_core = old == _CORE
+    cores = was_core.nonzero()[0]
+    rows = nb[cores]
+    high = (rows >= 0) & (cs_flat[rows] != 0)
+    owner, col = high.nonzero()  # candidates, core by core, in table order
+    cand = rows[high]
+    adjacent, cand_is_core = (col < 4).tolist(), was_core[cand].tolist()
+    cand = cand.tolist()
+    died, moved, born = [], [], []
+    first = 0  # index of this core's first candidate
+    for cell, k in zip(cores.tolist(), np.bincount(owner, minlength=cores.size).tolist()):
+        if not k:
             continue
-        if len(cand) > 1:
+        j = first
+        if k > 1:
             counts.random_selection += 1
-            pick, adjacent = cand[int(rng.integers(len(cand)))]
-        else:
-            pick, adjacent = cand[0]
-        if adjacent and old[pick] == core:
+            j += int(rng.integers(k))
+        first += k
+        if adjacent[j] and cand_is_core[j]:
             if rng.random() < 0.5:
-                new[cell] = core
                 counts.competition_survived += 1
             else:
-                new[cell] = fluct
-                counts.competition_died += 1
-                counts.annihilation += 1
-        elif adjacent:
-            new[cell] = fluct
-            freeze[cell] = True
-            new[pick] = core
-            counts.propagation += 1
-        elif old[pick] != core:
-            new[cell] = core
-            new[pick] = core
-            counts.replication += 1
-        else:
-            new[cell] = core
+                died.append(cell)
+        elif adjacent[j]:
+            moved.append(cell)
+            born.append(cand[j])
+        elif not cand_is_core[j]:
+            born.append(cand[j])
+    counts.competition_died = counts.annihilation = len(died)
+    counts.propagation = len(moved)
+    counts.replication = len(born) - len(moved)
+    counts.merged = len(born) - len(set(born))
 
-    for cell in np.flatnonzero(new == core):
-        cell = int(cell)
-        r, c = divmod(cell, w)
-        iface_h[r, c] = 1
-        iface_h[r, (c - 1) % w] = 1
-        iface_v[r, c] = 1
-        iface_v[(r - 1) % h, c] = 1
-        for p in tab.nn[cell]:
-            if not freeze[p] and new[p] != core:
-                new[p] = halo
-                freeze[p] = True
-        freeze[cell] = True
+    new = old * was_core
+    if died or born:  # most steps change no core; an empty fancy index is not free
+        new[died + moved] = _FLUCT
+        new[born] = _CORE
+    frozen = new == _CORE
+    new_cores = frozen.nonzero()[0]
+    frozen[moved] = True  # a cell a core moved from keeps its FLUCT
+    ring = nb[new_cores, :4]
+    halo_cells = ring[~frozen[ring]]
+    new[halo_cells] = _HALO
+    frozen[halo_cells] = True
+    ifaces = np.zeros((2, old.size), np.uint8)  # iface_h, iface_v
+    ifaces[:, new_cores] = 1
+    ifaces[0, ring[:, 0]] = ifaces[1, ring[:, 2]] = 1  # coupler to the left / above
 
-    unfrozen = np.flatnonzero(~freeze)
+    unfrozen = (~frozen).nonzero()[0]
     budget = fluct_budget
     if budget > unfrozen.size:
         warnings.warn(
@@ -175,11 +152,12 @@ def cca2d_update(
             stacklevel=2,
         )
         budget = unfrozen.size
+        counts.fluct_clamped = fluct_budget - budget
     if budget:
         chosen = rng.choice(unfrozen.size, size=budget, replace=False)
-        new[unfrozen[chosen]] = fluct
+        new[unfrozen[chosen]] = _FLUCT
 
-    return PwmGrid(new.reshape(h, w), iface_h, iface_v), counts
+    return PwmGrid(new.reshape(h, w), *ifaces.reshape(2, h, w)), counts
 
 
 def step_chemits(
@@ -210,13 +188,8 @@ def place_chemits(
     pwm = PwmGrid.empty(grid)
     flat = pwm.classes.reshape(-1)
     sites = sorted(int(i) for i in rng.choice(grid.n_cells, size=n_chemits, replace=False))
-    tab = _tables(grid)
-    for cell in sites:
-        flat[cell] = PwmClass.CORE
-    for cell in sites:
-        for p in tab.nn[cell]:
-            if flat[p] != PwmClass.CORE:
-                flat[p] = PwmClass.HALO
+    flat[neighbor_table(grid.height, grid.width)[sites, :4]] = PwmClass.HALO
+    flat[sites] = PwmClass.CORE
     return pwm, [divmod(s, grid.width) for s in sites]
 
 

@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .lattice import neighbor_table
+
 
 class PwmClass(IntEnum):
     """Four-level cell stirrer class with its PWM duty value.
@@ -145,10 +147,6 @@ def _law_2d(center: int, neighbors: list[int], prev_cs: int, p: ChemModel2DParam
     return k * (q * _cascade(*counts, p))
 
 
-def _code_2d(center, left, right, up, down, prev_cs):
-    return center | left << 2 | right << 4 | up << 6 | down << 8 | prev_cs << 10
-
-
 @lru_cache(maxsize=64)
 def table_2d(params: ChemModel2DParams) -> np.ndarray:
     """The 2D law tabulated over all 2048 codes (layout in the module docstring)."""
@@ -160,14 +158,19 @@ def table_2d(params: ChemModel2DParams) -> np.ndarray:
     return table
 
 
+_NEIGHBOR_WEIGHTS = np.array([4, 16, 64, 256], np.intp)  # left, right, up, down
+
+
 def prob_high_2d_grid(
     classes: np.ndarray, prev_cs: np.ndarray, params: ChemModel2DParams | None = None
 ) -> np.ndarray:
     """The 2D law over a full (h, w) torus of PWM classes (4-neighbors wrap)."""
     table = table_2d(params or ChemModel2DParams())
     c = np.asarray(classes, np.intp)
-    neighbors = [np.roll(c, shift, axis) for axis in (1, 0) for shift in (1, -1)]  # l, r, u, d
-    return table[_code_2d(c, *neighbors, np.asarray(prev_cs) != 0)]
+    flat = c.reshape(-1)
+    nearest = flat[neighbor_table(*c.shape)[:, :4].T]
+    code = flat + _NEIGHBOR_WEIGHTS @ nearest + 1024 * (np.asarray(prev_cs).reshape(-1) != 0)
+    return table[code].reshape(c.shape)
 
 
 def table_single(params: SingleCellHysteresisParams) -> np.ndarray:

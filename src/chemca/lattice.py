@@ -8,7 +8,10 @@ integers); a scientific string form is provided for reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
+
+import numpy as np
 
 LINE_1D = "line1d"
 TORUS_2D = "torus2d"
@@ -45,19 +48,11 @@ class Grid:
     def n_cells(self) -> int:
         return self.width * self.height
 
-    def contains(self, c: CellIndex) -> bool:
-        return 0 <= c.row < self.height and 0 <= c.col < self.width
-
-    def check(self, c: CellIndex) -> CellIndex:
-        if not self.contains(c):
-            raise IndexError(f"cell {tuple(c)} outside {self.height}x{self.width} grid")
-        return c
-
     def flat(self, c: CellIndex) -> int:
+        """Row-major index of a cell; IndexError outside the grid."""
+        if not (0 <= c.row < self.height and 0 <= c.col < self.width):
+            raise IndexError(f"cell {tuple(c)} outside {self.height}x{self.width} grid")
         return c.row * self.width + c.col
-
-    def unflat(self, i: int) -> CellIndex:
-        return CellIndex(i // self.width, i % self.width)
 
 
 def line(width: int, periodic: bool = False) -> Grid:
@@ -70,55 +65,34 @@ def torus(side: int, width: int | None = None) -> Grid:
     return Grid(TORUS_2D, width if width is not None else side, side, True)
 
 
-def nearest_neighbors(grid: Grid, c: CellIndex) -> list[CellIndex]:
-    """Von Neumann neighbors in fixed (left, right, up, down) order.
-
-    Non-periodic chain endpoints simply omit the missing side.
-    """
-    grid.check(c)
-    out: list[CellIndex] = []
-    w, h = grid.width, grid.height
-    if grid.kind == LINE_1D:
-        if grid.periodic and w > 1:
-            out.append(CellIndex(0, (c.col - 1) % w))
-            out.append(CellIndex(0, (c.col + 1) % w))
-        else:
-            if c.col > 0:
-                out.append(CellIndex(0, c.col - 1))
-            if c.col < w - 1:
-                out.append(CellIndex(0, c.col + 1))
-        return out
-    for dr, dc in ((0, -1), (0, 1), (-1, 0), (1, 0)):
-        out.append(CellIndex((c.row + dr) % h, (c.col + dc) % w))
-    return out
-
-
-# Diagonals first, then axial distance-2 cells; this is the reach used by
-# the 2D replication logic.
+# Nearest (left, right, up, down), then next-nearest: diagonals first, then
+# axial distance-2 cells, the reach used by the 2D replication logic.
+_NN_OFFSETS = ((0, -1), (0, 1), (-1, 0), (1, 0))
 _NNN_OFFSETS = (
     (-1, -1), (-1, 1), (1, -1), (1, 1),
     (-2, 0), (2, 0), (0, -2), (0, 2),
 )
 
 
-def next_nearest_neighbors(grid: Grid, c: CellIndex) -> list[CellIndex]:
-    """Diagonal plus axial distance-2 cells, with wraparound and dedup.
+@lru_cache(maxsize=16)
+def neighbor_table(height: int, width: int) -> np.ndarray:
+    """Flat-index neighbors of every cell of a height x width torus, (n, 12).
 
-    Only defined on the torus; duplicates arising from wraparound on tiny
-    grids are removed while preserving first-occurrence order.
+    Columns 0-3 are the nearest neighbors in `_NN_OFFSETS` order, duplicates
+    kept (on a 2-wide torus left and right are one cell). Columns 4-11
+    follow `_NNN_OFFSETS`; an entry equal to the cell itself or to an
+    earlier next-nearest entry is -1, so tiny tori list each cell once.
     """
-    if grid.kind != TORUS_2D:
-        raise ValueError("next-nearest neighborhood requires a 2D torus")
-    grid.check(c)
-    w, h = grid.width, grid.height
-    out: list[CellIndex] = []
-    seen = set()
-    for dr, dc in _NNN_OFFSETS:
-        cell = CellIndex((c.row + dr) % h, (c.col + dc) % w)
-        if cell not in seen and cell != c:
-            seen.add(cell)
-            out.append(cell)
-    return out
+    cells = np.arange(height * width)
+    rows, cols = np.divmod(cells, width)
+    offsets = _NN_OFFSETS + _NNN_OFFSETS
+    # column-major, so that the nearest columns gather as contiguous rows of .T
+    table = np.stack([(rows + dr) % height * width + (cols + dc) % width for dr, dc in offsets]).T
+    nnn = table[:, 4:]
+    repeat = (nnn[:, :, None] == nnn[:, None, :]) & np.tri(8, k=-1, dtype=bool)
+    nnn[repeat.any(axis=2) | (nnn == cells[:, None])] = -1
+    table.flags.writeable = False
+    return table
 
 
 def input_state_count(n: int, p: int, q: int) -> int:

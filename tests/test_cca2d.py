@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -208,8 +211,124 @@ def test_budget_clamped_with_warning():
     pwm = PwmGrid.empty(grid)
     cs = np.zeros((3, 3), np.uint8)
     with pytest.warns(UserWarning, match="clamped"):
-        new, _ = cca2d_update(grid, pwm, cs, 100, np.random.default_rng(0))
+        new, counts = cca2d_update(grid, pwm, cs, 100, np.random.default_rng(0))
     assert np.count_nonzero(new.classes == FLUCT) == 9
+    assert counts.fluct_clamped == 91
+
+
+_NN = ((0, -1), (0, 1), (-1, 0), (1, 0))
+_NNN = ((-1, -1), (-1, 1), (1, -1), (1, 1), (-2, 0), (2, 0), (0, -2), (0, 2))
+_SHARED_COUNTERS = (
+    "propagation", "replication", "competition_survived", "competition_died",
+    "annihilation", "random_selection",
+)
+
+
+def reference_update(grid, pwm, cs, fluct_budget, rng):
+    """The per-core loop that cca2d_update replaced, with its own neighbor lists."""
+    h, w = grid.height, grid.width
+
+    def shifted(cell, offsets):
+        r, c = divmod(cell, w)
+        return [(r + dr) % h * w + (c + dc) % w for dr, dc in offsets]
+
+    nn = [shifted(i, _NN) for i in range(h * w)]
+    nnn = [list(dict.fromkeys(j for j in shifted(i, _NNN) if j != i)) for i in range(h * w)]
+    old = np.ascontiguousarray(pwm.classes).reshape(-1)
+    cs_flat = np.asarray(cs, dtype=np.uint8).reshape(-1)
+    new = np.zeros_like(old)
+    freeze = np.zeros(old.shape[0], dtype=bool)
+    iface_h = np.zeros((h, w), np.uint8)
+    iface_v = np.zeros((h, w), np.uint8)
+    counts = ChemitEventCounts()
+    for cell in np.flatnonzero(old == CORE):
+        cell = int(cell)
+        cand = [(j, True) for j in nn[cell] if cs_flat[j]]
+        cand += [(j, False) for j in nnn[cell] if cs_flat[j]]
+        if not cand:
+            new[cell] = CORE
+            continue
+        if len(cand) > 1:
+            counts.random_selection += 1
+            pick, adjacent = cand[int(rng.integers(len(cand)))]
+        else:
+            pick, adjacent = cand[0]
+        if adjacent and old[pick] == CORE:
+            if rng.random() < 0.5:
+                new[cell] = CORE
+                counts.competition_survived += 1
+            else:
+                new[cell] = FLUCT
+                counts.competition_died += 1
+                counts.annihilation += 1
+        elif adjacent:
+            new[cell] = FLUCT
+            freeze[cell] = True
+            new[pick] = CORE
+            counts.propagation += 1
+        elif old[pick] != CORE:
+            new[cell] = CORE
+            new[pick] = CORE
+            counts.replication += 1
+        else:
+            new[cell] = CORE
+    for cell in np.flatnonzero(new == CORE):
+        cell = int(cell)
+        r, c = divmod(cell, w)
+        iface_h[r, c] = 1
+        iface_h[r, (c - 1) % w] = 1
+        iface_v[r, c] = 1
+        iface_v[(r - 1) % h, c] = 1
+        for p in nn[cell]:
+            if not freeze[p] and new[p] != CORE:
+                new[p] = HALO
+                freeze[p] = True
+        freeze[cell] = True
+    unfrozen = np.flatnonzero(~freeze)
+    budget = min(fluct_budget, unfrozen.size)
+    if budget:
+        chosen = rng.choice(unfrozen.size, size=budget, replace=False)
+        new[unfrozen[chosen]] = FLUCT
+    return PwmGrid(new.reshape(h, w), iface_h, iface_v), counts
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (3, 5), (4, 7)]
+)
+def test_update_matches_reference_loop(shape):
+    grid = torus(*shape)
+    rng = np.random.default_rng(shape)
+    for density in (0.1, 0.5, 0.9):
+        for core_share in (0.1, 0.3, 0.6):
+            for budget in (round(0.1 * grid.n_cells), grid.n_cells):  # the second clamps
+                pwm = PwmGrid.empty(grid)
+                pwm.classes[:] = np.where(rng.random(shape) < core_share, CORE, rng.integers(0, 3, shape))
+                cs = (rng.random(shape) < density).astype(np.uint8)
+                seed = int(rng.integers(2**32))
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    got, got_counts = cca2d_update(grid, pwm, cs, budget, got_rng)
+                    want, want_counts = reference_update(grid, pwm, cs, budget, want_rng)
+                assert np.array_equal(got.classes, want.classes)
+                assert np.array_equal(got.iface_h, want.iface_h)
+                assert np.array_equal(got.iface_v, want.iface_v)
+                for name in _SHARED_COUNTERS:
+                    assert getattr(got_counts, name) == getattr(want_counts, name), name
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("side", [10, 2, 3, 5])
+def test_core_count_changes_by_counted_events(side):
+    # every change in the core count is a replication, an annihilation or a merge
+    for seed in range(30):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # tiny tori clamp the fluctuation budget
+            res = run_population_experiment(side, min(8, side * side), 40, 1, master_seed=seed)
+        (series,) = res.series
+        for t, ev in enumerate(series.events):
+            change = series.chemit_count[t + 1] - series.chemit_count[t]
+            assert change == ev.replication - ev.annihilation - ev.merged, (seed, t, astuple(ev))
 
 
 def test_write_once_classes():

@@ -8,7 +8,6 @@ from chemca.chemodel import (
     ChemModel2DParams,
     PwmClass,
     SingleCellHysteresisParams,
-    _code_2d,
     _law_2d,
     prob_high_1d,
     prob_high_2d_grid,
@@ -17,9 +16,17 @@ from chemca.chemodel import (
 )
 
 
+CUSTOM_2D = ChemModel2DParams(0.45, 0.35, 0.2, 0.15, 0.05, 0.15, 0.6, 0.4, 0.65, 0.95)
+
+
+def code_2d(center, left, right, up, down, prev_cs):
+    """The table_2d code layout of the module docstring."""
+    return center | left << 2 | right << 4 | up << 6 | down << 8 | prev_cs << 10
+
+
 def law_2d(center, neighbors, prev, params=ChemModel2DParams()):
     """The table entry for one cell; it must equal the definition, _law_2d."""
-    value = table_2d(params)[_code_2d(*map(int, (center, *neighbors, prev)))]
+    value = table_2d(params)[code_2d(*map(int, (center, *neighbors, prev)))]
     assert value == _law_2d(center, list(neighbors), prev, params)
     return value
 
@@ -121,10 +128,9 @@ def test_display_screen_limit_is_deterministic(params, center, neighbors, prev):
 
 def test_grid_model_matches_scalar():
     # every (center, left, right, up, down, prev) code, exactly
-    custom = ChemModel2DParams(0.45, 0.35, 0.2, 0.15, 0.05, 0.15, 0.6, 0.4, 0.65, 0.95)
     codes = itertools.product(range(4), range(4), range(4), range(4), range(4), (0, 1))
     for params, (center, left, right, up, down, prev) in itertools.product(
-        (ChemModel2DParams(), custom), codes
+        (ChemModel2DParams(), CUSTOM_2D), codes
     ):
         classes = np.zeros((3, 3), np.int8)
         classes[1, 1], classes[1, 0], classes[1, 2], classes[0, 1], classes[2, 1] = (
@@ -134,6 +140,19 @@ def test_grid_model_matches_scalar():
         prev_grid[1, 1] = prev
         want = _law_2d(center, [left, right, up, down], prev, params)
         assert prob_high_2d_grid(classes, prev_grid, params)[1, 1] == want
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (1, 5), (5, 1), (3, 7), (50, 50)])
+@pytest.mark.parametrize("params", [ChemModel2DParams(), CUSTOM_2D])
+def test_grid_gather_matches_roll_formula(shape, params):
+    # the neighbor-table gather against the np.roll torus it replaced
+    rng = np.random.default_rng(sum(shape))
+    classes = rng.integers(0, 4, shape).astype(np.int8)
+    prev = rng.integers(0, 2, shape).astype(np.uint8)
+    c = classes.astype(np.intp)
+    rolled = [np.roll(c, shift, axis) for axis in (1, 0) for shift in (1, -1)]  # l, r, u, d
+    want = table_2d(params)[code_2d(c, *rolled, prev != 0)]
+    assert np.array_equal(prob_high_2d_grid(classes, prev, params), want)
 
 
 def test_prob_single():
