@@ -3,11 +3,13 @@
 Type 1 treats the chemical states as the spins: each step flips one cell's
 commanded PWM bit, reads every cell back through the hysteresis model, and
 accepts with the Metropolis probability min(exp(-dE/k), 1) on the readout
-energy. Type 2 treats the commanded PWM bits as the spins and checks each
-pairwise interaction against the ideal lookup outcome: a check agrees with
-probability p_chem (the deterministic index), a disagreeing check flips the
-sign of that pair's energy contribution, and the move is accepted when the
-observed total is <= 0.
+energy; it makes two energy evaluations per proposal, the commanded
+configuration's (for the true change) and the readout's. Type 2 treats the
+commanded PWM bits as the spins and checks each pairwise interaction
+against the ideal lookup outcome: a check agrees with probability p_chem
+(the deterministic index), a disagreeing check flips the sign of that
+pair's energy contribution, and the move is accepted when the observed
+total is <= 0.
 """
 
 from __future__ import annotations
@@ -59,6 +61,15 @@ class SolverParams:
         return None if self.target_energy is not None else 50 * n
 
 
+_JSON_BOOL = ("false", "true")
+
+
+def _json_floats(values):
+    """JSON text of each float: its repr when all are finite, else json.dumps
+    (Infinity, -Infinity, NaN)."""
+    return map(float.__repr__ if all(map(math.isfinite, values)) else json.dumps, values)
+
+
 @dataclass
 class SolveTrace:
     """Per-proposal record of a solver run.
@@ -101,25 +112,23 @@ class SolveTrace:
         return self.configs[-1] if self.configs else self.init_config
 
     def write_jsonl(self, path):
-        """One JSON object per proposal step."""
+        """One JSON object per proposal step, byte for byte as
+        json.dumps(row, sort_keys=True) writes it."""
+        rows = zip(
+            self.accepted,
+            _json_floats(self.best_energies),
+            self.configs,
+            _json_floats(self.energies),
+            self.flips,
+            _json_floats(self.observed_de),
+            _json_floats(self.true_de),
+        )
         with open(path, "w") as fh:
-            for t in range(self.n_steps):
-                fh.write(
-                    json.dumps(
-                        {
-                            "step": t,
-                            "flip": self.flips[t],
-                            "observed_de": self.observed_de[t],
-                            "true_de": self.true_de[t],
-                            "accepted": self.accepted[t],
-                            "config": self.configs[t],
-                            "energy": self.energies[t],
-                            "best_energy": self.best_energies[t],
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            fh.writelines(
+                f'{{"accepted": {_JSON_BOOL[acc]}, "best_energy": {best}, "config": {cfg}, '
+                f'"energy": {e}, "flip": {h}, "observed_de": {obs}, "step": {t}, "true_de": {true}}}\n'
+                for t, (acc, best, cfg, e, h, obs, true) in enumerate(rows)
+            )
 
     def summary(self) -> dict:
         return {
@@ -181,11 +190,12 @@ def solve_type1(
     if params.target_energy is not None and e_read <= params.target_energy + 1e-12:
         trace.success = True
         return trace
+    e_cmd = energy(p, cmd)  # always the energy of cmd as it stands
     for _ in range(params.max_steps):
         h = int(rng.integers(p.n))
-        e_cmd_old = energy(p, cmd)
         cmd[h] ^= 1
-        true_de = energy(p, cmd) - e_cmd_old
+        e_cmd_new = energy(p, cmd)
+        true_de = e_cmd_new - e_cmd
         new_read = (rng.random(p.n) < law[cmd, read]).astype(np.uint8)
         e_new = energy(p, new_read)
         obs_de = e_new - e_read
@@ -194,6 +204,7 @@ def solve_type1(
         if accept:
             read = new_read
             e_read = e_new
+            e_cmd = e_cmd_new
             since_accept = 0
         else:
             cmd[h] ^= 1

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from chemca.chemodel import SingleCellHysteresisParams
+from chemca.chemodel import SingleCellHysteresisParams, table_single
 from chemca.hybrid import (
     PairwiseChemistry,
     SolverParams,
+    SolveTrace,
     observed_change,
     solve_type1,
     solve_type2,
@@ -277,3 +278,175 @@ def test_init_respected():
     assert trace.init_config == 5
     with pytest.raises(ValueError):
         solve_type2(P4, SolverParams(), np.random.default_rng(0), init=[0, 1])
+
+
+# ---- reference loops ------------------------------------------------------
+# The solvers as first written: three energy evaluations per Type-1
+# proposal, config indices as Python-int sums, one json.dumps per trace
+# line. The solvers must reproduce them float for float and draw for draw.
+
+def reference_index(x) -> int:
+    return sum(int(v) << i for i, v in enumerate(x))
+
+
+def reference_write_jsonl(trace, path):
+    with open(path, "w") as fh:
+        for t in range(trace.n_steps):
+            row = {
+                "step": t,
+                "flip": trace.flips[t],
+                "observed_de": trace.observed_de[t],
+                "true_de": trace.true_de[t],
+                "accepted": trace.accepted[t],
+                "config": trace.configs[t],
+                "energy": trace.energies[t],
+                "best_energy": trace.best_energies[t],
+            }
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+def reference_stop(trace, params, since_accept, patience):
+    if params.target_energy is not None and trace.best_energy <= params.target_energy + 1e-12:
+        trace.success = True
+        return True
+    return patience is not None and since_accept >= patience
+
+
+def reference_type1(p, params, rng):
+    cmd = rng.integers(0, 2, p.n).astype(np.uint8)
+    law = table_single(params.hysteresis)
+    read = (rng.random(p.n) < law[cmd, 0]).astype(np.uint8)
+    e_read = energy(p, read)
+    trace = SolveTrace(p.n, reference_index(read))
+    trace.best_energy = e_read
+    trace.best_config = reference_index(read)
+    patience = params.resolved_patience(p.n)
+    since_accept = 0
+    if params.target_energy is not None and e_read <= params.target_energy + 1e-12:
+        trace.success = True
+        return trace
+    for _ in range(params.max_steps):
+        h = int(rng.integers(p.n))
+        e_cmd_old = energy(p, cmd)
+        cmd[h] ^= 1
+        true_de = energy(p, cmd) - e_cmd_old
+        new_read = (rng.random(p.n) < law[cmd, read]).astype(np.uint8)
+        e_new = energy(p, new_read)
+        obs_de = e_new - e_read
+        u = rng.random()
+        accept = obs_de <= 0.0 or u < math.exp(-obs_de / params.k_temp)
+        if accept:
+            read = new_read
+            e_read = e_new
+            since_accept = 0
+        else:
+            cmd[h] ^= 1
+            since_accept += 1
+        trace.record(h, obs_de, true_de, accept, reference_index(read), e_read)
+        if reference_stop(trace, params, since_accept, patience):
+            break
+    return trace
+
+
+def reference_type2(p, params, rng, chemistry=None):
+    x = rng.integers(0, 2, p.n).astype(np.uint8)
+    s = bits_to_spins(x).astype(float)
+    ising = qubo_to_ising(p)
+    partners = [np.flatnonzero(ising.coupling[h]) for h in range(p.n)]
+    e_true = energy(p, x)
+    trace = SolveTrace(p.n, reference_index(x))
+    trace.best_energy = e_true
+    trace.best_config = reference_index(x)
+    patience = params.resolved_patience(p.n)
+    since_accept = 0
+    if params.target_energy is not None and e_true <= params.target_energy + 1e-12:
+        trace.success = True
+        return trace
+    for _ in range(params.max_steps):
+        h = int(rng.integers(p.n))
+        lin, pair = flip_terms(ising, s, h)
+        terms = pair[partners[h]]
+        true_de = lin + terms.sum()
+        signs = None
+        if chemistry is not None:
+            bits = [chemistry.check(h, int(j), int(x[h] ^ 1), int(x[j]), rng) for j in partners[h]]
+            signs = 2.0 * np.array(bits, dtype=float) - 1.0
+        obs_de = observed_change(lin, terms, params.p_chem, rng, signs)
+        accept = obs_de <= 0.0
+        if accept:
+            x[h] ^= 1
+            s[h] = -s[h]
+            e_true = energy(p, x)
+            since_accept = 0
+        else:
+            since_accept += 1
+        trace.record(h, obs_de, true_de, accept, reference_index(x), e_true)
+        if reference_stop(trace, params, since_accept, patience):
+            break
+    return trace
+
+
+TRACE_LISTS = ("flips", "observed_de", "true_de", "accepted", "configs", "energies", "best_energies")
+REFERENCE_PROBLEMS = {
+    "p4": P4,
+    "tsp4": build_tsp(distance_matrix_from_coords(CITIES)),
+    "2sat": build_2sat([(1, 2), (2, -4), (3, 4), (1, -3), (-1, -2)]),
+}
+SOLVER_CASES = {  # solver, SolverParams keywords, chemical-loop backend
+    "type1-pread0.9": (1, dict(hysteresis=SingleCellHysteresisParams(0.9)), False),
+    "type1-pread1.0": (1, dict(hysteresis=SingleCellHysteresisParams(1.0), k_temp=0.5), False),
+    "type2-pchem1.0": (2, dict(p_chem=1.0), False),
+    "type2-pchem0.95": (2, dict(p_chem=0.95), False),
+    "type2-pairwise": (2, dict(), True),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVER_CASES))
+@pytest.mark.parametrize("name", list(REFERENCE_PROBLEMS))
+def test_solvers_match_reference_loops(name, case, tmp_path):
+    p = REFERENCE_PROBLEMS[name]
+    solver, kw, pairwise = SOLVER_CASES[case]
+    emin, _ = brute_force_min(p)
+    stops = {"target": dict(target_energy=emin), "patience0": dict(patience=0), "default": dict()}
+    for stop, stop_kw in stops.items():
+        params = SolverParams(max_steps=1000, **kw, **stop_kw)
+        for seed in range(2):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            if solver == 1:
+                got, want = solve_type1(p, params, got_rng), reference_type1(p, params, want_rng)
+            else:
+                chem = [PairwiseChemistry(p.n, SingleCellHysteresisParams(0.95)) if pairwise else None
+                        for _ in range(2)]
+                got = solve_type2(p, params, got_rng, chemistry=chem[0])
+                want = reference_type2(p, params, want_rng, chemistry=chem[1])
+            where = (stop, seed)
+            for attr in TRACE_LISTS:
+                assert getattr(got, attr) == getattr(want, attr), (attr, where)
+            assert got.summary() == want.summary(), where
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, where
+            got.write_jsonl(tmp_path / "got.jsonl")
+            reference_write_jsonl(want, tmp_path / "want.jsonl")
+            assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes(), where
+
+
+EDGE_FLOATS = {
+    "finite": [-0.0, 5e-324, 1e16, 1e300, -1e300, 0.1, -2.5],
+    "non-finite": [-0.0, 5e-324, 1e16, 1e300, math.inf, -math.inf, math.nan],
+}
+
+
+@pytest.mark.parametrize("values", list(EDGE_FLOATS))
+def test_jsonl_lines_equal_json_dumps_on_edge_values(values, tmp_path):
+    trace = SolveTrace(3, 0)
+    floats = EDGE_FLOATS[values]
+    for t, v in enumerate(floats):
+        trace.record(t % 3, v, -v, t % 2 == 0, (1 << 70) + t, floats[-1 - t])
+    # numpy scalars as a solver could pass them
+    trace.record(np.int64(2), np.float64(-0.0), np.float64(1e16), np.bool_(True), np.int64(5), np.float64(5e-324))
+    trace.record(np.int64(1), np.float64(floats[-1]), np.float64(0.3), np.bool_(False), np.int64(0), np.float64(-1.5))
+    trace.write_jsonl(tmp_path / "got.jsonl")
+    reference_write_jsonl(trace, tmp_path / "want.jsonl")
+    got = (tmp_path / "got.jsonl").read_text().splitlines(keepends=True)
+    want = (tmp_path / "want.jsonl").read_text().splitlines(keepends=True)
+    assert len(got) == trace.n_steps
+    assert got == want  # each line is json.dumps(row, sort_keys=True) + "\n"

@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -257,6 +258,40 @@ def test_flip_terms_batched_rows_equal_single_chain():
 def test_config_index_round_trip():
     for idx in (0, 1, 5, 200, 255):
         assert config_index(index_config(idx, 8)) == idx
+
+
+def py_config_index(x) -> int:
+    return sum(int(v) << i for i, v in enumerate(x))
+
+
+def py_index_config(idx: int, n: int) -> list[int]:
+    return [(idx >> i) & 1 for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 16, 62, 63, 64, 100])
+def test_config_index_exact_against_python_ints(n):
+    # the array forms are exact up to 62 bits; longer configs take the
+    # Python-int forms, so every length agrees with the definition
+    rng = np.random.default_rng(n)
+    rows = [np.ones(n, np.uint8), np.zeros(n, np.uint8)] + [
+        rng.integers(0, 2, n).astype(np.uint8) for _ in range(20)
+    ]
+    for bits in rows:
+        want = py_config_index(bits.tolist())
+        for x in (bits, bits.astype(bool), bits.tolist()):
+            got = config_index(x)
+            assert type(got) is int and got == want
+    src = random.Random(n)
+    indices = [0, 1, (1 << n) - 1] + [src.getrandbits(n) for _ in range(20)]
+    if n >= 64:
+        indices += [(1 << 63) + src.getrandbits(63) for _ in range(5)]
+    for idx in indices:
+        bits = index_config(idx, n)
+        assert bits.dtype == np.uint8 and bits.tolist() == py_index_config(idx, n)
+        assert config_index(bits) == idx
+    # indices wider than n keep their n low bits, as the definition does
+    for idx in ((1 << (n + 3)) + 5, -1):
+        assert index_config(idx, n).tolist() == py_index_config(idx, n)
 
 
 def test_problem_json_round_trip(tmp_path):
