@@ -61,27 +61,18 @@ def energies(p: QuboProblem, bits: np.ndarray) -> np.ndarray:
     return p.offset + bits @ p.linear + np.einsum("ij,ij->i", bits @ p.quad, bits)
 
 
-# Up to 62 bits an index and its partial sums fit in an int64, so the
-# array forms below are exact; longer configs take the Python-int forms.
-_EXACT_BITS = 62
-_SHIFTS = np.arange(_EXACT_BITS, dtype=np.int64)
-_POW2 = np.int64(1) << _SHIFTS
-
-
 def config_index(x) -> int:
-    """Binary encoding of a config: bit i of the index is x_i."""
-    x = np.asarray(x)
-    n = len(x)
-    if n <= _EXACT_BITS:
-        return int(x.astype(np.int64) @ _POW2[:n])
-    return int(sum(int(v) << i for i, v in enumerate(x)))
+    """Binary encoding of a config: bit i of the index is x_i.
+
+    Packs the bits little-endian into bytes and reads them as one Python
+    int, so the index is exact at every config length.
+    """
+    packed = np.packbits(np.asarray(x, dtype=np.uint8), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def index_config(idx: int, n: int) -> np.ndarray:
     """Inverse of config_index: the n low bits of idx as a uint8 array."""
-    idx = int(idx)
-    if 0 <= n <= _EXACT_BITS:
-        return (((idx & ((1 << n) - 1)) >> _SHIFTS[:n]) & 1).astype(np.uint8)
     return np.array([(idx >> i) & 1 for i in range(n)], dtype=np.uint8)
 
 

@@ -270,8 +270,8 @@ def py_index_config(idx: int, n: int) -> list[int]:
 
 @pytest.mark.parametrize("n", [1, 16, 62, 63, 64, 100])
 def test_config_index_exact_against_python_ints(n):
-    # the array forms are exact up to 62 bits; longer configs take the
-    # Python-int forms, so every length agrees with the definition
+    # the packed-bytes index agrees with the definition on both sides of
+    # the int64 boundary and on uint8, bool and list inputs
     rng = np.random.default_rng(n)
     rows = [np.ones(n, np.uint8), np.zeros(n, np.uint8)] + [
         rng.integers(0, 2, n).astype(np.uint8) for _ in range(20)
