@@ -10,7 +10,6 @@ mirror the commanded stirrer bits one-to-one.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,16 +155,22 @@ def run_1d(
 
 def raster_to_text(raster: np.ndarray, chars: str = ".#") -> str:
     """Compact text grid: one character per cell, one line per step."""
-    return "\n".join("".join(chars[v] for v in row) for row in raster) + "\n"
+    lut = np.array(list(chars), dtype=object)
+    # one lookup per row: a whole-raster lookup holds a pointer per cell
+    return "\n".join(["".join(lut[row].tolist()) for row in raster]) + "\n"
 
 
 def write_raster_csv(path, raster: np.ndarray):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "cell", "cs"])
+    """CSV of (step, cell, cs), CRLF line ends, one line per cell and step.
+
+    The lines of one step are a single `%` format: the per-cell templates,
+    built once, joined with the step number (the empty first template puts
+    it before cell 0). Each step is written as it is made."""
+    cells = [b""] + [b",%d,%%d\r\n" % i for i in range(raster.shape[1])]
+    with open(path, "wb") as fh:
+        fh.write(b"step,cell,cs\r\n")
         for t, row in enumerate(raster):
-            for i, v in enumerate(row):
-                writer.writerow([t, i, int(v)])
+            fh.write((b"%d" % t).join(cells) % tuple(row.tolist()))
 
 
 def default_chain(width: int = 7) -> Grid:

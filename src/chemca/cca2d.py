@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cca1d import raster_to_text
 from .chemodel import ChemModel2DParams, PwmClass, prob_high_2d_grid
 from .lattice import Grid, neighbor_table, torus
 
@@ -263,17 +264,9 @@ def run_population_experiment(
     return PopulationResult(stacked.mean(axis=0), stacked.std(axis=0), all_series)
 
 
-_CLASS_CHARS = {PwmClass.OFF: ".", PwmClass.FLUCT: "f", PwmClass.HALO: "h", PwmClass.CORE: "C"}
-
-
 def format_pwm_grid(pwm: PwmGrid) -> str:
     """Plain-text class grid snapshot, one character per cell."""
-    return (
-        "\n".join(
-            "".join(_CLASS_CHARS[PwmClass(v)] for v in row) for row in pwm.classes
-        )
-        + "\n"
-    )
+    return raster_to_text(pwm.classes, ".fhC")
 
 
 def write_population_csv(path, series: PopulationSeries):

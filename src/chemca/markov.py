@@ -190,11 +190,12 @@ def empirical_success(
     if not 0 <= init_index < 1 << p.n:
         raise ValueError(f"init_index must be in [0, {1 << p.n}), got {init_index}")
     _, configs = brute_force_min(p)
-    minima = np.array(sorted(config_index(c) for c in configs), dtype=np.int64)
+    is_min = np.zeros(1 << p.n, dtype=bool)
+    is_min[[config_index(c) for c in configs]] = True
     ising = qubo_to_ising(p)
     s = np.tile(bits_to_spins(index_config(init_index, p.n)).astype(float), (runs, 1))
     idx = np.full(runs, init_index, dtype=np.int64)
-    hit = np.isin(idx, minima)
+    hit = is_min[idx]
     rows = np.arange(runs)
     for _ in range(horizon):
         if hit.all():
@@ -205,5 +206,5 @@ def empirical_success(
         flip_rows, flip_cols = rows[accept], h[accept]
         s[flip_rows, flip_cols] = -s[flip_rows, flip_cols]
         idx[accept] ^= np.int64(1) << flip_cols
-        hit |= np.isin(idx, minima)
+        hit |= is_min[idx]
     return float(hit.mean())

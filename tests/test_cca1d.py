@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,28 @@ def test_raster_text_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "step,cell,cs"
     assert len(lines) == 1 + raster.size
+
+
+def _csv_writer_raster(path, raster):
+    """The per-cell csv.writer loop that write_raster_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step", "cell", "cs"])
+        for t, row in enumerate(raster):
+            for i, v in enumerate(row):
+                writer.writerow([t, i, int(v)])
+
+
+def test_raster_csv_matches_csv_writer(tmp_path):
+    # row counts and widths cross every change in the digit count of step and cell
+    rng = np.random.default_rng(7)
+    for rows in (1, 10, 11, 100, 101, 1001):
+        for width in (1, 2, 11, 201):
+            raster = (rng.random((rows, width)) < 0.5).astype(np.uint8)
+            want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+            _csv_writer_raster(want, raster)
+            write_raster_csv(got, raster)
+            assert got.read_bytes() == want.read_bytes(), (rows, width)
+            for chars in (".#", "░█"):
+                ref = "\n".join("".join(chars[v] for v in row) for row in raster) + "\n"
+                assert raster_to_text(raster, chars) == ref, (rows, width, chars)

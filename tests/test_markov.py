@@ -285,6 +285,38 @@ def test_empirical_success_matches_matrix():
             assert abs(hit - want) <= 3 * sigma + 1e-9
 
 
+def _isin_success(p, p_chem, init_index, horizon, runs, rng):
+    """The np.isin loop that empirical_success replaced, as its reference."""
+    minima = np.array(sorted(minima_indices(p)), dtype=np.int64)
+    ising = qubo_to_ising(p)
+    s = np.tile(bits_to_spins(index_config(init_index, p.n)).astype(float), (runs, 1))
+    idx = np.full(runs, init_index, dtype=np.int64)
+    hit = np.isin(idx, minima)
+    rows = np.arange(runs)
+    for _ in range(horizon):
+        if hit.all():
+            break
+        h = rng.integers(p.n, size=runs)
+        lin, pair = flip_terms(ising, s, h)
+        accept = observed_change(lin, pair, p_chem, rng) <= 0.0
+        flip_rows, flip_cols = rows[accept], h[accept]
+        s[flip_rows, flip_cols] = -s[flip_rows, flip_cols]
+        idx[accept] ^= np.int64(1) << flip_cols
+        hit |= np.isin(idx, minima)
+    return float(hit.mean())
+
+
+def test_empirical_success_matches_isin_loop():
+    for p in (P4, P8):
+        for p_chem in (1.0, 0.95):
+            for start in (0, 5, (1 << p.n) - 1, minima_indices(p)[0]):
+                want_rng, got_rng = np.random.default_rng(start), np.random.default_rng(start)
+                want = _isin_success(p, p_chem, start, 60, 300, want_rng)
+                got = empirical_success(p, p_chem, start, 60, 300, got_rng)
+                assert got == want
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_empirical_success_rejects_start_out_of_range():
     rng = np.random.default_rng(0)
     for start in (-1, 16):
