@@ -22,23 +22,17 @@ from .lattice import neighbor_table
 
 
 class PwmClass(IntEnum):
-    """Four-level cell stirrer class with its PWM duty value.
+    """Four-level cell stirrer class.
 
     OFF leaves the cell quiet, FLUCT drives weak random fluctuations, HALO
     is the interaction ring around a core, CORE drives strong oscillation.
+    Their PWM duty values in the paper's rig are 0, 22, 30 and 50.
     """
 
     OFF = 0
     FLUCT = 1
     HALO = 2
     CORE = 3
-
-    @property
-    def pwm(self) -> int:
-        return _PWM_LEVELS[self]
-
-
-_PWM_LEVELS = {PwmClass.OFF: 0, PwmClass.FLUCT: 22, PwmClass.HALO: 30, PwmClass.CORE: 50}
 
 
 @dataclass(frozen=True)

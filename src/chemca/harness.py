@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +27,7 @@ from .cca2d import DEFAULT_FLUCT_RATIO, run_population_experiment, write_populat
 from .chemodel import ChemModel2DParams
 from .lattice import chemical_state_count, expansion_ratio, format_scientific, input_state_count, line
 from .markov import build_transition_matrix, check_capacity, success_probabilities
-from .qubo import brute_force_min, config_index, load_problem, write_solution_json
+from .qubo import CapacityError, brute_force_min, config_index, load_problem, write_solution_json
 from .signals import ClockedCellBank, ColorState, decode_trace, synthesize_trace, write_trace_csv
 from .hybrid import SolverParams, solve_type1, solve_type2
 
@@ -68,6 +70,22 @@ def _rows(*rows: Key) -> dict[str, Key]:
     return {row.key: row for row in rows}
 
 
+def _check_count_digits(iface_levels: int, p: dict):
+    """Raise CapacityError, naming count.n, when the input- or chemical-state
+    count has more decimal digits than Python converts to a string. Works
+    from logarithms, before any power is taken."""
+    n, limit = p["n"], sys.get_int_max_str_digits()  # 0: no limit
+    digits = max(
+        n * n * math.log10(p["cell_levels"]) + 2 * n * (n - 1) * math.log10(iface_levels),
+        n * n * math.log10(_value(SCHEMA["count"], p, "chem_levels")),
+    )
+    if limit and digits >= limit:
+        raise CapacityError(
+            f"count.n: {n} gives a state count of about 10^{int(digits)}, "
+            f"beyond the {limit}-digit limit of integer strings"
+        )
+
+
 COMMON = _rows(
     Key("seed", int, 0, None, 0, "master seed"),
     Key("replicas", int, 1, None, 1, "replica count"),
@@ -79,8 +97,9 @@ SCHEMA = {
     "count": _rows(
         Key("n", int, 1, None, REQUIRED, "grid side length"),
         Key("cell_levels", int, 1, None, REQUIRED, "cell stirrer levels"),
-        Key("iface_levels", int, 1, None, REQUIRED, "interfacial stirrer levels"),
         Key("chem_levels", int, 1, None, 2, "chemical states per cell"),
+        # last, so that it sees the other keys checked
+        Key("iface_levels", int, 1, None, REQUIRED, "interfacial stirrer levels", _check_count_digits),
     ),
     "cca1d": _rows(
         Key("rule", str, None, None, REQUIRED, "rule label A-i, e.g. 30-1", lambda v, p: Rule1D.from_label(v)),

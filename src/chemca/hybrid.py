@@ -215,6 +215,12 @@ def solve_type1(
     return trace
 
 
+def consistency_signs(u: np.ndarray, p_chem: float) -> np.ndarray:
+    """The Bernoulli consistency checks: +1 where a check agrees (its
+    uniform `u` is below p_chem), -1 where it disagrees."""
+    return np.where(u < p_chem, 1.0, -1.0)
+
+
 def observed_change(
     lin, terms: np.ndarray, p_chem: float, rng: np.random.Generator | None, signs=None
 ):
@@ -222,15 +228,15 @@ def observed_change(
 
     Each pairwise term (last axis of `terms`, from qubo.flip_terms) keeps
     its sign when its check agrees, with probability p_chem, one uniform
-    drawn per term, and is negated otherwise; the linear term is never
-    negated. Explicit +-1 `signs` replace the draws. At p_chem = 1 nothing
-    is drawn and the result is the true change. The flip is accepted when
-    the result is <= 0.
+    drawn per term (consistency_signs), and is negated otherwise; the
+    linear term is never negated. Explicit +-1 `signs` replace the draws.
+    At p_chem = 1 nothing is drawn and the result is the true change. The
+    flip is accepted when the result is <= 0.
     """
     if signs is None:
         if p_chem >= 1.0:
             return lin + terms.sum(axis=-1)
-        signs = np.where(rng.random(terms.shape) < p_chem, 1.0, -1.0)
+        signs = consistency_signs(rng.random(terms.shape), p_chem)
     elif np.shape(signs) != terms.shape:
         raise ValueError(f"expected {terms.shape} consistency signs, got {np.shape(signs)}")
     return lin + (signs * terms).sum(axis=-1)

@@ -9,17 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 LINE_1D = "line1d"
 TORUS_2D = "torus2d"
-
-
-class CellIndex(NamedTuple):
-    row: int
-    col: int
 
 
 @dataclass(frozen=True)
@@ -47,12 +41,6 @@ class Grid:
     @property
     def n_cells(self) -> int:
         return self.width * self.height
-
-    def flat(self, c: CellIndex) -> int:
-        """Row-major index of a cell; IndexError outside the grid."""
-        if not (0 <= c.row < self.height and 0 <= c.col < self.width):
-            raise IndexError(f"cell {tuple(c)} outside {self.height}x{self.width} grid")
-        return c.row * self.width + c.col
 
 
 def line(width: int, periodic: bool = False) -> Grid:

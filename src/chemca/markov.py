@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid import observed_change
+from .hybrid import consistency_signs, observed_change
 from .qubo import (
     CapacityError,
     QuboProblem,
@@ -171,6 +171,14 @@ def success_probabilities(
     return SuccessReport(success, minima, t.p_chem, horizon)
 
 
+def _accepts_no_flip(ising, s: np.ndarray) -> np.ndarray:
+    """For each row of spins s (k, n): True where the p_chem = 1 check
+    rejects all n single flips, each decided as the sampler's step decides it."""
+    k, n = s.shape
+    lin, pair = flip_terms(ising, np.repeat(s, n, axis=0), np.tile(np.arange(n), k))
+    return ~(observed_change(lin, pair, 1.0, None) <= 0.0).reshape(k, n).any(axis=1)
+
+
 def empirical_success(
     p: QuboProblem,
     p_chem: float,
@@ -184,27 +192,69 @@ def empirical_success(
     Runs `runs` independent chains of the solver's flip law (flip_terms and
     hybrid.observed_change, batched over chains) for `horizon` proposals;
     a chain succeeds when it visits any global-minimum config.
+
+    A chain is settled once its outcome is fixed: it has visited a global
+    minimum, or p_chem = 1 and its config accepts no single flip (at
+    p_chem = 1 the flip index is the only draw, so such a chain never moves
+    again). Only the unsettled chains are advanced. The draws are those of
+    a loop that advances every chain: each step draws one flip index per
+    chain and, for p_chem < 1, one uniform per chain and spin, until the
+    horizon or until every chain has hit a minimum. So the estimate and
+    the state of `rng` do not depend on which chains were skipped.
     """
     from .qubo import brute_force_min
 
     if not 0 <= init_index < 1 << p.n:
         raise ValueError(f"init_index must be in [0, {1 << p.n}), got {init_index}")
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     _, configs = brute_force_min(p)
     is_min = np.zeros(1 << p.n, dtype=bool)
     is_min[[config_index(c) for c in configs]] = True
+    greedy = p_chem >= 1.0
+    # filled at p_chem = 1 as chains reach each config c: once known[c], stuck[c] says
+    # whether c accepts no flip (two bool tables: int8 compares add 0.2 MB of peak RSS)
+    known = np.zeros(1 << p.n, dtype=bool) if greedy else None
+    stuck = np.zeros(1 << p.n, dtype=bool) if greedy else None
     ising = qubo_to_ising(p)
+
+    def unsettled(s, idx, hit):
+        """Mask of the chains (rows of s and idx) whose outcome is still open."""
+        open_ = ~hit
+        if greedy:
+            unknown = np.flatnonzero(open_ & ~known[idx])
+            if unknown.size:
+                # one row per config; np.unique would import numpy.ma, adding 1.3 MB of peak RSS
+                rows = list(dict(zip(idx[unknown].tolist(), unknown.tolist())).values())
+                stuck[idx[rows]] = _accepts_no_flip(ising, s[rows])
+                known[idx[rows]] = True
+            open_ &= ~stuck[idx]
+        return open_
+
     s = np.tile(bits_to_spins(index_config(init_index, p.n)).astype(float), (runs, 1))
     idx = np.full(runs, init_index, dtype=np.int64)
+    live = np.arange(runs)  # the rows of each step's draws that belong to the chains in s and idx
     hit = is_min[idx]
-    rows = np.arange(runs)
+    hits = int(np.count_nonzero(hit))
+    keep = unsettled(s, idx, hit)
+    s, idx, live = s[keep], idx[keep], live[keep]
     for _ in range(horizon):
-        if hit.all():
+        if hits == runs:
             break
         h = rng.integers(p.n, size=runs)
+        u = None if greedy else rng.random((runs, p.n))
+        if not live.size:
+            continue
+        h = h[live]
         lin, pair = flip_terms(ising, s, h)
-        accept = observed_change(lin, pair, p_chem, rng) <= 0.0
-        flip_rows, flip_cols = rows[accept], h[accept]
+        signs = None if greedy else consistency_signs(u[live], p_chem)
+        accept = observed_change(lin, pair, p_chem, None, signs) <= 0.0
+        flip_rows, flip_cols = np.flatnonzero(accept), h[accept]
         s[flip_rows, flip_cols] = -s[flip_rows, flip_cols]
         idx[accept] ^= np.int64(1) << flip_cols
-        hit |= is_min[idx]
-    return float(hit.mean())
+        hit = is_min[idx]
+        hits += int(np.count_nonzero(hit))
+        keep = unsettled(s, idx, hit)
+        if not keep.all():
+            s, idx, live = s[keep], idx[keep], live[keep]
+    return hits / runs

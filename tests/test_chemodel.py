@@ -31,13 +31,6 @@ def law_2d(center, neighbors, prev, params=ChemModel2DParams()):
     return value
 
 
-def test_pwm_class_levels():
-    assert PwmClass.OFF.pwm == 0
-    assert PwmClass.FLUCT.pwm == 22
-    assert PwmClass.HALO.pwm == 30
-    assert PwmClass.CORE.pwm == 50
-
-
 def test_default_params_published():
     p = ChemModel2DParams()
     assert (p.p1, p.p2, p.p3, p.p4) == (0.5, 0.3, 0.25, 0.1)

@@ -343,6 +343,20 @@ def test_cli_capacity_error(tmp_path, capsys):
     assert not (tmp_path / "o" / "oracle.json").exists()  # the budget is checked first
 
 
+def test_cli_count_beyond_int_string_limit(tmp_path, capsys):
+    # 4^(100^2) * 2^(2*100*99) has 11,980 digits, past the default limit of 4,300
+    out = tmp_path / "o"
+    argv = ["count", "-n", "100", "--cell-levels", "4", "--iface-levels", "2", "--out", str(out)]
+    assert main(argv) == EXIT_CAPACITY
+    assert "count.n" in capsys.readouterr().err
+    assert not out.exists()
+    # the chemical-state count alone, 2^(2000^2), is checked too
+    argv = ["count", "-n", "2000", "--cell-levels", "1", "--iface-levels", "1", "--out", str(out)]
+    assert main(argv) == EXIT_CAPACITY
+    assert "count.n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_full_reproducibility_all_kinds(tmp_path):
     # every output byte except the manifest timestamps is reproducible
     raws = [

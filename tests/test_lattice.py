@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chemca.lattice import (
-    CellIndex,
     Grid,
     chemical_state_count,
     expansion_ratio,
@@ -14,49 +13,43 @@ from chemca.lattice import (
 
 
 def nearest(g, cell):
-    """Nearest neighbors of a cell as (row, col) pairs, from its table row."""
-    return [divmod(int(i), g.width) for i in neighbor_table(g.height, g.width)[g.flat(cell), :4]]
+    """Nearest neighbors of a (row, col) cell as (row, col) pairs, from its table row."""
+    r, c = cell
+    return [divmod(int(i), g.width) for i in neighbor_table(g.height, g.width)[r * g.width + c, :4]]
 
 
 def next_nearest(g, cell):
-    """Next-nearest neighbors of a cell as (row, col) pairs, -1 padding dropped."""
-    row = neighbor_table(g.height, g.width)[g.flat(cell), 4:]
+    """Next-nearest neighbors of a (row, col) cell as (row, col) pairs, -1 padding dropped."""
+    r, c = cell
+    row = neighbor_table(g.height, g.width)[r * g.width + c, 4:]
     return [divmod(int(i), g.width) for i in row if i >= 0]
 
 
 def test_torus_wrap_corner():
     g = torus(7)
-    assert nearest(g, CellIndex(0, 0)) == [(0, 6), (0, 1), (6, 0), (1, 0)]
+    assert nearest(g, (0, 0)) == [(0, 6), (0, 1), (6, 0), (1, 0)]
 
 
 def test_torus_interior():
     g = torus(5)
-    assert nearest(g, CellIndex(2, 2)) == [(2, 1), (2, 3), (1, 2), (3, 2)]
-
-
-def test_invalid_index_raises():
-    g = torus(5)
-    with pytest.raises(IndexError):
-        g.flat(CellIndex(5, 0))
-    with pytest.raises(IndexError):
-        g.flat(CellIndex(0, -1))
+    assert nearest(g, (2, 2)) == [(2, 1), (2, 3), (1, 2), (3, 2)]
 
 
 def test_next_nearest_fixed_order_7x7():
     g = torus(7)
-    got = next_nearest(g, CellIndex(3, 3))
+    got = next_nearest(g, (3, 3))
     assert got == [(2, 2), (2, 4), (4, 2), (4, 4), (1, 3), (5, 3), (3, 1), (3, 5)]
 
 
 def test_next_nearest_wraparound_5x5():
     g = torus(5)
-    got = set(next_nearest(g, CellIndex(0, 0)))
+    got = set(next_nearest(g, (0, 0)))
     assert (4, 4) in got and (3, 0) in got
 
 
 def test_next_nearest_small_grid_dedup():
     g = torus(3)
-    got = next_nearest(g, CellIndex(1, 1))
+    got = next_nearest(g, (1, 1))
     assert len(got) == len(set(got)) <= 8
     assert (1, 1) not in got
 
@@ -72,15 +65,15 @@ def test_neighbor_table_layout_small_tori():
 @given(st.integers(5, 12), st.integers(0, 11), st.integers(0, 11))
 def test_neighbor_symmetry_and_counts(side, r, c):
     g = torus(side)
-    cell = CellIndex(r % side, c % side)
+    cell = (r % side, c % side)
     nn = nearest(g, cell)
     assert len(nn) == 4
     for other in nn:
-        assert tuple(cell) in nearest(g, CellIndex(*other))
+        assert cell in nearest(g, other)
     nnn = next_nearest(g, cell)
     assert len(nnn) == 8
     for other in nnn:
-        assert tuple(cell) in next_nearest(g, CellIndex(*other))
+        assert cell in next_nearest(g, other)
 
 
 def test_input_state_count_published():

@@ -17,6 +17,7 @@ from chemca.qubo import (
     QuboProblem,
     bits_to_spins,
     brute_force_min,
+    build_2sat,
     build_partition,
     build_tsp,
     config_index,
@@ -30,6 +31,7 @@ from chemca.qubo import (
 P4 = build_partition([1, 3, 4, 8])
 P8 = build_partition([1, 3, 4, 9, 3, 5, 3, 6])
 TSP3 = build_tsp(distance_matrix_from_coords([[0, 0], [1, 0], [3, 3]]))
+SAT4 = build_2sat([(1, 2), (-1, 3), (-2, -3), (3, 4)])
 
 
 def trajectory(p, p_chem, init, steps, rng):
@@ -306,15 +308,35 @@ def _isin_success(p, p_chem, init_index, horizon, runs, rng):
     return float(hit.mean())
 
 
+def _trapped_stuck_start(p):
+    """A start that greedy descent never leaves: zero success at index 1.0
+    (found as demo_deterministic_index.py finds them) and no flip accepted."""
+    t = build_transition_matrix(p, 1.0)
+    trapped = np.flatnonzero(success_probabilities(t, minima_indices(p), 800).success <= 1e-12)
+    return next(int(c) for c in trapped if not t.accept[c].any())
+
+
 def test_empirical_success_matches_isin_loop():
-    for p in (P4, P8):
-        for p_chem in (1.0, 0.95):
-            for start in (0, 5, (1 << p.n) - 1, minima_indices(p)[0]):
-                want_rng, got_rng = np.random.default_rng(start), np.random.default_rng(start)
-                want = _isin_success(p, p_chem, start, 60, 300, want_rng)
-                got = empirical_success(p, p_chem, start, 60, 300, got_rng)
-                assert got == want
-                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    cases = [
+        (p, p_chem, start, 60, 300)
+        for p in (P4, P8, TSP3, SAT4)
+        for p_chem in (1.0, 0.95, 0.5, 0.0)
+        for start in (0, 5, (1 << p.n) - 1, minima_indices(p)[0])
+    ]
+    cases += [
+        (p, p_chem, 5, horizon, runs)
+        for p in (P8, TSP3)
+        for p_chem in (1.0, 0.95)
+        for horizon, runs in ((0, 300), (1, 300), (60, 1), (1, 1))
+    ]
+    stuck = _trapped_stuck_start(P8)
+    cases += [(P8, 1.0, stuck, horizon, runs) for horizon, runs in ((60, 300), (60, 1), (0, 5))]
+    for p, p_chem, start, horizon, runs in cases:
+        want_rng, got_rng = np.random.default_rng(start), np.random.default_rng(start)
+        want = _isin_success(p, p_chem, start, horizon, runs, want_rng)
+        got = empirical_success(p, p_chem, start, horizon, runs, got_rng)
+        assert got == want, (p.n, p_chem, start, horizon, runs)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, (p.n, p_chem, start, horizon, runs)
 
 
 def test_empirical_success_rejects_start_out_of_range():
@@ -322,6 +344,8 @@ def test_empirical_success_rejects_start_out_of_range():
     for start in (-1, 16):
         with pytest.raises(ValueError, match="init_index"):
             empirical_success(P4, 0.95, start, 10, 10, rng)
+    with pytest.raises(ValueError, match="runs"):
+        empirical_success(P4, 0.95, 0, 10, 0, rng)
 
 
 def test_solver_success_matches_matrix_law():
