@@ -86,6 +86,19 @@ def _check_count_digits(iface_levels: int, p: dict):
         )
 
 
+def _check_markov_capacity(spec: dict, p: dict):
+    """Load the problem and raise CapacityError, naming
+    markov.deterministic_indices, when its acceptance table at one of the
+    indices exceeds the Markov byte budget: before the oracle runs or any
+    output is written."""
+    problem = load_problem(spec)
+    for idx in _value(SCHEMA["markov"], p, "deterministic_indices"):
+        try:
+            check_capacity(problem, float(idx))
+        except CapacityError as exc:
+            raise CapacityError(f"markov.deterministic_indices: index {idx}: {exc}") from None
+
+
 COMMON = _rows(
     Key("seed", int, 0, None, 0, "master seed"),
     Key("replicas", int, 1, None, 1, "replica count"),
@@ -131,10 +144,11 @@ SCHEMA = {
         Key("target_energy", NUMBER, None, None, SolverParams.target_energy, "stop a run at this energy"),
     ),
     "markov": _rows(
-        Key("problem", dict, None, None, REQUIRED, "problem spec", lambda v, p: load_problem(v)),
         Key("deterministic_indices", list, None, None, (1.0,), "indices to analyse",
             lambda v, p: _require(all(_is_a(i, NUMBER) and 0.0 <= i <= 1.0 for i in v),
                                   "expected probabilities in [0, 1]")),
+        # after the indices, so that its capacity check sees them checked (or their default)
+        Key("problem", dict, None, None, REQUIRED, "problem spec", _check_markov_capacity),
         Key("horizon", int, 0, None, None, "proposals (default 100 * n)"),
     ),
     "clock-demo": _rows(
@@ -390,8 +404,6 @@ def _run_solve(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
 def _run_markov(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     problem = load_problem(cfg.params["problem"])
     indices = cfg.get("deterministic_indices")
-    for idx in indices:  # before paying for the exhaustive oracle
-        check_capacity(problem, float(idx))
     emin, configs = brute_force_min(problem)
     minima = [config_index(c) for c in configs]
     write_solution_json(out / "oracle.json", problem, emin, configs)

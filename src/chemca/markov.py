@@ -27,6 +27,7 @@ from .qubo import (
 )
 
 _BYTE_BUDGET = 1 << 28  # one (configs, max(N, 2^k)) float enumeration
+_BATCH = 512  # configs per reachability batch: its (512 N, N) float terms stay below 3 MB at N = 24
 
 
 def _check_budget(rows: int, n: int, k: int):
@@ -152,6 +153,9 @@ def success_probabilities(
     Minima are absorbing; success of config c is the probability that a
     chain started at c visits a minimum within the horizon, iterated
     backwards one proposal at a time. Default horizon is 100 * n proposals.
+    The iteration stops early once a step returns its input bit for bit,
+    since every later step would return it too; the result is the one of
+    all `horizon` steps, and the report records the requested horizon.
     """
     minima = sorted(int(m) for m in minima)
     if not minima:
@@ -166,17 +170,48 @@ def success_probabilities(
     success = np.zeros(1 << t.n)
     success[minima] = 1.0
     for _ in range(horizon):
-        success = stay * success + (move * success[neighbours]).sum(axis=1)
-        success[minima] = 1.0
+        new = stay * success + (move * success[neighbours]).sum(axis=1)
+        new[minima] = 1.0
+        if new.tobytes() == success.tobytes():
+            break  # a fixed point, bit for bit (-0.0 is not 0.0): later steps repeat it
+        success = new
     return SuccessReport(success, minima, t.p_chem, horizon)
 
 
-def _accepts_no_flip(ising, s: np.ndarray) -> np.ndarray:
-    """For each row of spins s (k, n): True where the p_chem = 1 check
-    rejects all n single flips, each decided as the sampler's step decides it."""
-    k, n = s.shape
-    lin, pair = flip_terms(ising, np.repeat(s, n, axis=0), np.tile(np.arange(n), k))
-    return ~(observed_change(lin, pair, 1.0, None) <= 0.0).reshape(k, n).any(axis=1)
+def _classify(ising, start: int, is_min, known, doomed):
+    """Settle known[start]: doomed[start] says whether no global minimum
+    (is_min) can be reached from config `start` through flips the p_chem = 1
+    check accepts. A breadth-first search over accepted flips, each batch of
+    up to _BATCH queued configs decided in one flip_terms + observed_change
+    call, as the sampler's step decides it. It stops at a minimum or at a
+    config known to reach one, and marks the path it found as reaching; if
+    the closure runs out first, every config in it is doomed."""
+    n = ising.n
+    bits = np.arange(n)
+    parent = {start: -1}
+    queue = [start]
+    head = 0
+    while head < len(queue):
+        c = np.array(queue[head : head + _BATCH], dtype=np.int64)
+        head += c.size
+        s = (((c[:, None] >> bits) & 1) * 2 - 1).astype(float)
+        lin, pair = flip_terms(ising, np.repeat(s, n, axis=0), np.tile(bits, c.size))
+        rows, cols = np.nonzero((observed_change(lin, pair, 1.0, None) <= 0.0).reshape(-1, n))
+        u, v = c[rows], c[rows] ^ (np.int64(1) << cols)
+        reaches = is_min[v] | (known[v] & ~doomed[v])
+        if reaches.any():
+            a = int(u[reaches.argmax()])
+            while a >= 0:
+                known[a] = True
+                a = parent[a]
+            return
+        fresh = ~known[v]  # a known config here is doomed: nothing past it reaches a minimum
+        for a, b in zip(u[fresh].tolist(), v[fresh].tolist()):
+            if b not in parent:
+                parent[b] = a
+                queue.append(b)
+    known[queue] = True
+    doomed[queue] = True
 
 
 def empirical_success(
@@ -194,13 +229,15 @@ def empirical_success(
     a chain succeeds when it visits any global-minimum config.
 
     A chain is settled once its outcome is fixed: it has visited a global
-    minimum, or p_chem = 1 and its config accepts no single flip (at
-    p_chem = 1 the flip index is the only draw, so such a chain never moves
-    again). Only the unsettled chains are advanced. The draws are those of
-    a loop that advances every chain: each step draws one flip index per
-    chain and, for p_chem < 1, one uniform per chain and spin, until the
-    horizon or until every chain has hit a minimum. So the estimate and
-    the state of `rng` do not depend on which chains were skipped.
+    minimum, or p_chem = 1 and it is doomed, that is no minimum can be
+    reached from its config through flips the p_chem = 1 check accepts (at
+    p_chem = 1 the flip index is the only draw, and a config that accepts
+    no flip is the smallest such case). Only the unsettled chains are
+    advanced. The draws are those of a loop that advances every chain: each
+    step draws one flip index per chain and, for p_chem < 1, one uniform
+    per chain and spin, until the horizon or until every chain has hit a
+    minimum. So the estimate and the state of `rng` do not depend on which
+    chains were skipped.
     """
     from .qubo import brute_force_min
 
@@ -212,23 +249,21 @@ def empirical_success(
     is_min = np.zeros(1 << p.n, dtype=bool)
     is_min[[config_index(c) for c in configs]] = True
     greedy = p_chem >= 1.0
-    # filled at p_chem = 1 as chains reach each config c: once known[c], stuck[c] says
-    # whether c accepts no flip (two bool tables: int8 compares add 0.2 MB of peak RSS)
+    # filled at p_chem = 1 as chains reach each config c: once known[c], doomed[c] says
+    # whether c reaches no minimum (two bool tables: int8 compares add 0.2 MB of peak RSS)
     known = np.zeros(1 << p.n, dtype=bool) if greedy else None
-    stuck = np.zeros(1 << p.n, dtype=bool) if greedy else None
+    doomed = np.zeros(1 << p.n, dtype=bool) if greedy else None
     ising = qubo_to_ising(p)
 
-    def unsettled(s, idx, hit):
-        """Mask of the chains (rows of s and idx) whose outcome is still open."""
+    def unsettled(idx, hit):
+        """Mask of the chains (entries of idx) whose outcome is still open."""
         open_ = ~hit
         if greedy:
-            unknown = np.flatnonzero(open_ & ~known[idx])
-            if unknown.size:
-                # one row per config; np.unique would import numpy.ma, adding 1.3 MB of peak RSS
-                rows = list(dict(zip(idx[unknown].tolist(), unknown.tolist())).values())
-                stuck[idx[rows]] = _accepts_no_flip(ising, s[rows])
-                known[idx[rows]] = True
-            open_ &= ~stuck[idx]
+            # one search per new config; np.unique would import numpy.ma, adding 1.3 MB of peak RSS
+            for c in dict.fromkeys(idx[open_ & ~known[idx]].tolist()):
+                if not known[c]:
+                    _classify(ising, c, is_min, known, doomed)
+            open_ &= ~doomed[idx]
         return open_
 
     s = np.tile(bits_to_spins(index_config(init_index, p.n)).astype(float), (runs, 1))
@@ -236,7 +271,7 @@ def empirical_success(
     live = np.arange(runs)  # the rows of each step's draws that belong to the chains in s and idx
     hit = is_min[idx]
     hits = int(np.count_nonzero(hit))
-    keep = unsettled(s, idx, hit)
+    keep = unsettled(idx, hit)
     s, idx, live = s[keep], idx[keep], live[keep]
     for _ in range(horizon):
         if hits == runs:
@@ -254,7 +289,7 @@ def empirical_success(
         idx[accept] ^= np.int64(1) << flip_cols
         hit = is_min[idx]
         hits += int(np.count_nonzero(hit))
-        keep = unsettled(s, idx, hit)
+        keep = unsettled(idx, hit)
         if not keep.all():
             s, idx, live = s[keep], idx[keep], live[keep]
     return hits / runs

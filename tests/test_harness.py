@@ -340,7 +340,14 @@ def test_cli_capacity_error(tmp_path, capsys):
     )
     code = main(["markov", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
     assert code == EXIT_CAPACITY
-    assert not (tmp_path / "o" / "oracle.json").exists()  # the budget is checked first
+    assert "markov.deterministic_indices" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()  # checked with the config, before any output
+    # the default index (1.0) is checked too: 8 * 2^22 * 22 bytes
+    cfg.write_text(json.dumps({"problem": {"kind": "partition", "numbers": list(range(1, 23))}}))
+    code = main(["markov", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == EXIT_CAPACITY
+    assert "markov.deterministic_indices" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_count_beyond_int_string_limit(tmp_path, capsys):

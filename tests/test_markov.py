@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from chemca.hybrid import SolverParams, observed_change, solve_type2
+from chemca import markov
 from chemca.markov import (
+    _classify,
     acceptance_prob,
     build_transition_matrix,
     empirical_success,
@@ -30,6 +32,9 @@ from chemca.qubo import (
 
 P4 = build_partition([1, 3, 4, 8])
 P8 = build_partition([1, 3, 4, 9, 3, 5, 3, 6])
+# the markov-exact benchmark partition: at index 1.0, 130 of its 512 configs
+# move but reach no minimum (the two energy-25 configs swap by flipping the 5)
+P9 = build_partition([22, 32, 29, 33, 30, 26, 5, 37, 39])
 TSP3 = build_tsp(distance_matrix_from_coords([[0, 0], [1, 0], [3, 3]]))
 SAT4 = build_2sat([(1, 2), (-1, 3), (-2, -3), (3, 4)])
 
@@ -161,6 +166,36 @@ def test_success_matches_dense_oracle():
             for horizon in (0, 10, 100, 800):
                 got = success_probabilities(t, minima, horizon).success
                 assert np.abs(got - dense_success(t, minima, horizon)).max() <= 1e-12
+
+
+def test_success_fixed_point_exit_matches_full_horizon():
+    # the loop without the exit, as reference: equal bytes at every horizon,
+    # including the steps either side of the first repeated array
+    for p in (P8, P9):
+        minima = minima_indices(p)
+        for p_chem in (1.0, 0.95, 0.5):
+            t = build_transition_matrix(p, p_chem)
+            move = t.accept / t.n
+            stay = 1.0 - move.sum(axis=1)
+            neighbours = np.arange(1 << p.n)[:, None] ^ (1 << np.arange(p.n))
+            success = np.zeros(1 << p.n)
+            success[minima] = 1.0
+            curve, fixed = [success], None
+            for step in range(100 * p.n):
+                success = stay * success + (move * success[neighbours]).sum(axis=1)
+                success[minima] = 1.0
+                if fixed is None and success.tobytes() == curve[-1].tobytes():
+                    fixed = step
+                curve.append(success)
+            horizons = {0, 1, 100 * p.n}
+            if fixed is not None:
+                horizons |= {fixed - 1, fixed, fixed + 1, fixed + 2}
+            for horizon in sorted(horizons):
+                report = success_probabilities(t, minima, horizon)
+                assert report.horizon == horizon
+                assert report.success.tobytes() == curve[horizon].tobytes(), (p.n, p_chem, horizon)
+            if p_chem == 1.0:
+                assert fixed is not None and fixed < 100 * p.n
 
 
 def test_histogram_counts_every_start():
@@ -331,12 +366,57 @@ def test_empirical_success_matches_isin_loop():
     ]
     stuck = _trapped_stuck_start(P8)
     cases += [(P8, 1.0, stuck, horizon, runs) for horizon, runs in ((60, 300), (60, 1), (0, 5))]
+    # benchmark starts in zero-change cycles (350 never reaches a minimum, 459
+    # sometimes does), and a 2-SAT start whose every accepted flip is a zero change
+    assert {true_delta(SAT4, index_config(6, 4), h) for h in range(4)} == {0.0}
+    cases += [(P9, 1.0, start, 150, 300) for start in (350, 459)]
+    cases += [(SAT4, 1.0, 6, horizon, runs) for horizon, runs in ((60, 300), (60, 1))]
     for p, p_chem, start, horizon, runs in cases:
         want_rng, got_rng = np.random.default_rng(start), np.random.default_rng(start)
         want = _isin_success(p, p_chem, start, horizon, runs, want_rng)
         got = empirical_success(p, p_chem, start, horizon, runs, got_rng)
         assert got == want, (p.n, p_chem, start, horizon, runs)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state, (p.n, p_chem, start, horizon, runs)
+
+
+def _reaches_minimum(p):
+    """Reference: the configs from which a minimum is reachable through the
+    accepted flips of build_transition_matrix(p, 1.0), by a backward search
+    from the minima."""
+    accept = build_transition_matrix(p, 1.0).accept
+    reaches = np.zeros(1 << p.n, dtype=bool)
+    todo = minima_indices(p)
+    reaches[todo] = True
+    while todo:
+        c = todo.pop()
+        for h in range(p.n):
+            b = c ^ (1 << h)
+            if not reaches[b] and accept[b, h] == 1.0:
+                reaches[b] = True
+                todo.append(b)
+    return reaches
+
+
+@pytest.mark.parametrize("batch", [512, 3])
+def test_classify_matches_backward_reachability(monkeypatch, batch):
+    monkeypatch.setattr(markov, "_BATCH", batch)
+    for p in (P8, P9, SAT4):
+        want = ~_reaches_minimum(p)
+        is_min = np.zeros(1 << p.n, dtype=bool)
+        is_min[minima_indices(p)] = True
+        ising = qubo_to_ising(p)
+        starts = np.flatnonzero(~is_min)
+        # one search per start with empty tables, then all starts sharing their tables
+        for c in starts:
+            known, doomed = np.zeros_like(is_min), np.zeros_like(is_min)
+            _classify(ising, int(c), is_min, known, doomed)
+            assert known[c] and doomed[c] == want[c], (p.n, c)
+            assert not (doomed & ~want).any() and not (known & ~doomed & want).any(), (p.n, c)
+        known, doomed = np.zeros_like(is_min), np.zeros_like(is_min)
+        for c in np.random.default_rng(p.n).permutation(starts):
+            if not known[c]:
+                _classify(ising, int(c), is_min, known, doomed)
+        assert np.array_equal(known, ~is_min) and np.array_equal(doomed, want), p.n
 
 
 def test_empirical_success_rejects_start_out_of_range():
