@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chemca.hybrid import SolverParams, observed_change, solve_type2
 from chemca import markov
+from chemca.hybrid import SolverParams, observed_change, solve_type2
 from chemca.markov import (
     _classify,
     acceptance_prob,
@@ -170,7 +170,7 @@ def test_success_matches_dense_oracle():
 
 def test_success_fixed_point_exit_matches_full_horizon():
     # the loop without the exit, as reference: equal bytes at every horizon,
-    # including the steps either side of the first repeated array
+    # including either side of the first horizon whose array repeats the last
     for p in (P8, P9):
         minima = minima_indices(p)
         for p_chem in (1.0, 0.95, 0.5):
@@ -181,20 +181,20 @@ def test_success_fixed_point_exit_matches_full_horizon():
             success = np.zeros(1 << p.n)
             success[minima] = 1.0
             curve, fixed = [success], None
-            for step in range(100 * p.n):
+            for horizon in range(1, 100 * p.n + 1):
                 success = stay * success + (move * success[neighbours]).sum(axis=1)
                 success[minima] = 1.0
                 if fixed is None and success.tobytes() == curve[-1].tobytes():
-                    fixed = step
+                    fixed = horizon
                 curve.append(success)
             horizons = {0, 1, 100 * p.n}
             if fixed is not None:
-                horizons |= {fixed - 1, fixed, fixed + 1, fixed + 2}
+                horizons |= {fixed - 1, fixed, fixed + 1}
             for horizon in sorted(horizons):
                 report = success_probabilities(t, minima, horizon)
                 assert report.horizon == horizon
                 assert report.success.tobytes() == curve[horizon].tobytes(), (p.n, p_chem, horizon)
-            if p_chem == 1.0:
+            if p_chem == 1.0:  # the exit is taken
                 assert fixed is not None and fixed < 100 * p.n
 
 
