@@ -27,7 +27,6 @@ from .qubo import (
 )
 
 _BYTE_BUDGET = 1 << 28  # one (configs, max(N, 2^k)) float enumeration
-_BATCH = 512  # configs per reachability batch: its (512 N, N) float terms stay below 3 MB at N = 24
 
 
 def _check_budget(rows: int, n: int, k: int):
@@ -75,6 +74,11 @@ def check_capacity(p: QuboProblem, p_chem: float):
     """Raise CapacityError if the acceptance table of p at p_chem exceeds the byte budget."""
     k = 0 if p_chem == 1.0 else int(np.count_nonzero(p.pairwise(), axis=1).max(initial=0))
     _check_budget(1 << p.n, p.n, k)
+
+
+def _neighbours(n: int) -> np.ndarray:
+    """(2^n, n) table: entry (c, h) is c with bit h flipped."""
+    return np.arange(1 << n)[:, None] ^ (1 << np.arange(n))
 
 
 def build_transition_matrix(p: QuboProblem, p_chem: float) -> TransitionMatrix:
@@ -166,7 +170,7 @@ def success_probabilities(
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     move = t.accept / t.n
     stay = 1.0 - move.sum(axis=1)
-    neighbours = np.arange(1 << t.n)[:, None] ^ (1 << np.arange(t.n))
+    neighbours = _neighbours(t.n)
     success = np.zeros(1 << t.n)
     success[minima] = 1.0
     for _ in range(horizon):
@@ -178,40 +182,24 @@ def success_probabilities(
     return SuccessReport(success, minima, t.p_chem, horizon)
 
 
-def _classify(ising, start: int, is_min, known, doomed):
-    """Settle known[start]: doomed[start] says whether no global minimum
-    (is_min) can be reached from config `start` through flips the p_chem = 1
-    check accepts. A breadth-first search over accepted flips, each batch of
-    up to _BATCH queued configs decided in one flip_terms + observed_change
-    call, as the sampler's step decides it. It stops at a minimum or at a
-    config known to reach one, and marks the path it found as reaching; if
-    the closure runs out first, every config in it is doomed."""
+def _doomed(ising, is_min) -> np.ndarray:
+    """(2^n,) bool: True where no global minimum (is_min) can be reached
+    through flips the p_chem = 1 check accepts. Each flip's verdict is the
+    sampler's own, one flip_terms + observed_change call over all configs
+    per flipped spin; reachability is a backward fixed point from the minima."""
     n = ising.n
-    bits = np.arange(n)
-    parent = {start: -1}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        c = np.array(queue[head : head + _BATCH], dtype=np.int64)
-        head += c.size
-        s = (((c[:, None] >> bits) & 1) * 2 - 1).astype(float)
-        lin, pair = flip_terms(ising, np.repeat(s, n, axis=0), np.tile(bits, c.size))
-        rows, cols = np.nonzero((observed_change(lin, pair, 1.0, None) <= 0.0).reshape(-1, n))
-        u, v = c[rows], c[rows] ^ (np.int64(1) << cols)
-        reaches = is_min[v] | (known[v] & ~doomed[v])
-        if reaches.any():
-            a = int(u[reaches.argmax()])
-            while a >= 0:
-                known[a] = True
-                a = parent[a]
-            return
-        fresh = ~known[v]  # a known config here is doomed: nothing past it reaches a minimum
-        for a, b in zip(u[fresh].tolist(), v[fresh].tolist()):
-            if b not in parent:
-                parent[b] = a
-                queue.append(b)
-    known[queue] = True
-    doomed[queue] = True
+    neighbours = _neighbours(n)
+    s = bits_to_spins((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    accept = np.empty((1 << n, n), dtype=bool)
+    for h in range(n):
+        lin, pair = flip_terms(ising, s, h)
+        accept[:, h] = observed_change(lin, pair, 1.0, None) <= 0.0
+    reach = is_min.copy()
+    while True:
+        new = reach | (accept & reach[neighbours]).any(axis=1)
+        if np.array_equal(new, reach):
+            return ~reach
+        reach = new
 
 
 def empirical_success(
@@ -228,50 +216,42 @@ def empirical_success(
     hybrid.observed_change, batched over chains) for `horizon` proposals;
     a chain succeeds when it visits any global-minimum config.
 
-    A chain is settled once its outcome is fixed: it has visited a global
-    minimum, or p_chem = 1 and it is doomed, that is no minimum can be
-    reached from its config through flips the p_chem = 1 check accepts (at
-    p_chem = 1 the flip index is the only draw, and a config that accepts
-    no flip is the smallest such case). Only the unsettled chains are
-    advanced. The draws are those of a loop that advances every chain: each
-    step draws one flip index per chain and, for p_chem < 1, one uniform
-    per chain and spin, until the horizon or until every chain has hit a
+    A chain is settled once its config is in one table: a global minimum,
+    or, at p_chem = 1, a doomed config (_doomed: no minimum can be reached
+    from it through flips the p_chem = 1 check accepts; at p_chem = 1 the
+    flip index is the only draw). Only the unsettled chains are advanced.
+    The draws are those of a loop that advances every chain: each step
+    draws one flip index per chain and, for p_chem < 1, one uniform per
+    chain and spin, until the horizon or until every chain has hit a
     minimum. So the estimate and the state of `rng` do not depend on which
-    chains were skipped.
+    chains were skipped. Bad arguments raise ValueError, and at p_chem = 1
+    a problem whose acceptance table exceeds the byte budget raises
+    CapacityError (check_capacity), all before anything is drawn.
     """
     from .qubo import brute_force_min
 
+    if not 0.0 <= p_chem <= 1.0:
+        raise ValueError(f"p_chem must be in [0, 1], got {p_chem}")
     if not 0 <= init_index < 1 << p.n:
         raise ValueError(f"init_index must be in [0, {1 << p.n}), got {init_index}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    greedy = p_chem == 1.0
+    if greedy:
+        check_capacity(p, 1.0)
     _, configs = brute_force_min(p)
     is_min = np.zeros(1 << p.n, dtype=bool)
     is_min[[config_index(c) for c in configs]] = True
-    greedy = p_chem >= 1.0
-    # filled at p_chem = 1 as chains reach each config c: once known[c], doomed[c] says
-    # whether c reaches no minimum (two bool tables: int8 compares add 0.2 MB of peak RSS)
-    known = np.zeros(1 << p.n, dtype=bool) if greedy else None
-    doomed = np.zeros(1 << p.n, dtype=bool) if greedy else None
     ising = qubo_to_ising(p)
-
-    def unsettled(idx, hit):
-        """Mask of the chains (entries of idx) whose outcome is still open."""
-        open_ = ~hit
-        if greedy:
-            # one search per new config; np.unique would import numpy.ma, adding 1.3 MB of peak RSS
-            for c in dict.fromkeys(idx[open_ & ~known[idx]].tolist()):
-                if not known[c]:
-                    _classify(ising, c, is_min, known, doomed)
-            open_ &= ~doomed[idx]
-        return open_
+    settled = is_min | _doomed(ising, is_min) if greedy else is_min
 
     s = np.tile(bits_to_spins(index_config(init_index, p.n)).astype(float), (runs, 1))
     idx = np.full(runs, init_index, dtype=np.int64)
     live = np.arange(runs)  # the rows of each step's draws that belong to the chains in s and idx
-    hit = is_min[idx]
-    hits = int(np.count_nonzero(hit))
-    keep = unsettled(idx, hit)
+    hits = runs * int(is_min[init_index])
+    keep = ~settled[idx]
     s, idx, live = s[keep], idx[keep], live[keep]
     for _ in range(horizon):
         if hits == runs:
@@ -287,9 +267,8 @@ def empirical_success(
         flip_rows, flip_cols = np.flatnonzero(accept), h[accept]
         s[flip_rows, flip_cols] = -s[flip_rows, flip_cols]
         idx[accept] ^= np.int64(1) << flip_cols
-        hit = is_min[idx]
-        hits += int(np.count_nonzero(hit))
-        keep = unsettled(idx, hit)
+        hits += int(np.count_nonzero(is_min[idx]))
+        keep = ~settled[idx]
         if not keep.all():
             s, idx, live = s[keep], idx[keep], live[keep]
     return hits / runs

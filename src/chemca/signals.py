@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -41,10 +41,8 @@ _TOCK_FRACTION_2D = 15 / 49
 class RfsmAccumulator:
     """Per-cell recognition state. Starts at Red, outside any excursion."""
 
-    last_color: ColorState = ColorState.RED
     saw_blue: bool = False
     in_excursion: bool = False
-    emitted: int | None = None
 
 
 def rfsm_step(acc: RfsmAccumulator, color: ColorState) -> tuple[RfsmAccumulator, int | None]:
@@ -57,12 +55,9 @@ def rfsm_step(acc: RfsmAccumulator, color: ColorState) -> tuple[RfsmAccumulator,
     if color is ColorState.RED:
         if acc.in_excursion:
             event = 1 if acc.saw_blue else 0
-            return RfsmAccumulator(ColorState.RED, False, False, event), event
-        return replace(acc, last_color=ColorState.RED, emitted=None), None
-    return (
-        RfsmAccumulator(color, acc.saw_blue or color is ColorState.BLUE, True, None),
-        None,
-    )
+            return RfsmAccumulator(), event
+        return acc, None
+    return RfsmAccumulator(acc.saw_blue or color is ColorState.BLUE, True), None
 
 
 def decode_trace(colors) -> list[int]:

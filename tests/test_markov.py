@@ -5,10 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chemca import markov
 from chemca.hybrid import SolverParams, observed_change, solve_type2
 from chemca.markov import (
-    _classify,
+    _doomed,
     acceptance_prob,
     build_transition_matrix,
     empirical_success,
@@ -37,6 +36,10 @@ P8 = build_partition([1, 3, 4, 9, 3, 5, 3, 6])
 P9 = build_partition([22, 32, 29, 33, 30, 26, 5, 37, 39])
 TSP3 = build_tsp(distance_matrix_from_coords([[0, 0], [1, 0], [3, 3]]))
 SAT4 = build_2sat([(1, 2), (-1, 3), (-2, -3), (3, 4)])
+# two cities share a point: at index 1.0 the exact table (partner terms only) and
+# the sampler (all n columns) disagree on whether configs 76, 97, 100, 101 and 108
+# reach a minimum
+TSP3_DEGENERATE = build_tsp(distance_matrix_from_coords([[3, 2], [3, 0], [3, 2]]))
 
 
 def trajectory(p, p_chem, init, steps, rng):
@@ -281,6 +284,12 @@ def test_dense_capacity_cap():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    # the Monte-Carlo cross-check at index 1.0 has the same cap, checked before any draw
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(CapacityError):
+        empirical_success(build_partition(list(range(1, 22))), 1.0, 0, 10, 10, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_trajectory_zero_steps():
@@ -371,6 +380,7 @@ def test_empirical_success_matches_isin_loop():
     assert {true_delta(SAT4, index_config(6, 4), h) for h in range(4)} == {0.0}
     cases += [(P9, 1.0, start, 150, 300) for start in (350, 459)]
     cases += [(SAT4, 1.0, 6, horizon, runs) for horizon, runs in ((60, 300), (60, 1))]
+    cases += [(TSP3_DEGENERATE, 1.0, start, 150, 300) for start in (76, 101)]
     for p, p_chem, start, horizon, runs in cases:
         want_rng, got_rng = np.random.default_rng(start), np.random.default_rng(start)
         want = _isin_success(p, p_chem, start, horizon, runs, want_rng)
@@ -379,53 +389,65 @@ def test_empirical_success_matches_isin_loop():
         assert got_rng.bit_generator.state == want_rng.bit_generator.state, (p.n, p_chem, start, horizon, runs)
 
 
-def _reaches_minimum(p):
-    """Reference: the configs from which a minimum is reachable through the
-    accepted flips of build_transition_matrix(p, 1.0), by a backward search
-    from the minima."""
-    accept = build_transition_matrix(p, 1.0).accept
-    reaches = np.zeros(1 << p.n, dtype=bool)
-    todo = minima_indices(p)
-    reaches[todo] = True
-    while todo:
-        c = todo.pop()
+def _sampler_verdict(p):
+    """(2^n, n) bool: whether the sampler's p_chem = 1 step accepts flip h
+    from config c, decided one config and one flip at a time on a full row."""
+    ising = qubo_to_ising(p)
+    verdict = np.zeros((1 << p.n, p.n), dtype=bool)
+    for c in range(1 << p.n):
+        s = bits_to_spins(index_config(c, p.n)).astype(float)[None, :]
         for h in range(p.n):
-            b = c ^ (1 << h)
-            if not reaches[b] and accept[b, h] == 1.0:
-                reaches[b] = True
-                todo.append(b)
+            lin, pair = flip_terms(ising, s, np.array([h]))
+            verdict[c, h] = observed_change(lin, pair, 1.0, None)[0] <= 0.0
+    return verdict
+
+
+def _reaches_minimum(p, accept):
+    """Reference: per start config, a depth-first search through the flips
+    marked in `accept` (2^n, n) for a global minimum."""
+    minima = set(minima_indices(p))
+    reaches = np.zeros(1 << p.n, dtype=bool)
+    for start in range(1 << p.n):
+        seen, todo = {start}, [start]
+        while todo and not reaches[start]:
+            c = todo.pop()
+            reaches[start] = c in minima
+            for b in (c ^ (1 << np.flatnonzero(accept[c]))).tolist():
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
     return reaches
 
 
-@pytest.mark.parametrize("batch", [512, 3])
-def test_classify_matches_backward_reachability(monkeypatch, batch):
-    monkeypatch.setattr(markov, "_BATCH", batch)
-    for p in (P8, P9, SAT4):
-        want = ~_reaches_minimum(p)
+def test_doomed_matches_backward_reachability():
+    for p in (P8, P9, SAT4, TSP3_DEGENERATE):
         is_min = np.zeros(1 << p.n, dtype=bool)
         is_min[minima_indices(p)] = True
-        ising = qubo_to_ising(p)
-        starts = np.flatnonzero(~is_min)
-        # one search per start with empty tables, then all starts sharing their tables
-        for c in starts:
-            known, doomed = np.zeros_like(is_min), np.zeros_like(is_min)
-            _classify(ising, int(c), is_min, known, doomed)
-            assert known[c] and doomed[c] == want[c], (p.n, c)
-            assert not (doomed & ~want).any() and not (known & ~doomed & want).any(), (p.n, c)
-        known, doomed = np.zeros_like(is_min), np.zeros_like(is_min)
-        for c in np.random.default_rng(p.n).permutation(starts):
-            if not known[c]:
-                _classify(ising, int(c), is_min, known, doomed)
-        assert np.array_equal(known, ~is_min) and np.array_equal(doomed, want), p.n
+        verdict = _sampler_verdict(p)
+        doomed = _doomed(qubo_to_ising(p), is_min)
+        assert np.array_equal(doomed, ~_reaches_minimum(p, verdict)), p.n
+        exact = build_transition_matrix(p, 1.0).accept == 1.0
+        differ = np.flatnonzero(doomed != ~_reaches_minimum(p, exact)).tolist()
+        if p is TSP3_DEGENERATE:
+            assert differ == [76, 97, 100, 101, 108] and doomed[differ].all()
+        else:
+            assert differ == [], p.n
 
 
 def test_empirical_success_rejects_start_out_of_range():
     rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     for start in (-1, 16):
         with pytest.raises(ValueError, match="init_index"):
             empirical_success(P4, 0.95, start, 10, 10, rng)
     with pytest.raises(ValueError, match="runs"):
         empirical_success(P4, 0.95, 0, 10, 0, rng)
+    for p_chem in (1.5, -0.2, float("nan")):
+        with pytest.raises(ValueError, match="p_chem"):
+            empirical_success(P4, p_chem, 0, 10, 10, rng)
+    with pytest.raises(ValueError, match="horizon"):
+        empirical_success(P4, 0.95, 0, -3, 10, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_solver_success_matches_matrix_law():
