@@ -402,16 +402,15 @@ def _sampler_verdict(p):
     return verdict
 
 
-def _reaches_minimum(p, accept):
+def _reaches(targets, accept):
     """Reference: per start config, a depth-first search through the flips
-    marked in `accept` (2^n, n) for a global minimum."""
-    minima = set(minima_indices(p))
-    reaches = np.zeros(1 << p.n, dtype=bool)
-    for start in range(1 << p.n):
+    marked in `accept` (2^n, n) for a config in `targets` ((2^n,) bool)."""
+    reaches = np.zeros(len(targets), dtype=bool)
+    for start in range(len(targets)):
         seen, todo = {start}, [start]
         while todo and not reaches[start]:
             c = todo.pop()
-            reaches[start] = c in minima
+            reaches[start] = targets[c]
             for b in (c ^ (1 << np.flatnonzero(accept[c]))).tolist():
                 if b not in seen:
                     seen.add(b)
@@ -419,15 +418,21 @@ def _reaches_minimum(p, accept):
     return reaches
 
 
-def test_doomed_matches_backward_reachability():
+@pytest.mark.parametrize("seed", [512, 3])
+def test_classify_matches_backward_reachability(seed):
+    rng = np.random.default_rng(seed)
     for p in (P8, P9, SAT4, TSP3_DEGENERATE):
         is_min = np.zeros(1 << p.n, dtype=bool)
         is_min[minima_indices(p)] = True
         verdict = _sampler_verdict(p)
-        doomed = _doomed(qubo_to_ising(p), is_min)
-        assert np.array_equal(doomed, ~_reaches_minimum(p, verdict)), p.n
+        ising = qubo_to_ising(p)
+        # the backward fixed point holds for any target set, not just the minima
+        for targets in (rng.random(1 << p.n) < q for q in (0.0, 0.02, 0.2)):
+            assert np.array_equal(_doomed(ising, targets), ~_reaches(targets, verdict)), (p.n, seed)
+        doomed = _doomed(ising, is_min)
+        assert np.array_equal(doomed, ~_reaches(is_min, verdict)), p.n
         exact = build_transition_matrix(p, 1.0).accept == 1.0
-        differ = np.flatnonzero(doomed != ~_reaches_minimum(p, exact)).tolist()
+        differ = np.flatnonzero(doomed != ~_reaches(is_min, exact)).tolist()
         if p is TSP3_DEGENERATE:
             assert differ == [76, 97, 100, 101, 108] and doomed[differ].all()
         else:
