@@ -86,6 +86,21 @@ def _check_count_digits(iface_levels: int, p: dict):
         )
 
 
+def _index_tag(idx) -> str:
+    """The success_<tag>.csv/.json name part of a deterministic index."""
+    return f"{float(idx):.4g}".replace(".", "p")
+
+
+def _check_indices(indices: list, p: dict):
+    """Probabilities in [0, 1], no two of which write the same output files."""
+    _require(all(_is_a(i, NUMBER) and 0.0 <= i <= 1.0 for i in indices), "expected probabilities in [0, 1]")
+    seen = {}
+    for idx in indices:
+        tag = _index_tag(idx)
+        _require(tag not in seen, f"indices {seen.get(tag)} and {idx} both write success_{tag}.*")
+        seen[tag] = idx
+
+
 def _check_markov_capacity(spec: dict, p: dict):
     """Load the problem and raise CapacityError, naming
     markov.deterministic_indices, when its acceptance table at one of the
@@ -144,9 +159,7 @@ SCHEMA = {
         Key("target_energy", NUMBER, None, None, SolverParams.target_energy, "stop a run at this energy"),
     ),
     "markov": _rows(
-        Key("deterministic_indices", list, None, None, (1.0,), "indices to analyse",
-            lambda v, p: _require(all(_is_a(i, NUMBER) and 0.0 <= i <= 1.0 for i in v),
-                                  "expected probabilities in [0, 1]")),
+        Key("deterministic_indices", list, None, None, (1.0,), "indices to analyse", _check_indices),
         # after the indices, so that its capacity check sees them checked (or their default)
         Key("problem", dict, None, None, REQUIRED, "problem spec", _check_markov_capacity),
         Key("horizon", int, 0, None, None, "proposals (default 100 * n)"),
@@ -412,7 +425,7 @@ def _run_markov(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     for idx in indices:
         t = build_transition_matrix(problem, float(idx))
         report = success_probabilities(t, minima, horizon)
-        tag = f"{float(idx):.4g}".replace(".", "p")
+        tag = _index_tag(idx)
         report.write_csv(out / f"success_{tag}.csv")
         report.write_json(out / f"success_{tag}.json")
         outputs += [f"success_{tag}.csv", f"success_{tag}.json"]

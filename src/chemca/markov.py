@@ -114,13 +114,14 @@ class SuccessReport:
         return float(self.success.mean())
 
     def spread(self, exclude_minima: bool = True) -> float:
-        """max - min of success, by default over the non-minimum configs."""
+        """max - min of success, by default over the non-minimum configs;
+        0.0 when there is none (every config is a minimum)."""
         vals = self.success
         if exclude_minima:
             mask = np.ones(vals.shape[0], bool)
             mask[self.minima] = False
             vals = vals[mask]
-        return float(vals.max() - vals.min())
+        return float(vals.max() - vals.min()) if vals.size else 0.0
 
     def histogram(self, bins: int = 20):
         return np.histogram(self.success, bins=bins, range=(0.0, 1.0))
@@ -182,18 +183,11 @@ def success_probabilities(
     return SuccessReport(success, minima, t.p_chem, horizon)
 
 
-def _doomed(ising, is_min) -> np.ndarray:
-    """(2^n,) bool: True where no global minimum (is_min) can be reached
-    through flips the p_chem = 1 check accepts. Each flip's verdict is the
-    sampler's own, one flip_terms + observed_change call over all configs
-    per flipped spin; reachability is a backward fixed point from the minima."""
-    n = ising.n
-    neighbours = _neighbours(n)
-    s = bits_to_spins((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-    accept = np.empty((1 << n, n), dtype=bool)
-    for h in range(n):
-        lin, pair = flip_terms(ising, s, h)
-        accept[:, h] = observed_change(lin, pair, 1.0, None) <= 0.0
+def _doomed(accept, is_min) -> np.ndarray:
+    """(2^n,) bool: True where no config of is_min can be reached through the
+    flips marked in accept, the (2^n, n) bool p_chem = 1 acceptance table of
+    build_transition_matrix; a backward fixed point from is_min."""
+    neighbours = _neighbours(accept.shape[1])
     reach = is_min.copy()
     while True:
         new = reach | (accept & reach[neighbours]).any(axis=1)
@@ -212,21 +206,23 @@ def empirical_success(
 ) -> float:
     """Monte-Carlo estimate of the success probability for one start.
 
-    Runs `runs` independent chains of the solver's flip law (flip_terms and
-    hybrid.observed_change, batched over chains) for `horizon` proposals;
-    a chain succeeds when it visits any global-minimum config.
+    Runs `runs` independent chains of the solver's flip law for `horizon`
+    proposals; a chain succeeds when it visits any global-minimum config.
+    At p_chem = 1 a step reads the exact chain's acceptance table
+    (build_transition_matrix(p, 1.0)); below 1 it runs flip_terms and
+    hybrid.observed_change, batched over chains, as an independent reference.
 
     A chain is settled once its config is in one table: a global minimum,
     or, at p_chem = 1, a doomed config (_doomed: no minimum can be reached
-    from it through flips the p_chem = 1 check accepts; at p_chem = 1 the
-    flip index is the only draw). Only the unsettled chains are advanced.
+    from it through flips the table accepts; at p_chem = 1 the flip index
+    is the only draw). Only the unsettled chains are advanced.
     The draws are those of a loop that advances every chain: each step
     draws one flip index per chain and, for p_chem < 1, one uniform per
     chain and spin, until the horizon or until every chain has hit a
     minimum. So the estimate and the state of `rng` do not depend on which
     chains were skipped. Bad arguments raise ValueError, and at p_chem = 1
     a problem whose acceptance table exceeds the byte budget raises
-    CapacityError (check_capacity), all before anything is drawn.
+    CapacityError, all before anything is drawn.
     """
     from .qubo import brute_force_min
 
@@ -239,13 +235,12 @@ def empirical_success(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     greedy = p_chem == 1.0
-    if greedy:
-        check_capacity(p, 1.0)
+    table = build_transition_matrix(p, 1.0).accept == 1.0 if greedy else None
     _, configs = brute_force_min(p)
     is_min = np.zeros(1 << p.n, dtype=bool)
     is_min[[config_index(c) for c in configs]] = True
     ising = qubo_to_ising(p)
-    settled = is_min | _doomed(ising, is_min) if greedy else is_min
+    settled = is_min | _doomed(table, is_min) if greedy else is_min
 
     s = np.tile(bits_to_spins(index_config(init_index, p.n)).astype(float), (runs, 1))
     idx = np.full(runs, init_index, dtype=np.int64)
@@ -261,9 +256,11 @@ def empirical_success(
         if not live.size:
             continue
         h = h[live]
-        lin, pair = flip_terms(ising, s, h)
-        signs = None if greedy else consistency_signs(u[live], p_chem)
-        accept = observed_change(lin, pair, p_chem, None, signs) <= 0.0
+        if greedy:
+            accept = table[idx, h]
+        else:
+            lin, pair = flip_terms(ising, s, h)
+            accept = observed_change(lin, pair, p_chem, None, consistency_signs(u[live], p_chem)) <= 0.0
         flip_rows, flip_cols = np.flatnonzero(accept), h[accept]
         s[flip_rows, flip_cols] = -s[flip_rows, flip_cols]
         idx[accept] ^= np.int64(1) << flip_cols

@@ -141,7 +141,7 @@ def build_tsp(distances, penalty: float = 1.0, scale: float | None = None) -> Qu
     Variable (i, j) means city j occupies tour position i (flat index
     i*N + j). Row and column one-hot penalties cost `penalty` each;
     adjacent positions couple with scaled distances d' = scale * d, where
-    the default scale makes max(d') = 0.1.
+    the default scale makes max(d') = 0.1 (so it needs a nonzero distance).
     """
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -152,6 +152,8 @@ def build_tsp(distances, penalty: float = 1.0, scale: float | None = None) -> Qu
     if n_city < 2:
         raise ValueError("at least two cities required")
     if scale is None:
+        if d.max() == 0:
+            raise ValueError("all distances are zero; give a scale")
         scale = 0.1 / d.max()
     dscaled = scale * d
     n = n_city * n_city

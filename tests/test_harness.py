@@ -92,6 +92,10 @@ def test_config_validation_errors():
         ({"kind": "clock-demo", "confirmations": "2"}, "clock-demo.confirmations"),
         ({"kind": "clock-demo", "confirmations": 0}, "clock-demo.confirmations"),
         (dict(markov, deterministic_indices=[True]), "markov.deterministic_indices"),
+        # two indices that would write the same success_<tag> files
+        (dict(markov, deterministic_indices=[0.5, 0.95, 0.950001]),
+         r"markov.deterministic_indices: indices 0\.95 and 0\.950001 both write success_0p95"),
+        (dict(markov, deterministic_indices=[1, 1.0]), r"markov.deterministic_indices: indices 1 and 1\.0"),
         (dict(solve, p_chme=0.9), "solve.p_chme: unknown key"),
         (dict(count, side=7, bogus=1), "count.side, count.bogus: unknown key"),
         (dict(cca1d, out=5), "cca1d.out"),
@@ -106,6 +110,7 @@ def test_config_validation_errors():
         {"kind": "explicit", "linear": [0, 0], "pairs": {"0,5": 1}},
         {"kind": "explicit", "linear": 5, "quad": [[0]]},
         {"kind": "tsp", "coords": [[0, 0], [1, 0], [0, 1]], "scale": "x"},
+        {"kind": "tsp", "coords": [[0, 0], [0, 0], [0, 0]]},  # no distance to scale by
     ]
     for bad in bad_problems:
         cases.append((dict(solve, problem=bad), "solve.problem"))
@@ -348,6 +353,28 @@ def test_cli_capacity_error(tmp_path, capsys):
     assert code == EXIT_CAPACITY
     assert "markov.deterministic_indices" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_markov_colliding_indices(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": {"kind": "partition", "numbers": [1, 3, 4, 8]},
+                               "deterministic_indices": [0.95, 0.950001]}))
+    code = main(["markov", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == EXIT_USER
+    assert "markov.deterministic_indices: indices 0.95 and 0.950001" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_markov_every_config_a_minimum(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": {"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]]}}))
+    out = tmp_path / "o"
+    assert main(["markov", "--config", str(cfg), "--out", str(out), "--quiet"]) == EXIT_OK
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert outputs == ["oracle.json", "success_1.csv", "success_1.json"]
+    assert all((out / name).exists() for name in outputs)
+    report = json.loads((out / "success_1.json").read_text())
+    assert report["minima"] == [0, 1, 2, 3] and report["spread_nonminima"] == 0.0
 
 
 def test_cli_count_beyond_int_string_limit(tmp_path, capsys):

@@ -36,9 +36,9 @@ P8 = build_partition([1, 3, 4, 9, 3, 5, 3, 6])
 P9 = build_partition([22, 32, 29, 33, 30, 26, 5, 37, 39])
 TSP3 = build_tsp(distance_matrix_from_coords([[0, 0], [1, 0], [3, 3]]))
 SAT4 = build_2sat([(1, 2), (-1, 3), (-2, -3), (3, 4)])
-# two cities share a point: at index 1.0 the exact table (partner terms only) and
-# the sampler (all n columns) disagree on whether configs 76, 97, 100, 101 and 108
-# reach a minimum
+# two cities share a point: at index 1.0 the solver's partner-term sum accepts
+# flips of true change 0 that a sum over all n columns of flip_terms rounds to
+# +4.4e-16; only through such flips do configs 76, 97, 100, 101 and 108 reach a minimum
 TSP3_DEGENERATE = build_tsp(distance_matrix_from_coords([[3, 2], [3, 0], [3, 2]]))
 
 
@@ -318,23 +318,28 @@ def test_trajectory_random_walk_covers_more_configs():
 
 
 def test_empirical_success_matches_matrix():
-    minima = minima_indices(P4)
-    for p_chem in (1.0, 0.95):
-        t = build_transition_matrix(P4, p_chem)
-        report = success_probabilities(t, minima, 100)
+    # the degenerate TSP at index 1.0: starts that reach a minimum only through
+    # the zero-change flips that the solver's partner-term sum accepts
+    cases = [(P4, p_chem, (0, 5, 9, 15)) for p_chem in (1.0, 0.95)]
+    cases.append((TSP3_DEGENERATE, 1.0, (76, 101)))
+    for p, p_chem, starts in cases:
+        t = build_transition_matrix(p, p_chem)
+        report = success_probabilities(t, minima_indices(p), 100)
         rng = np.random.default_rng(1234)
-        for idx in (0, 5, 9, 15):
+        for idx in starts:
             runs = 4000
-            hit = empirical_success(P4, p_chem, idx, 100, runs, rng)
+            hit = empirical_success(p, p_chem, idx, 100, runs, rng)
             want = report.success[idx]
             sigma = math.sqrt(max(want * (1 - want), 1e-12) / runs)
             assert abs(hit - want) <= 3 * sigma + 1e-9
 
 
 def _isin_success(p, p_chem, init_index, horizon, runs, rng):
-    """The np.isin loop that empirical_success replaced, as its reference."""
+    """The np.isin loop that empirical_success replaced, as its reference; at
+    p_chem = 1 each chain's step is the solver's verdict (_solver_verdict)."""
     minima = np.array(sorted(minima_indices(p)), dtype=np.int64)
     ising = qubo_to_ising(p)
+    verdict = _solver_verdict(p) if p_chem == 1.0 else None
     s = np.tile(bits_to_spins(index_config(init_index, p.n)).astype(float), (runs, 1))
     idx = np.full(runs, init_index, dtype=np.int64)
     hit = np.isin(idx, minima)
@@ -343,8 +348,11 @@ def _isin_success(p, p_chem, init_index, horizon, runs, rng):
         if hit.all():
             break
         h = rng.integers(p.n, size=runs)
-        lin, pair = flip_terms(ising, s, h)
-        accept = observed_change(lin, pair, p_chem, rng) <= 0.0
+        if verdict is not None:
+            accept = verdict[idx, h]
+        else:
+            lin, pair = flip_terms(ising, s, h)
+            accept = observed_change(lin, pair, p_chem, rng) <= 0.0
         flip_rows, flip_cols = rows[accept], h[accept]
         s[flip_rows, flip_cols] = -s[flip_rows, flip_cols]
         idx[accept] ^= np.int64(1) << flip_cols
@@ -389,16 +397,18 @@ def test_empirical_success_matches_isin_loop():
         assert got_rng.bit_generator.state == want_rng.bit_generator.state, (p.n, p_chem, start, horizon, runs)
 
 
-def _sampler_verdict(p):
-    """(2^n, n) bool: whether the sampler's p_chem = 1 step accepts flip h
-    from config c, decided one config and one flip at a time on a full row."""
+def _solver_verdict(p):
+    """(2^n, n) bool: whether solve_type2's p_chem = 1 step accepts flip h
+    from config c, decided one config and one flip at a time as the solver
+    decides it: the 1-D partner terms summed through observed_change."""
     ising = qubo_to_ising(p)
     verdict = np.zeros((1 << p.n, p.n), dtype=bool)
     for c in range(1 << p.n):
-        s = bits_to_spins(index_config(c, p.n)).astype(float)[None, :]
+        s = bits_to_spins(index_config(c, p.n)).astype(float)
         for h in range(p.n):
-            lin, pair = flip_terms(ising, s, np.array([h]))
-            verdict[c, h] = observed_change(lin, pair, 1.0, None)[0] <= 0.0
+            lin, pair = flip_terms(ising, s, h)
+            terms = pair[np.flatnonzero(ising.coupling[h])]
+            verdict[c, h] = observed_change(lin, terms, 1.0, None) <= 0.0
     return verdict
 
 
@@ -421,22 +431,17 @@ def _reaches(targets, accept):
 @pytest.mark.parametrize("seed", [512, 3])
 def test_classify_matches_backward_reachability(seed):
     rng = np.random.default_rng(seed)
-    for p in (P8, P9, SAT4, TSP3_DEGENERATE):
+    for p in (P8, P9, SAT4, TSP3, TSP3_DEGENERATE):
         is_min = np.zeros(1 << p.n, dtype=bool)
         is_min[minima_indices(p)] = True
-        verdict = _sampler_verdict(p)
-        ising = qubo_to_ising(p)
+        verdict = _solver_verdict(p)
+        table = build_transition_matrix(p, 1.0).accept == 1.0
+        assert np.array_equal(table, verdict), p.n
         # the backward fixed point holds for any target set, not just the minima
         for targets in (rng.random(1 << p.n) < q for q in (0.0, 0.02, 0.2)):
-            assert np.array_equal(_doomed(ising, targets), ~_reaches(targets, verdict)), (p.n, seed)
-        doomed = _doomed(ising, is_min)
-        assert np.array_equal(doomed, ~_reaches(is_min, verdict)), p.n
-        exact = build_transition_matrix(p, 1.0).accept == 1.0
-        differ = np.flatnonzero(doomed != ~_reaches(is_min, exact)).tolist()
-        if p is TSP3_DEGENERATE:
-            assert differ == [76, 97, 100, 101, 108] and doomed[differ].all()
-        else:
-            assert differ == [], p.n
+            assert np.array_equal(_doomed(table, targets), ~_reaches(targets, verdict)), (p.n, seed)
+        differ = np.flatnonzero(_doomed(table, is_min) != ~_reaches(is_min, verdict)).tolist()
+        assert differ == [], p.n
 
 
 def test_empirical_success_rejects_start_out_of_range():

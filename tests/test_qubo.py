@@ -1,5 +1,6 @@
 import json
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,17 @@ def test_tsp_validation():
         build_tsp([[0, 1], [1, 0], [0, 0]])  # not square
     with pytest.raises(ValueError):
         build_tsp([[0, 1], [2, 0]])  # not symmetric
+
+
+def test_tsp_coincident_cities_need_a_scale():
+    d = distance_matrix_from_coords([[0, 0], [0, 0], [0, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before dividing by the zero distance
+        with pytest.raises(ValueError, match="all distances are zero; give a scale"):
+            build_tsp(d)
+    p = build_tsp(d, scale=1.0)
+    emin, configs = brute_force_min(p)
+    assert emin == 0.0 and len(configs) == 6  # every tour, penalties only
 
 
 def test_oracle_partition_4():
