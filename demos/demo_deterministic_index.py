@@ -11,12 +11,11 @@ import numpy as np
 
 from chemca.hybrid import SolverParams, solve_type2
 from chemca.markov import build_transition_matrix, empirical_success, success_probabilities
-from chemca.qubo import brute_force_min, build_partition, config_index, index_config
+from chemca.qubo import brute_force_min, build_partition, index_config
 
 numbers = [1, 3, 4, 9, 3, 5, 3, 6]
 p8 = build_partition(numbers)
-emin, configs = brute_force_min(p8)
-minima = [config_index(c) for c in configs]
+emin, minima = brute_force_min(p8)
 print(f"numbers {numbers}: minimum energy {emin} at {len(minima)} of 256 configs")
 
 horizon = 800

@@ -29,8 +29,8 @@ problems = {
 }
 
 for name, p in problems.items():
-    emin, configs = brute_force_min(p)
-    print(f"{name}: n={p.n}, oracle minimum {emin:.4g} at {len(configs)} configs")
+    emin, minima = brute_force_min(p)
+    print(f"{name}: n={p.n}, oracle minimum {emin:.4g} at {len(minima)} configs")
 
     t1 = solve_type1(
         p,

@@ -43,9 +43,6 @@ class PwmGrid:
             np.zeros(shape, np.int8), np.zeros(shape, np.uint8), np.zeros(shape, np.uint8)
         )
 
-    def copy(self) -> "PwmGrid":
-        return PwmGrid(self.classes.copy(), self.iface_h.copy(), self.iface_v.copy())
-
 
 @dataclass
 class ChemitEventCounts:

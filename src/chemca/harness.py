@@ -27,7 +27,7 @@ from .cca2d import DEFAULT_FLUCT_RATIO, run_population_experiment, write_populat
 from .chemodel import ChemModel2DParams
 from .lattice import chemical_state_count, expansion_ratio, format_scientific, input_state_count, line
 from .markov import build_transition_matrix, check_capacity, success_probabilities
-from .qubo import CapacityError, brute_force_min, config_index, load_problem, write_solution_json
+from .qubo import CapacityError, brute_force_min, load_problem, write_solution_json
 from .signals import ClockedCellBank, ColorState, decode_trace, synthesize_trace, write_trace_csv
 from .hybrid import SolverParams, solve_type1, solve_type2
 
@@ -417,9 +417,8 @@ def _run_solve(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
 def _run_markov(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     problem = load_problem(cfg.params["problem"])
     indices = cfg.get("deterministic_indices")
-    emin, configs = brute_force_min(problem)
-    minima = [config_index(c) for c in configs]
-    write_solution_json(out / "oracle.json", problem, emin, configs)
+    emin, minima = brute_force_min(problem)
+    write_solution_json(out / "oracle.json", problem, emin, minima)
     outputs = ["oracle.json"]
     horizon = cfg.get("horizon")
     for idx in indices:

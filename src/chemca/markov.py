@@ -20,7 +20,7 @@ from .qubo import (
     CapacityError,
     QuboProblem,
     bits_to_spins,
-    config_index,
+    config_bits,
     flip_terms,
     index_config,
     qubo_to_ising,
@@ -85,7 +85,7 @@ def build_transition_matrix(p: QuboProblem, p_chem: float) -> TransitionMatrix:
     """Acceptance table of the Type-2 chain, one acceptance_prob call over all
     configs per flipped spin. Raises CapacityError before allocating."""
     check_capacity(p, p_chem)
-    configs = ((np.arange(1 << p.n)[:, None] >> np.arange(p.n)) & 1).astype(np.uint8)
+    configs = config_bits(p.n, 0, 1 << p.n)
     accept = np.empty((1 << p.n, p.n))
     for h in range(p.n):
         accept[:, h] = acceptance_prob(p, configs, h, p_chem)
@@ -113,14 +113,10 @@ class SuccessReport:
     def mean(self) -> float:
         return float(self.success.mean())
 
-    def spread(self, exclude_minima: bool = True) -> float:
-        """max - min of success, by default over the non-minimum configs;
-        0.0 when there is none (every config is a minimum)."""
-        vals = self.success
-        if exclude_minima:
-            mask = np.ones(vals.shape[0], bool)
-            mask[self.minima] = False
-            vals = vals[mask]
+    def spread(self) -> float:
+        """max - min of success over the non-minimum configs; 0.0 when there
+        is none (every config is a minimum)."""
+        vals = np.delete(self.success, self.minima)
         return float(vals.max() - vals.min()) if vals.size else 0.0
 
     def histogram(self, bins: int = 20):
@@ -133,8 +129,8 @@ class SuccessReport:
             for c, v in enumerate(self.success):
                 writer.writerow([c, f"{v:.12g}"])
 
-    def write_json(self, path, bins: int = 20):
-        hist, edges = self.histogram(bins)
+    def write_json(self, path):
+        hist, edges = self.histogram()
         payload = {
             "p_chem": self.p_chem,
             "horizon": self.horizon,
@@ -236,9 +232,8 @@ def empirical_success(
         raise ValueError(f"runs must be >= 1, got {runs}")
     greedy = p_chem == 1.0
     table = build_transition_matrix(p, 1.0).accept == 1.0 if greedy else None
-    _, configs = brute_force_min(p)
     is_min = np.zeros(1 << p.n, dtype=bool)
-    is_min[[config_index(c) for c in configs]] = True
+    is_min[brute_force_min(p)[1]] = True
     ising = qubo_to_ising(p)
     settled = is_min | _doomed(table, is_min) if greedy else is_min
 

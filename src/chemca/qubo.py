@@ -9,9 +9,14 @@ coefficient of x_i x_j as written in an expanded Hamiltonian is
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+_MAX_VARS = 24  # brute_force_min enumerates at most 2^_MAX_VARS configs
+_CHUNK = 1 << 16  # configs per energies() call in brute_force_min
 
 
 class CapacityError(Exception):
@@ -33,6 +38,8 @@ class QuboProblem:
             raise ValueError("at least one variable required")
         if self.quad.shape != (n, n):
             raise ValueError("quadratic matrix shape does not match variable count")
+        if not all(np.isfinite(c).all() for c in (self.offset, self.linear, self.quad)):
+            raise ValueError("offset, linear and quadratic coefficients must be finite")
         if not np.allclose(self.quad, self.quad.T):
             raise ValueError("quadratic matrix must be symmetric")
         if np.any(np.diag(self.quad) != 0):
@@ -67,7 +74,10 @@ def config_index(x) -> int:
     Packs the bits little-endian into bytes and reads them as one Python
     int, so the index is exact at every config length.
     """
-    packed = np.packbits(np.asarray(x, dtype=np.uint8), bitorder="little")
+    x = np.asarray(x, dtype=np.uint8)
+    if x.ndim != 1:
+        raise ValueError(f"config must be a 1-D bit vector, got {x.ndim} dimensions")
+    packed = np.packbits(x, bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
 
 
@@ -76,8 +86,19 @@ def index_config(idx: int, n: int) -> np.ndarray:
     return np.array([(idx >> i) & 1 for i in range(n)], dtype=np.uint8)
 
 
+def config_bits(n: int, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, n) uint8 table of configs lo..hi-1: row r holds index_config(lo + r, n)."""
+    idx = np.arange(lo, hi, dtype=np.uint64)
+    return ((idx[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
+
+
 def bits_to_spins(x) -> np.ndarray:
     return (2 * np.asarray(x, dtype=int) - 1).astype(np.int8)
+
+
+def _check_penalty(penalty):
+    if not (math.isfinite(penalty) and penalty > 0):
+        raise ValueError(f"penalty must be finite and > 0, got {penalty}")
 
 
 def build_partition(numbers, penalty: float = 1.0) -> QuboProblem:
@@ -86,6 +107,7 @@ def build_partition(numbers, penalty: float = 1.0) -> QuboProblem:
     With s = 2x - 1 and x^2 = x folded: offset A*T^2, linear
     A(4 n_i^2 - 4 T n_i), pairwise 8 A n_i n_j (T = sum of the numbers).
     """
+    _check_penalty(penalty)
     nums = np.asarray(list(numbers), dtype=float)
     if nums.size == 0:
         raise ValueError("number set must be nonempty")
@@ -105,13 +127,15 @@ def build_2sat(clauses, penalty: float = 1.0) -> QuboProblem:
     Clauses are pairs of nonzero integer literals (DIMACS style, variables
     1..n, negative for negation); each violated clause costs 4A.
     """
+    _check_penalty(penalty)
     clauses = [tuple(cl) for cl in clauses]
     if not clauses:
         raise ValueError("clause list must be nonempty")
     n = 0
     for cl in clauses:
-        if len(cl) != 2 or any(lit == 0 for lit in cl):
-            raise ValueError(f"clause {cl} must hold exactly two nonzero literals")
+        integral = all(isinstance(lit, (int, np.integer)) and not isinstance(lit, bool) for lit in cl)
+        if len(cl) != 2 or not integral or 0 in cl:
+            raise ValueError(f"clause {cl} must hold exactly two nonzero integer literals")
         if abs(cl[0]) == abs(cl[1]):
             raise ValueError(f"clause {cl} repeats a variable")
         n = max(n, abs(cl[0]), abs(cl[1]))
@@ -143,6 +167,7 @@ def build_tsp(distances, penalty: float = 1.0, scale: float | None = None) -> Qu
     adjacent positions couple with scaled distances d' = scale * d, where
     the default scale makes max(d') = 0.1 (so it needs a nonzero distance).
     """
+    _check_penalty(penalty)
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
@@ -188,35 +213,21 @@ def tour_from_config(x, n_city: int) -> list[int] | None:
     return [int(np.argmax(row)) for row in m]
 
 
-def brute_force_min(p: QuboProblem, max_vars: int = 24, chunk: int = 1 << 16):
-    """Exhaustive oracle: exact minimum energy and all argmin configs.
-
-    Ties are collected with an absolute tolerance a few ulps wide so that
-    symmetric encodings whose float sums differ only in the last place are
-    all reported.
+def brute_force_min(p: QuboProblem):
+    """Exhaustive oracle: the minimum energy and the sorted indices of all
+    configs within a relative 1e-9 of it (1e-9 absolute below |E| = 1), so
+    that symmetric encodings whose float sums differ in the last places are
+    all reported. One pass over all 2^n energies, _CHUNK configs at a time.
     """
-    if p.n > max_vars:
-        raise CapacityError(f"brute force capped at {max_vars} variables, got {p.n}")
-    n = p.n
-    total = 1 << n
-    shifts = np.arange(n, dtype=np.uint64)
-    best = np.inf
-    argmins: list[int] = []
-    tol = 0.0
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        bits = ((idx[:, None] >> shifts) & np.uint64(1)).astype(float)
-        e = energies(p, bits)
-        lo_min = float(e.min())
-        if lo_min < best - tol:
-            best = lo_min
-            tol = 1e-9 * max(1.0, abs(best))
-            argmins = []
-        mask = e <= best + tol
-        argmins.extend(int(i) for i in idx[mask])
-    configs = [index_config(i, n) for i in sorted(argmins)]
-    return best, configs
+    if p.n > _MAX_VARS:
+        raise CapacityError(f"brute force capped at {_MAX_VARS} variables, got {p.n}")
+    total = 1 << p.n
+    e = np.empty(total)
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        e[lo:hi] = energies(p, config_bits(p.n, lo, hi))
+    emin = float(e.min())
+    return emin, np.flatnonzero(e <= emin + 1e-9 * max(1.0, abs(emin))).tolist()
 
 
 @dataclass
@@ -226,10 +237,6 @@ class IsingModel:
     offset: float
     g: np.ndarray
     coupling: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.g.shape[0]
 
 
 def qubo_to_ising(p: QuboProblem) -> IsingModel:
@@ -291,12 +298,13 @@ def load_problem(source) -> QuboProblem:
     raise ValueError(f"unknown problem kind: {kind!r}")
 
 
-def write_solution_json(path, p: QuboProblem, emin: float, configs):
+def write_solution_json(path, p: QuboProblem, emin: float, minima):
+    """The oracle's result: its minimum energy and minima (config indices)."""
     payload = {
         "problem": {k: v for k, v in p.metadata.items()},
         "min_energy": emin,
-        "argmin_configs": [[int(v) for v in c] for c in configs],
-        "argmin_indices": [config_index(c) for c in configs],
+        "argmin_configs": [index_config(i, p.n).tolist() for i in minima],
+        "argmin_indices": minima,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

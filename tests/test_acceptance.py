@@ -23,9 +23,9 @@ from chemca.qubo import (
     build_2sat,
     build_partition,
     build_tsp,
-    config_index,
     distance_matrix_from_coords,
     energy,
+    index_config,
 )
 from chemca.signals import ColorState, GlobalClock, LocalClock, decode_trace, global_clock_step, local_clock_step, synthesize_trace
 
@@ -77,18 +77,18 @@ def test_c01_golden_hamiltonians():
 
 
 def test_c02_oracle_solutions():
-    emin, cfgs = brute_force_min(build_partition([1, 3, 4, 8]))
+    emin, minima = brute_force_min(build_partition([1, 3, 4, 8]))
     assert emin == 0.0
-    assert {tuple(c) for c in cfgs} == {(0, 0, 0, 1), (1, 1, 1, 0)}
-    emin6, cfgs6 = brute_force_min(build_partition([1, 3, 4, 6, 5, 1]))
-    got6 = {tuple(int(v) for v in c) for c in cfgs6}
+    assert {tuple(index_config(i, 4)) for i in minima} == {(0, 0, 0, 1), (1, 1, 1, 0)}
+    emin6, minima6 = brute_force_min(build_partition([1, 3, 4, 6, 5, 1]))
+    got6 = {tuple(index_config(i, 6)) for i in minima6}
     assert emin6 == 0.0
     assert (1, 1, 0, 0, 1, 1) in got6 and (0, 0, 1, 1, 0, 0) in got6  # {1,3,5,1} vs {4,6}
     assert (1, 1, 0, 1, 0, 0) in got6  # degenerate split {1,3,6}
-    _, sat1_cfgs = brute_force_min(build_2sat(SAT1))
-    assert (1, 0, 1, 0) in {tuple(c) for c in sat1_cfgs}
-    _, sat2_cfgs = brute_force_min(build_2sat(SAT2))
-    assert (1, 1, 0, 1) in {tuple(c) for c in sat2_cfgs}
+    _, sat1_minima = brute_force_min(build_2sat(SAT1))
+    assert (1, 0, 1, 0) in {tuple(index_config(i, 4)) for i in sat1_minima}
+    _, sat2_minima = brute_force_min(build_2sat(SAT2))
+    assert (1, 1, 0, 1) in {tuple(index_config(i, 4)) for i in sat2_minima}
     emin_tsp, _ = brute_force_min(build_tsp(distance_matrix_from_coords(CITIES)))
     assert abs(emin_tsp - 0.2212) < 5e-4
     _announce(2, "exhaustive minima match the published solutions")
@@ -133,8 +133,7 @@ def test_c03_solver_reproduction():
 
 def test_c04_deterministic_index_study():
     p8 = build_partition(S8)
-    _, cfgs = brute_force_min(p8)
-    minima = [config_index(c) for c in cfgs]
+    _, minima = brute_force_min(p8)
     reports = {
         idx: success_probabilities(build_transition_matrix(p8, idx), minima, 800)
         for idx in (1.0, 0.99, 0.95)
@@ -157,8 +156,7 @@ def test_c04_deterministic_index_study():
 
 def test_c05_markov_monte_carlo_agreement():
     p4 = build_partition([1, 3, 4, 8])
-    _, cfgs = brute_force_min(p4)
-    minima = [config_index(c) for c in cfgs]
+    _, minima = brute_force_min(p4)
     runs = 10_000
     worst_pull = 0.0
     # horizon 10 keeps the success values fractional so the binomial test

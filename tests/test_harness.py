@@ -111,6 +111,13 @@ def test_config_validation_errors():
         {"kind": "explicit", "linear": 5, "quad": [[0]]},
         {"kind": "tsp", "coords": [[0, 0], [1, 0], [0, 1]], "scale": "x"},
         {"kind": "tsp", "coords": [[0, 0], [0, 0], [0, 0]]},  # no distance to scale by
+        {"kind": "explicit", "linear": [float("nan"), 0], "quad": [[0, 0], [0, 0]]},
+        {"kind": "partition", "numbers": [1e200, 1e200]},  # its offset overflows
+        {"kind": "partition", "numbers": [1, 3, 4, 8], "penalty": float("nan")},
+        {"kind": "partition", "numbers": [1, 3, 4, 8], "penalty": -1},
+        {"kind": "partition", "numbers": [1, 3, 4, 8], "penalty": 0},
+        {"kind": "2sat", "clauses": [[True, 2]]},
+        {"kind": "2sat", "clauses": [[1.5, 2]]},
     ]
     for bad in bad_problems:
         cases.append((dict(solve, problem=bad), "solve.problem"))

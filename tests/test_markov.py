@@ -21,7 +21,6 @@ from chemca.qubo import (
     build_2sat,
     build_partition,
     build_tsp,
-    config_index,
     distance_matrix_from_coords,
     energy,
     flip_terms,
@@ -50,8 +49,7 @@ def trajectory(p, p_chem, init, steps, rng):
 
 
 def minima_indices(p):
-    _, configs = brute_force_min(p)
-    return [config_index(c) for c in configs]
+    return brute_force_min(p)[1]
 
 
 def true_delta(p, x, h):

@@ -13,6 +13,7 @@ from chemca.qubo import (
     build_2sat,
     build_partition,
     build_tsp,
+    config_bits,
     config_index,
     distance_matrix_from_coords,
     energy,
@@ -60,6 +61,14 @@ def test_partition_validation():
         build_partition([])
     with pytest.raises(ValueError):
         build_partition([1, -2])
+
+
+def test_problem_coefficients_must_be_finite():
+    for offset, linear in ((0.0, [np.nan, 0.0]), (np.inf, [0.0, 0.0])):
+        with pytest.raises(ValueError, match="must be finite"):
+            QuboProblem(offset, linear, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="must be finite"):
+        QuboProblem(0.0, [0.0, 0.0], [[0.0, np.nan], [np.nan, 0.0]])
 
 
 def test_2sat_example1_printed_hamiltonian():
@@ -165,20 +174,22 @@ def test_tsp_coincident_cities_need_a_scale():
         with pytest.raises(ValueError, match="all distances are zero; give a scale"):
             build_tsp(d)
     p = build_tsp(d, scale=1.0)
-    emin, configs = brute_force_min(p)
-    assert emin == 0.0 and len(configs) == 6  # every tour, penalties only
+    emin, minima = brute_force_min(p)
+    assert emin == 0.0 and len(minima) == 6  # every tour, penalties only
 
 
 def test_oracle_partition_4():
-    emin, configs = brute_force_min(build_partition([1, 3, 4, 8]))
+    emin, minima = brute_force_min(build_partition([1, 3, 4, 8]))
     assert emin == 0.0
-    assert {tuple(c) for c in configs} == {(0, 0, 0, 1), (1, 1, 1, 0)}
+    assert minima == [7, 8] and all(type(i) is int for i in minima)
+    assert {tuple(index_config(i, 4)) for i in minima} == {(0, 0, 0, 1), (1, 1, 1, 0)}
 
 
 def test_oracle_partition_6_degenerate_splits():
-    emin, configs = brute_force_min(build_partition([1, 3, 4, 6, 5, 1]))
+    emin, minima = brute_force_min(build_partition([1, 3, 4, 6, 5, 1]))
     assert emin == 0.0
-    got = {tuple(int(v) for v in c) for c in configs}
+    assert minima == sorted(minima)
+    got = {tuple(int(v) for v in index_config(i, 6)) for i in minima}
     # the named splits {1,3,5,1}/{4,6} and {1,3,6}/{4,5,1}, plus the third
     # degenerate family from the duplicated 1, each with its complement
     assert (1, 1, 0, 0, 1, 1) in got and (0, 0, 1, 1, 0, 0) in got
@@ -188,19 +199,33 @@ def test_oracle_partition_6_degenerate_splits():
 
 
 def test_oracle_2sat_solutions():
-    _, configs = brute_force_min(build_2sat(SAT1))
-    assert (1, 0, 1, 0) in {tuple(c) for c in configs}
-    emin2, configs2 = brute_force_min(build_2sat(SAT2))
+    _, minima = brute_force_min(build_2sat(SAT1))
+    assert (1, 0, 1, 0) in {tuple(index_config(i, 4)) for i in minima}
+    emin2, minima2 = brute_force_min(build_2sat(SAT2))
     assert emin2 == 0.0
-    assert (1, 1, 0, 1) in {tuple(c) for c in configs2}
+    assert (1, 1, 0, 1) in {tuple(index_config(i, 4)) for i in minima2}
 
 
 def test_oracle_tsp_min_energy():
-    emin, configs = brute_force_min(build_tsp(distance_matrix_from_coords(CITIES)))
+    emin, minima = brute_force_min(build_tsp(distance_matrix_from_coords(CITIES)))
     assert emin == pytest.approx(0.2212, abs=5e-4)
-    assert len(configs) == 8  # 4 rotations x 2 directions of the optimal tour
-    for c in configs:
-        assert tour_from_config(c, 4) is not None
+    assert len(minima) == 8  # 4 rotations x 2 directions of the optimal tour
+    for i in minima:
+        assert tour_from_config(index_config(i, 16), 4) is not None
+
+
+def test_oracle_partition_18_crosses_chunks():
+    # 2^18 configs span four energies() chunks; minima come in complement
+    # pairs, so half of them lie past the first chunk
+    numbers = np.random.default_rng(18).integers(1, 60, 18)
+    p = build_partition(numbers.tolist())
+    idx = np.arange(1 << 18)
+    signed_sum = sum((2 * ((idx >> i) & 1) - 1) * n for i, n in enumerate(numbers))
+    ref = signed_sum**2  # A (sum n_i s_i)^2 in integers
+    emin, minima = brute_force_min(p)
+    assert emin == float(ref.min())
+    assert minima == np.flatnonzero(ref == ref.min()).tolist()
+    assert minima[-1] >= 1 << 16
 
 
 def test_oracle_capacity():
@@ -270,6 +295,14 @@ def test_flip_terms_batched_rows_equal_single_chain():
 def test_config_index_round_trip():
     for idx in (0, 1, 5, 200, 255):
         assert config_index(index_config(idx, 8)) == idx
+    table = config_bits(8, 3, 256)
+    assert table.dtype == np.uint8 and [config_index(row) for row in table] == list(range(3, 256))
+
+
+def test_config_index_rejects_non_vectors():
+    for x in (5, [[1, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="1-D bit vector"):
+            config_index(x)
 
 
 def py_config_index(x) -> int:
@@ -333,8 +366,9 @@ def test_explicit_problem_both_conventions():
 
 def test_solution_json(tmp_path):
     p = build_partition([1, 3, 4, 8])
-    emin, configs = brute_force_min(p)
-    write_solution_json(tmp_path / "sol.json", p, emin, configs)
+    emin, minima = brute_force_min(p)
+    write_solution_json(tmp_path / "sol.json", p, emin, minima)
     data = json.loads((tmp_path / "sol.json").read_text())
     assert data["min_energy"] == 0.0
-    assert sorted(data["argmin_indices"]) == [7, 8]
+    assert data["argmin_indices"] == [7, 8]
+    assert data["argmin_configs"] == [[1, 1, 1, 0], [0, 0, 0, 1]]
