@@ -282,9 +282,9 @@ def test_init_respected():
 
 # ---- reference loops ------------------------------------------------------
 # Type 1 as first written: three energy evaluations per proposal, config
-# indices as Python-int sums, one json.dumps per trace line. The solver
-# must reproduce it float for float and draw for draw. Type 2's loop is
-# unchanged, so its traces are checked only against the json.dumps writer.
+# indices as Python-int sums, one json.dumps per trace line. Type 2 as it
+# stood with its own copy of the run loop. Each solver must reproduce its
+# reference float for float and draw for draw.
 
 def reference_index(x) -> int:
     return sum(int(v) << i for i, v in enumerate(x))
@@ -349,6 +349,44 @@ def reference_type1(p, params, rng):
     return trace
 
 
+def reference_type2(p, params, rng, chemistry=None):
+    x = rng.integers(0, 2, p.n).astype(np.uint8)
+    s = bits_to_spins(x).astype(float)
+    ising = qubo_to_ising(p)
+    partners = [np.flatnonzero(ising.coupling[h]) for h in range(p.n)]
+    e_true = energy(p, x)
+    trace = SolveTrace(p.n, config_index(x))
+    trace.best_energy = e_true
+    trace.best_config = config_index(x)
+    patience = params.resolved_patience(p.n)
+    since_accept = 0
+    if params.target_energy is not None and e_true <= params.target_energy + 1e-12:
+        trace.success = True
+        return trace
+    for _ in range(params.max_steps):
+        h = int(rng.integers(p.n))
+        lin, pair = flip_terms(ising, s, h)
+        terms = pair[partners[h]]
+        true_de = lin + terms.sum()
+        signs = None
+        if chemistry is not None:
+            bits = [chemistry.check(h, int(j), int(x[h] ^ 1), int(x[j]), rng) for j in partners[h]]
+            signs = 2.0 * np.array(bits, dtype=float) - 1.0
+        obs_de = observed_change(lin, terms, params.p_chem, rng, signs)
+        accept = obs_de <= 0.0
+        if accept:
+            x[h] ^= 1
+            s[h] = -s[h]
+            e_true = energy(p, x)
+            since_accept = 0
+        else:
+            since_accept += 1
+        trace.record(h, obs_de, true_de, accept, config_index(x), e_true)
+        if reference_stop(trace, params, since_accept, patience):
+            break
+    return trace
+
+
 TRACE_LISTS = ("flips", "observed_de", "true_de", "accepted", "configs", "energies", "best_energies")
 REFERENCE_PROBLEMS = {
     "p4": P4,
@@ -388,6 +426,29 @@ def test_type1_matches_reference_loop(name, case, tmp_path):
             got.write_jsonl(tmp_path / "got.jsonl")
             reference_write_jsonl(want, tmp_path / "want.jsonl")
             assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes(), where
+
+
+@pytest.mark.parametrize("case", list(TYPE2_CASES))
+@pytest.mark.parametrize("name", list(REFERENCE_PROBLEMS))
+def test_type2_matches_reference_loop(name, case):
+    p = REFERENCE_PROBLEMS[name]
+    kw, pairwise = TYPE2_CASES[case]
+    for stop, stop_kw in stop_params(p).items():
+        params = SolverParams(max_steps=1000, **kw, **stop_kw)
+        for seed in range(2):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got_chem, want_chem = (
+                PairwiseChemistry(p.n, SingleCellHysteresisParams(0.95)) if pairwise else None for _ in range(2)
+            )
+            got = solve_type2(p, params, got_rng, chemistry=got_chem)
+            want = reference_type2(p, params, want_rng, want_chem)
+            where = (stop, seed)
+            for attr in TRACE_LISTS:
+                assert getattr(got, attr) == getattr(want, attr), (attr, where)
+            assert got.summary() == want.summary(), where
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state, where
+            if pairwise:
+                assert got_chem.cs.tolist() == want_chem.cs.tolist(), where
 
 
 @pytest.mark.parametrize("case", list(TYPE2_CASES))
