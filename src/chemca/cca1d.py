@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chemodel import prob_high_1d, table_1d
+from .chemodel import table_1d
 from .lattice import Grid, line
 
 MODE_PROBABILISTIC = "probabilistic"
@@ -106,14 +106,13 @@ def step_1d(
     state: Cca1dState,
     rule: Rule1D,
     rng: np.random.Generator,
-    model=prob_high_1d,
     mode: str = MODE_PROBABILISTIC,
 ) -> Cca1dState:
     """One synchronous step: rule phase, then chemical phase.
 
     Non-periodic boundary cells see virtual neighbors with chemical state 0
-    and inactive interfaces. `model` maps (s_c, s_l, s_r, i_l, i_r) to the
-    high-state probability; one uniform draw per cell, in index order.
+    and inactive interfaces. The chemistry reads each cell's high-state
+    probability from `table_1d`; one uniform draw per cell, in index order.
     """
     stir, iface = _rule_phase(grid, state.cs, rule)
     if mode == MODE_DISPLAY:
@@ -123,7 +122,7 @@ def step_1d(
         # each cell's right interface; an open chain's last cell has none
         i_r = iface if grid.periodic else np.append(iface, np.uint8(0))
         i_l, _ = _neighbors(i_r, grid.periodic)
-        probs = table_1d(model)[stir | s_l << 1 | s_r << 2 | i_l << 3 | i_r << 4]
+        probs = table_1d()[stir | s_l << 1 | s_r << 2 | i_l << 3 | i_r << 4]
         new_cs = (rng.random(grid.width) < probs).astype(np.uint8)
     else:
         raise ValueError(f"unknown mode: {mode!r}")
@@ -137,7 +136,6 @@ def run_1d(
     steps: int,
     mode: str = MODE_PROBABILISTIC,
     rng: np.random.Generator | None = None,
-    model=prob_high_1d,
 ) -> np.ndarray:
     """Space-time raster of chemical states, row 0 the initial condition."""
     if steps < 0:
@@ -148,7 +146,7 @@ def run_1d(
     raster = np.empty((steps + 1, grid.width), np.uint8)
     raster[0] = state.cs
     for t in range(steps):
-        state = step_1d(grid, state, rule, rng, model=model, mode=mode)
+        state = step_1d(grid, state, rule, rng, mode=mode)
         raster[t + 1] = state.cs
     return raster
 

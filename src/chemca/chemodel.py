@@ -107,13 +107,11 @@ def prob_high_1d(s_c: int, s_l: int, s_r: int, i_l: int, i_r: int) -> float:
     return 0.0
 
 
-@lru_cache(maxsize=16)
-def table_1d(model=prob_high_1d) -> np.ndarray:
-    """`model` tabulated over all 32 stirrer patterns (code layout in the
-    module docstring); raises if any entry falls outside [0, 1]."""
-    table = np.array([model(*((code >> b) & 1 for b in range(5))) for code in range(32)], float)
-    if np.any((table < 0) | (table > 1)):
-        raise ValueError("model produced a probability outside [0, 1]")
+@lru_cache(maxsize=1)
+def table_1d() -> np.ndarray:
+    """`prob_high_1d` tabulated over all 32 stirrer patterns (code layout in
+    the module docstring), built on first use."""
+    table = np.array([prob_high_1d(*((code >> b) & 1 for b in range(5))) for code in range(32)], float)
     table.flags.writeable = False
     return table
 

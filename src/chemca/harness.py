@@ -5,7 +5,10 @@ stream per replica from the master seed, writes CSV/JSON/text outputs into
 the output directory and finishes with a manifest. Re-running a manifest
 reproduces every output byte-for-byte; only the manifest's timestamps
 differ. `SCHEMA` lists each kind's keys (type, bounds, default, help): it
-checks every config and gives the CLI one flag per scalar key.
+checks every config and gives the CLI one flag per scalar key. Each key is
+parsed once, while the config is checked (a rule label into a `Rule1D`, a
+problem spec into a `QuboProblem`); the runners read those values from
+`ExperimentConfig.values`.
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ class ConfigError(ValueError):
 
 class Key(NamedTuple):
     """One config key: its type (a bool is no number), inclusive bounds (None:
-    unbounded), default and help. `check(value, params)` raises ValueError
+    unbounded), default and help. `check(value, values)` raises ValueError
     (or the TypeError/KeyError/IndexError of a parser) for what a type and a
-    bound cannot say; it sees the keys listed before it already checked."""
+    bound cannot say, and returns the parsed value, or None to keep the
+    value; `values` holds the keys listed before it, checked and parsed."""
 
     key: str
     type: type | tuple
@@ -77,7 +81,7 @@ def _check_count_digits(iface_levels: int, p: dict):
     n, limit = p["n"], sys.get_int_max_str_digits()  # 0: no limit
     digits = max(
         n * n * math.log10(p["cell_levels"]) + 2 * n * (n - 1) * math.log10(iface_levels),
-        n * n * math.log10(_value(SCHEMA["count"], p, "chem_levels")),
+        n * n * math.log10(p["chem_levels"]),
     )
     if limit and digits >= limit:
         raise CapacityError(
@@ -102,16 +106,17 @@ def _check_indices(indices: list, p: dict):
 
 
 def _check_markov_capacity(spec: dict, p: dict):
-    """Load the problem and raise CapacityError, naming
+    """Load the problem and return it; raise CapacityError, naming
     markov.deterministic_indices, when its acceptance table at one of the
     indices exceeds the Markov byte budget: before the oracle runs or any
     output is written."""
     problem = load_problem(spec)
-    for idx in _value(SCHEMA["markov"], p, "deterministic_indices"):
+    for idx in p["deterministic_indices"]:
         try:
             check_capacity(problem, float(idx))
         except CapacityError as exc:
             raise CapacityError(f"markov.deterministic_indices: index {idx}: {exc}") from None
+    return problem
 
 
 COMMON = _rows(
@@ -147,7 +152,8 @@ SCHEMA = {
         Key("initial_chemits", int, 0, None, REQUIRED, "Chemits placed at step 0",
             lambda v, p: _require(v <= p["side"] ** 2, f"must be <= {p['side'] ** 2}")),
         Key("fluct_ratio", NUMBER, 0, 1, DEFAULT_FLUCT_RATIO, "share of cells made FLUCT per step"),
-        Key("model", dict, None, None, {}, "chemical-model parameters", lambda v, p: ChemModel2DParams.from_dict(v)),
+        Key("model", dict, None, None, ChemModel2DParams(), "chemical-model parameters",
+            lambda v, p: ChemModel2DParams.from_dict(v)),
     ),
     "solve": _rows(
         Key("problem", dict, None, None, REQUIRED, "problem spec", lambda v, p: load_problem(v)),
@@ -175,14 +181,18 @@ SCHEMA = {
 KINDS = tuple(SCHEMA)
 
 
-def _check(kind: str, rows: dict[str, Key], values: dict):
-    """Check `values` against every row in order; messages name kind.key."""
+def _check(kind: str, rows: dict[str, Key], given: dict) -> dict:
+    """Check `given` against every row in order and return every key's
+    value: parsed by its row's check, as given, or defaulted. Messages name
+    kind.key."""
+    values = {}
     for row in rows.values():
         name = f"{kind}.{row.key}"
-        value = values.get(row.key)
-        if value is None and (row.key not in values or row.default is None):
+        value = given.get(row.key)
+        if value is None and (row.key not in given or row.default is None):
             if row.default is REQUIRED:
                 raise ConfigError(f"{name}: required")
+            values[row.key] = row.default
             continue
         if not _is_a(value, row.type):
             raise ConfigError(f"{name}: wrong type {type(value).__name__}")
@@ -192,14 +202,13 @@ def _check(kind: str, rows: dict[str, Key], values: dict):
             raise ConfigError(f"{name}: must be <= {row.hi}")
         if row.check is not None:
             try:
-                row.check(value, values)
+                parsed = row.check(value, values)
             except (TypeError, ValueError, KeyError, IndexError) as exc:
                 raise ConfigError(f"{name}: {exc}") from None
-
-
-def _value(rows: dict[str, Key], values: dict, key: str):
-    value = values.get(key)
-    return rows[key].default if value is None else value
+            if parsed is not None:
+                value = parsed
+        values[row.key] = value
+    return values
 
 
 def derive_seed(master: int, stream_id: int) -> int:
@@ -223,14 +232,13 @@ def stream_rng(master: int, stream_id: int) -> np.random.Generator:
 @dataclass
 class ExperimentConfig:
     """A checked config. `params` holds the kind's keys as given, without
-    defaults, so the manifest and its hash record the input; `get` reads
-    a key or its default."""
+    defaults, so the manifest and its hash record the input; `values` holds
+    every key's value, the kind's and `seed`, `replicas` and `out`: parsed,
+    as given, or defaulted."""
 
     kind: str
     params: dict
-    master_seed: int
-    replicas: int
-    out_dir: Path
+    values: dict
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -241,16 +249,12 @@ class ExperimentConfig:
         unknown = [f"{kind}.{key}" for key in raw if key != "kind" and key not in rows]
         if unknown:
             raise ConfigError(f"{', '.join(unknown)}: unknown key")
-        _check(kind, rows, raw)
+        values = _check(kind, rows, raw)
         params = {k: v for k, v in raw.items() if k in SCHEMA[kind]}
-        seed, replicas, out = (_value(COMMON, raw, key) for key in COMMON)
-        return cls(kind, params, seed, replicas, Path(out))
-
-    def get(self, key: str):
-        return _value(SCHEMA[self.kind], self.params, key)
+        return cls(kind, params, values)
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "seed": self.master_seed, "replicas": self.replicas}
+        d = {"kind": self.kind, "seed": self.values["seed"], "replicas": self.values["replicas"]}
         d.update(self.params)
         return d
 
@@ -284,14 +288,14 @@ def config_hash(cfg: ExperimentConfig) -> str:
 def run(cfg: ExperimentConfig, quiet: bool = False) -> RunManifest:
     """Dispatch a validated config to its runner and write the manifest."""
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    out = Path(cfg.out_dir)
+    out = Path(cfg.values["out"])
     out.mkdir(parents=True, exist_ok=True)
     outputs = _RUNNERS[cfg.kind](cfg, out, quiet)
     manifest = RunManifest(
         cfg.kind,
         cfg.to_dict(),
         config_hash(cfg),
-        cfg.master_seed,
+        cfg.values["seed"],
         __version__,
         started,
         time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -312,9 +316,8 @@ def run_from_manifest(manifest_path, out_dir=None, quiet: bool = True) -> RunMan
 
 
 def _run_count(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
-    p = cfg.params
-    n, pl, ql = p["n"], p["cell_levels"], p["iface_levels"]
-    kl = cfg.get("chem_levels")
+    v = cfg.values
+    n, pl, ql, kl = v["n"], v["cell_levels"], v["iface_levels"], v["chem_levels"]
     inputs = input_state_count(n, pl, ql)
     chems = chemical_state_count(n, kl)
     payload = {
@@ -341,35 +344,33 @@ def _run_count(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
 
 
 def _run_cca1d(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
-    p = cfg.params
-    rule = Rule1D.from_label(p["rule"])
-    grid = line(p["cells"], periodic=cfg.get("periodic"))
-    init = cfg.get("init")
-    init_cs = np.asarray(init, np.uint8) if init is not None else single_seed(p["cells"])
-    mode = cfg.get("mode")
+    v = cfg.values
+    rule, mode = v["rule"], v["mode"]
+    grid = line(v["cells"], periodic=v["periodic"])
+    init_cs = np.asarray(v["init"], np.uint8) if v["init"] is not None else single_seed(v["cells"])
     outputs = []
-    for k in range(cfg.replicas):
-        rng = stream_rng(cfg.master_seed, k)
-        raster = run_1d(grid, init_cs, rule, p["steps"], mode=mode, rng=rng)
-        stem = f"raster_{k:03d}" if cfg.replicas > 1 else "raster"
+    for k in range(v["replicas"]):
+        rng = stream_rng(v["seed"], k)
+        raster = run_1d(grid, init_cs, rule, v["steps"], mode=mode, rng=rng)
+        stem = f"raster_{k:03d}" if v["replicas"] > 1 else "raster"
         (out / f"{stem}.txt").write_text(raster_to_text(raster))
         write_raster_csv(out / f"{stem}.csv", raster)
         outputs += [f"{stem}.txt", f"{stem}.csv"]
         if not quiet:
-            print(f"replica {k}: rule {rule.label}, {p['steps']} steps, mode {mode}")
+            print(f"replica {k}: rule {rule.label}, {v['steps']} steps, mode {mode}")
     return outputs
 
 
 def _run_cca2d(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
-    p = cfg.params
+    v = cfg.values
     result = run_population_experiment(
-        p["side"],
-        p["initial_chemits"],
-        p["steps"],
-        cfg.replicas,
-        ChemModel2DParams.from_dict(cfg.get("model")),
-        cfg.get("fluct_ratio"),
-        cfg.master_seed,
+        v["side"],
+        v["initial_chemits"],
+        v["steps"],
+        v["replicas"],
+        v["model"],
+        v["fluct_ratio"],
+        v["seed"],
     )
     outputs = []
     for k, series in enumerate(result.series):
@@ -377,13 +378,13 @@ def _run_cca2d(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
         write_population_csv(out / name, series)
         outputs.append(name)
     summary = {
-        "side": p["side"],
-        "initial_chemits": p["initial_chemits"],
-        "steps": p["steps"],
-        "replicas": cfg.replicas,
+        "side": v["side"],
+        "initial_chemits": v["initial_chemits"],
+        "steps": v["steps"],
+        "replicas": v["replicas"],
         "mean_final": float(result.mean[-1]),
         "std_final": float(result.std[-1]),
-        "mean_series_tail": [float(v) for v in result.mean[-10:]],
+        "mean_series_tail": [float(m) for m in result.mean[-10:]],
     }
     _write_json(out / "population_summary.json", summary)
     outputs.append("population_summary.json")
@@ -393,15 +394,15 @@ def _run_cca2d(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
 
 
 def _run_solve(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
-    problem = load_problem(cfg.params["problem"])
-    solver = cfg.get("solver")
-    sp = SolverParams(**{key: cfg.get(key) for key in ("p_chem", "k_temp", "max_steps", "target_energy")})
+    v = cfg.values
+    solver = v["solver"]
+    sp = SolverParams(**{key: v[key] for key in ("p_chem", "k_temp", "max_steps", "target_energy")})
     solve = solve_type1 if solver == 1 else solve_type2
     outputs = []
     summaries = []
-    for k in range(cfg.replicas):
-        rng = stream_rng(cfg.master_seed, k)
-        trace = solve(problem, sp, rng)
+    for k in range(v["replicas"]):
+        rng = stream_rng(v["seed"], k)
+        trace = solve(v["problem"], sp, rng)
         name = f"trace_{k:03d}.jsonl"
         trace.write_jsonl(out / name)
         outputs.append(name)
@@ -410,20 +411,18 @@ def _run_solve(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     outputs.append("solve_summary.json")
     if not quiet:
         best = min(s["best_energy"] for s in summaries)
-        print(f"best energy over {cfg.replicas} runs: {best}")
+        print(f"best energy over {v['replicas']} runs: {best}")
     return outputs
 
 
 def _run_markov(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
-    problem = load_problem(cfg.params["problem"])
-    indices = cfg.get("deterministic_indices")
+    problem = cfg.values["problem"]
     emin, minima = brute_force_min(problem)
     write_solution_json(out / "oracle.json", problem, emin, minima)
     outputs = ["oracle.json"]
-    horizon = cfg.get("horizon")
-    for idx in indices:
+    for idx in cfg.values["deterministic_indices"]:
         t = build_transition_matrix(problem, float(idx))
-        report = success_probabilities(t, minima, horizon)
+        report = success_probabilities(t, minima, cfg.values["horizon"])
         tag = _index_tag(idx)
         report.write_csv(out / f"success_{tag}.csv")
         report.write_json(out / f"success_{tag}.json")
@@ -437,8 +436,8 @@ def _run_markov(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
 
 
 def _run_clock_demo(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
-    cells, cycles, period, jitter = (cfg.get(k) for k in ("cells", "cycles", "period", "jitter"))
-    rng = stream_rng(cfg.master_seed, 0)
+    cells, cycles, period, jitter = (cfg.values[k] for k in ("cells", "cycles", "period", "jitter"))
+    rng = stream_rng(cfg.values["seed"], 0)
     traces = {i: [] for i in range(cells)}
     targets = []
     for _ in range(cycles):
@@ -450,7 +449,7 @@ def _run_clock_demo(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
         for i, burst in enumerate(bursts):
             traces[i].extend(burst + [ColorState.RED] * (span - len(burst)))
     length = min(len(v) for v in traces.values())
-    bank = ClockedCellBank(cells, confirmations=cfg.get("confirmations"))
+    bank = ClockedCellBank(cells, confirmations=cfg.values["confirmations"])
     decisions = []
     for frame in range(length):
         decision = bank.step_frame([traces[i][frame] for i in range(cells)])

@@ -152,13 +152,28 @@ def _init_bits(p: QuboProblem, init, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
-def _done(trace: SolveTrace, params: SolverParams, since_accept: int, patience) -> bool:
-    if params.target_energy is not None and trace.best_energy <= params.target_energy + 1e-12:
-        trace.success = True
-        return True
-    if patience is not None and since_accept >= patience:
-        return True
-    return False
+def _run(p: QuboProblem, params: SolverParams, rng: np.random.Generator, x, e, propose) -> SolveTrace:
+    """The run loop of both solvers, from config `x` of energy `e`.
+
+    Each step draws the spin `h` and calls `propose(h)`, which returns the
+    observed change, the true change, whether the move was accepted, and
+    the config and energy to record after it. The run stops at the target
+    energy (a success, also before the first step), after `patience`
+    proposals in a row without an accepted move, or after max_steps.
+    """
+    start = config_index(x)
+    trace = SolveTrace(p.n, start, best_energy=e, best_config=start)
+    target, patience = params.target_energy, params.resolved_patience(p.n)
+    since_accept = 0
+    while target is None or not trace.best_energy <= target + 1e-12:
+        if trace.n_steps >= params.max_steps or (patience is not None and since_accept >= patience):
+            return trace
+        h = int(rng.integers(p.n))
+        obs_de, true_de, accept, x, e = propose(h)
+        since_accept = 0 if accept else since_accept + 1
+        trace.record(h, obs_de, true_de, accept, config_index(x), e)
+    trace.success = True
+    return trace
 
 
 def solve_type1(
@@ -182,17 +197,10 @@ def solve_type1(
     law = table_single(params.hysteresis)
     read = (rng.random(p.n) < law[cmd, 0]).astype(np.uint8)
     e_read = energy(p, read)
-    trace = SolveTrace(p.n, config_index(read))
-    trace.best_energy = e_read
-    trace.best_config = config_index(read)
-    patience = params.resolved_patience(p.n)
-    since_accept = 0
-    if params.target_energy is not None and e_read <= params.target_energy + 1e-12:
-        trace.success = True
-        return trace
     e_cmd = energy(p, cmd)  # always the energy of cmd as it stands
-    for _ in range(params.max_steps):
-        h = int(rng.integers(p.n))
+
+    def propose(h):
+        nonlocal read, e_read, e_cmd
         cmd[h] ^= 1
         e_cmd_new = energy(p, cmd)
         true_de = e_cmd_new - e_cmd
@@ -202,17 +210,12 @@ def solve_type1(
         u = rng.random()  # drawn on every proposal, downhill ones included
         accept = obs_de <= 0.0 or u < math.exp(-obs_de / params.k_temp)
         if accept:
-            read = new_read
-            e_read = e_new
-            e_cmd = e_cmd_new
-            since_accept = 0
+            read, e_read, e_cmd = new_read, e_new, e_cmd_new
         else:
             cmd[h] ^= 1
-            since_accept += 1
-        trace.record(h, obs_de, true_de, accept, config_index(read), e_read)
-        if _done(trace, params, since_accept, patience):
-            break
-    return trace
+        return obs_de, true_de, accept, read, e_read
+
+    return _run(p, params, rng, read, e_read, propose)
 
 
 def consistency_signs(u: np.ndarray, p_chem: float) -> np.ndarray:
@@ -293,16 +296,9 @@ def solve_type2(
     ising = qubo_to_ising(p)
     partners = [np.flatnonzero(ising.coupling[h]) for h in range(p.n)]
     e_true = energy(p, x)
-    trace = SolveTrace(p.n, config_index(x))
-    trace.best_energy = e_true
-    trace.best_config = config_index(x)
-    patience = params.resolved_patience(p.n)
-    since_accept = 0
-    if params.target_energy is not None and e_true <= params.target_energy + 1e-12:
-        trace.success = True
-        return trace
-    for _ in range(params.max_steps):
-        h = int(rng.integers(p.n))
+
+    def propose(h):
+        nonlocal e_true
         lin, pair = flip_terms(ising, s, h)
         terms = pair[partners[h]]
         true_de = lin + terms.sum()
@@ -316,10 +312,6 @@ def solve_type2(
             x[h] ^= 1
             s[h] = -s[h]
             e_true = energy(p, x)
-            since_accept = 0
-        else:
-            since_accept += 1
-        trace.record(h, obs_de, true_de, accept, config_index(x), e_true)
-        if _done(trace, params, since_accept, patience):
-            break
-    return trace
+        return obs_de, true_de, accept, x, e_true
+
+    return _run(p, params, rng, x, e_true, propose)

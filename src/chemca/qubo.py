@@ -40,6 +40,10 @@ class QuboProblem:
             raise ValueError("quadratic matrix shape does not match variable count")
         if not all(np.isfinite(c).all() for c in (self.offset, self.linear, self.quad)):
             raise ValueError("offset, linear and quadratic coefficients must be finite")
+        with np.errstate(over="ignore"):
+            bound = abs(self.offset) + np.abs(self.linear).sum() + np.abs(self.pairwise()).sum()
+        if not np.isfinite(bound):
+            raise ValueError("energies overflow: |offset| + sum |linear| + sum |pairwise| is not finite")
         if not np.allclose(self.quad, self.quad.T):
             raise ValueError("quadratic matrix must be symmetric")
         if np.any(np.diag(self.quad) != 0):

@@ -106,14 +106,24 @@ def test_interfaces_off_probabilistic_equals_display():
     assert np.array_equal(disp, prob)
 
 
+class _ConstantDraws:
+    """An rng stub whose every uniform draw is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+
 def test_thresholded_single_step_matches_eca_row():
-    # interfaces all on (rule_b = 15); chemistry collapsed to a 0.75
-    # threshold reproduces the rule-30 row for one step from a single seed
+    # interfaces all on (rule_b = 15); every draw at 0.75 collapses the
+    # chemistry (table values 0, 0.5, 0.8, 1) to a 0.75 threshold, which
+    # reproduces the rule-30 row for one step from a single seed
     grid = default_chain(7)
     rule = Rule1D(30, 15)
     state = Cca1dState.initial(grid, single_seed(7))
-    hard = lambda *args: 1.0 if prob_high_1d(*args) >= 0.75 else 0.0
-    nxt = step_1d(grid, state, rule, np.random.default_rng(0), model=hard)
+    nxt = step_1d(grid, state, rule, _ConstantDraws(0.75))
     assert nxt.cs.tolist() == eca_run(30, list(single_seed(7)), 1)[1]
 
 
@@ -151,13 +161,6 @@ def test_probabilistic_step_matches_cell_loop(periodic):
             u = np.random.default_rng(5).random(width)
             got = (nxt.cell_stirrers.tolist(), nxt.iface_stirrers.tolist(), nxt.cs.tolist())
             assert got == _step_by_cell_loop(state.cs, rule, periodic, u)
-
-
-def test_model_outside_unit_interval_rejected():
-    grid = default_chain(7)
-    state = Cca1dState.initial(grid, single_seed(7))
-    with pytest.raises(ValueError, match="outside"):
-        step_1d(grid, state, Rule1D(30, 15), np.random.default_rng(0), model=lambda *bits: 1.5)
 
 
 def test_quiescent_all_zero():

@@ -5,6 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chemca import harness
+from chemca.cca1d import Rule1D
+from chemca.chemodel import ChemModel2DParams
 from chemca.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USER, main
 from chemca.harness import (
     SCHEMA,
@@ -113,6 +116,7 @@ def test_config_validation_errors():
         {"kind": "tsp", "coords": [[0, 0], [0, 0], [0, 0]]},  # no distance to scale by
         {"kind": "explicit", "linear": [float("nan"), 0], "quad": [[0, 0], [0, 0]]},
         {"kind": "partition", "numbers": [1e200, 1e200]},  # its offset overflows
+        {"kind": "explicit", "linear": [-1e308, -1e308], "quad": [[0, 0], [0, 0]]},  # its energies overflow
         {"kind": "partition", "numbers": [1, 3, 4, 8], "penalty": float("nan")},
         {"kind": "partition", "numbers": [1, 3, 4, 8], "penalty": -1},
         {"kind": "partition", "numbers": [1, 3, 4, 8], "penalty": 0},
@@ -127,6 +131,22 @@ def test_config_validation_errors():
             ExperimentConfig.from_dict(raw)
     for raw in (count, cca1d, cca2d, solve, markov, dict(markov, horizon=None)):
         ExperimentConfig.from_dict(raw)
+
+
+def test_config_keys_parsed_once(tmp_path, monkeypatch):
+    # one solve run and one markov run each load their problem once
+    load_problem, loads = harness.load_problem, []
+    monkeypatch.setattr(harness, "load_problem", lambda spec: loads.append(spec) or load_problem(spec))
+    problem = {"kind": "partition", "numbers": [1, 3, 4, 8]}
+    for raw in ({"kind": "solve", "problem": problem, "max_steps": 50},
+                {"kind": "markov", "problem": problem, "horizon": 10}):
+        loads.clear()
+        run(ExperimentConfig.from_dict(dict(raw, out=str(tmp_path / raw["kind"]))), quiet=True)
+        assert loads == [problem], raw["kind"]
+    cfg = ExperimentConfig.from_dict({"kind": "cca1d", "rule": "30-5", "cells": 7, "steps": 3})
+    assert cfg.values["rule"] == Rule1D(30, 4)
+    cfg = ExperimentConfig.from_dict({"kind": "cca2d", "side": 5, "steps": 1, "initial_chemits": 1})
+    assert cfg.values["model"] == ChemModel2DParams() and "model" not in cfg.params
 
 
 def test_count_run_outputs(tmp_path):

@@ -71,6 +71,14 @@ def test_problem_coefficients_must_be_finite():
         QuboProblem(0.0, [0.0, 0.0], [[0.0, np.nan], [np.nan, 0.0]])
 
 
+def test_problem_energies_must_not_overflow():
+    # finite coefficients whose energies reach -inf (config 3: -2e308)
+    with pytest.raises(ValueError, match="overflow"):
+        QuboProblem(0.0, [-1e308, -1e308], np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="overflow"):
+        QuboProblem(0.0, [0.0, 0.0], [[0.0, 1e308], [1e308, 0.0]])
+
+
 def test_2sat_example1_printed_hamiltonian():
     p = build_2sat(SAT1)
     assert p.offset == 8
