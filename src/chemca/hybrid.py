@@ -163,16 +163,18 @@ def _run(p: QuboProblem, params: SolverParams, rng: np.random.Generator, x, e, p
     """
     start = config_index(x)
     trace = SolveTrace(p.n, start, best_energy=e, best_config=start)
-    target, patience = params.target_energy, params.resolved_patience(p.n)
+    # QuboProblem bounds every energy, so no run reaches a target of -inf
+    target = -math.inf if params.target_energy is None else params.target_energy + 1e-12
+    patience = params.resolved_patience(p.n) or math.inf
     since_accept = 0
-    while target is None or not trace.best_energy <= target + 1e-12:
-        if trace.n_steps >= params.max_steps or (patience is not None and since_accept >= patience):
-            return trace
+    for _ in range(params.max_steps):
+        if trace.best_energy <= target or since_accept >= patience:
+            break
         h = int(rng.integers(p.n))
         obs_de, true_de, accept, x, e = propose(h)
         since_accept = 0 if accept else since_accept + 1
         trace.record(h, obs_de, true_de, accept, config_index(x), e)
-    trace.success = True
+    trace.success = trace.best_energy <= target
     return trace
 
 
