@@ -71,7 +71,7 @@ print("  (expected 25 / 25 / 50)\n")
 
 print("--- free-running 20x20 automaton, 300 steps")
 g20 = torus(20)
-pwm, _ = place_chemits(g20, 5, np.random.default_rng(7))
+pwm = place_chemits(g20, 5, np.random.default_rng(7))
 cs = np.zeros((20, 20), np.uint8)
 for t in range(300):
     pwm, cs, counts = step_chemits(g20, pwm, cs, rng=np.random.default_rng(1000 + t))

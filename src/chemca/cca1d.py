@@ -158,19 +158,6 @@ def raster_to_text(raster: np.ndarray, chars: str = ".#") -> str:
     return "\n".join(["".join(lut[row].tolist()) for row in raster]) + "\n"
 
 
-def write_raster_csv(path, raster: np.ndarray):
-    """CSV of (step, cell, cs), CRLF line ends, one line per cell and step.
-
-    The lines of one step are a single `%` format: the per-cell templates,
-    built once, joined with the step number (the empty first template puts
-    it before cell 0). Each step is written as it is made."""
-    cells = [b""] + [b",%d,%%d\r\n" % i for i in range(raster.shape[1])]
-    with open(path, "wb") as fh:
-        fh.write(b"step,cell,cs\r\n")
-        for t, row in enumerate(raster):
-            fh.write((b"%d" % t).join(cells) % tuple(row.tolist()))
-
-
 def default_chain(width: int = 7) -> Grid:
     """The default 1D rig: non-periodic 7-cell chain."""
     return line(width, periodic=False)

@@ -10,9 +10,8 @@ the next chemical-state grid. Periodic boundaries throughout.
 
 from __future__ import annotations
 
-import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,30 +176,26 @@ def step_chemits(
     return new_pwm, new_cs, counts
 
 
-def place_chemits(
-    grid: Grid, n_chemits: int, rng: np.random.Generator
-) -> tuple[PwmGrid, list[tuple[int, int]]]:
+def place_chemits(grid: Grid, n_chemits: int, rng: np.random.Generator) -> PwmGrid:
     """Seed `n_chemits` cores at distinct random cells, halos around each."""
     if n_chemits < 0 or n_chemits > grid.n_cells:
         raise ValueError(f"cannot place {n_chemits} chemits on {grid.n_cells} cells")
     pwm = PwmGrid.empty(grid)
     flat = pwm.classes.reshape(-1)
-    sites = sorted(int(i) for i in rng.choice(grid.n_cells, size=n_chemits, replace=False))
+    sites = rng.choice(grid.n_cells, size=n_chemits, replace=False)
     flat[neighbor_table(grid.height, grid.width)[sites, :4]] = PwmClass.HALO
     flat[sites] = PwmClass.CORE
-    return pwm, [divmod(s, grid.width) for s in sites]
+    return pwm
 
 
 @dataclass
 class PopulationSeries:
-    """One replica's trajectory: per-step core and high-CS counts."""
+    """One replica's trajectory: per-step core and high-CS counts, and the
+    events of each step."""
 
-    seed: int
-    grid_side: int
-    initial_placement: list[tuple[int, int]]
-    chemit_count: np.ndarray = field(default_factory=lambda: np.empty(0, int))
-    high_cs_count: np.ndarray = field(default_factory=lambda: np.empty(0, int))
-    events: list[ChemitEventCounts] = field(default_factory=list)
+    chemit_count: np.ndarray
+    high_cs_count: np.ndarray
+    events: list[ChemitEventCounts]
 
 
 @dataclass
@@ -240,9 +235,8 @@ def run_population_experiment(
     params = params or ChemModel2DParams()
     all_series: list[PopulationSeries] = []
     for k in range(replicas):
-        seed = derive_seed(master_seed, k)
-        rng = np.random.default_rng(seed)
-        pwm, placement = place_chemits(grid, initial_chemits, rng)
+        rng = np.random.default_rng(derive_seed(master_seed, k))
+        pwm = place_chemits(grid, initial_chemits, rng)
         cs = np.zeros((grid_side, grid_side), np.uint8)
         chemits = np.empty(steps + 1, int)
         high = np.empty(steps + 1, int)
@@ -254,9 +248,7 @@ def run_population_experiment(
             chemits[t + 1] = int(np.count_nonzero(pwm.classes == PwmClass.CORE))
             high[t + 1] = int(cs.sum())
             events.append(counts)
-        all_series.append(
-            PopulationSeries(seed, grid_side, placement, chemits, high, events)
-        )
+        all_series.append(PopulationSeries(chemits, high, events))
     stacked = np.stack([s.chemit_count for s in all_series]).astype(float)
     return PopulationResult(stacked.mean(axis=0), stacked.std(axis=0), all_series)
 
@@ -264,22 +256,3 @@ def run_population_experiment(
 def format_pwm_grid(pwm: PwmGrid) -> str:
     """Plain-text class grid snapshot, one character per cell."""
     return raster_to_text(pwm.classes, ".fhC")
-
-
-def write_population_csv(path, series: PopulationSeries):
-    """Per-step CSV: step, chemits, high_cs, propagation, replication, annihilation."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "chemits", "high_cs", "propagation", "replication", "annihilation"])
-        for t in range(len(series.chemit_count)):
-            ev = series.events[t - 1] if t > 0 else ChemitEventCounts()
-            writer.writerow(
-                [
-                    t,
-                    int(series.chemit_count[t]),
-                    int(series.high_cs_count[t]),
-                    ev.propagation,
-                    ev.replication,
-                    ev.annihilation,
-                ]
-            )

@@ -2,7 +2,9 @@
 
 A run takes a JSON config (kind plus kind-specific keys), derives one RNG
 stream per replica from the master seed, writes CSV/JSON/text outputs into
-the output directory and finishes with a manifest. Re-running a manifest
+the output directory and finishes with a manifest. The engines return
+data; every output file's format is written here, except the solver's
+JSONL trace (`hybrid.SolveTrace.write_jsonl`). Re-running a manifest
 reproduces every output byte-for-byte; only the manifest's timestamps
 differ. `SCHEMA` lists each kind's keys (type, bounds, default, help): it
 checks every config and gives the CLI one flag per scalar key. Each key is
@@ -13,6 +15,7 @@ problem spec into a `QuboProblem`); the runners read those values from
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -25,13 +28,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .cca1d import MODE_DISPLAY, MODE_PROBABILISTIC, Rule1D, run_1d, raster_to_text, write_raster_csv, single_seed
-from .cca2d import DEFAULT_FLUCT_RATIO, run_population_experiment, write_population_csv
+from .cca1d import MODE_DISPLAY, MODE_PROBABILISTIC, Rule1D, run_1d, raster_to_text, single_seed
+from .cca2d import DEFAULT_FLUCT_RATIO, ChemitEventCounts, PopulationSeries, run_population_experiment
 from .chemodel import ChemModel2DParams
 from .lattice import chemical_state_count, expansion_ratio, format_scientific, input_state_count, line
 from .markov import build_transition_matrix, check_capacity, success_probabilities
-from .qubo import CapacityError, brute_force_min, load_problem, write_solution_json
-from .signals import ClockedCellBank, ColorState, decode_trace, synthesize_trace, write_trace_csv
+from .qubo import CapacityError, brute_force_min, index_config, load_problem
+from .signals import ClockedCellBank, ColorState, decode_trace, synthesize_trace
 from .hybrid import SolverParams, solve_type1, solve_type2
 
 _MASK64 = (1 << 64) - 1
@@ -280,6 +283,48 @@ def _write_json(path: Path, payload):
         fh.write("\n")
 
 
+def _write_csv(path: Path, header: list[str], rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_raster_csv(path, raster: np.ndarray):
+    """CSV of (step, cell, cs), CRLF line ends, one line per cell and step.
+
+    The lines of one step are a single `%` format: the per-cell templates,
+    built once, joined with the step number (the empty first template puts
+    it before cell 0). Each step is written as it is made."""
+    cells = [b""] + [b",%d,%%d\r\n" % i for i in range(raster.shape[1])]
+    with open(path, "wb") as fh:
+        fh.write(b"step,cell,cs\r\n")
+        for t, row in enumerate(raster):
+            fh.write((b"%d" % t).join(cells) % tuple(row.tolist()))
+
+
+def write_population_csv(path, series: PopulationSeries):
+    """Per-step CSV: step, chemits, high_cs, propagation, replication, annihilation."""
+    events = [ChemitEventCounts(), *series.events]  # step 0 has no events
+    _write_csv(
+        path,
+        ["step", "chemits", "high_cs", "propagation", "replication", "annihilation"],
+        (
+            [t, int(chemits), int(high), ev.propagation, ev.replication, ev.annihilation]
+            for t, (chemits, high, ev) in enumerate(zip(series.chemit_count, series.high_cs_count, events))
+        ),
+    )
+
+
+def write_trace_csv(path, traces: dict[int, list[ColorState]]):
+    """Trace file: one row per frame, columns cell_id, frame, color."""
+    _write_csv(
+        path,
+        ["cell_id", "frame", "color"],
+        ([cell_id, frame, color.value] for cell_id in sorted(traces) for frame, color in enumerate(traces[cell_id])),
+    )
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
     canonical = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -418,14 +463,32 @@ def _run_solve(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
 def _run_markov(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     problem = cfg.values["problem"]
     emin, minima = brute_force_min(problem)
-    write_solution_json(out / "oracle.json", problem, emin, minima)
+    oracle = {
+        "problem": problem.metadata,
+        "min_energy": emin,
+        "argmin_configs": [index_config(i, problem.n).tolist() for i in minima],
+        "argmin_indices": minima,
+    }
+    _write_json(out / "oracle.json", oracle)
     outputs = ["oracle.json"]
     for idx in cfg.values["deterministic_indices"]:
         t = build_transition_matrix(problem, float(idx))
         report = success_probabilities(t, minima, cfg.values["horizon"])
         tag = _index_tag(idx)
-        report.write_csv(out / f"success_{tag}.csv")
-        report.write_json(out / f"success_{tag}.json")
+        _write_csv(out / f"success_{tag}.csv", ["config", "success"],
+                   ([c, f"{v:.12g}"] for c, v in enumerate(report.success)))
+        hist, edges = report.histogram()
+        summary = {
+            "p_chem": report.p_chem,
+            "horizon": report.horizon,
+            "minima": report.minima,
+            "min": report.min,
+            "max": report.max,
+            "mean": report.mean,
+            "spread_nonminima": report.spread(),
+            "histogram": {"counts": hist.tolist(), "edges": edges.tolist()},
+        }
+        _write_json(out / f"success_{tag}.json", summary)
         outputs += [f"success_{tag}.csv", f"success_{tag}.json"]
         if not quiet:
             print(

@@ -9,8 +9,6 @@ patterns into a (2^N, N) table; success is absorption on the global minima.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,29 +119,6 @@ class SuccessReport:
 
     def histogram(self, bins: int = 20):
         return np.histogram(self.success, bins=bins, range=(0.0, 1.0))
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["config", "success"])
-            for c, v in enumerate(self.success):
-                writer.writerow([c, f"{v:.12g}"])
-
-    def write_json(self, path):
-        hist, edges = self.histogram()
-        payload = {
-            "p_chem": self.p_chem,
-            "horizon": self.horizon,
-            "minima": self.minima,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "spread_nonminima": self.spread(),
-            "histogram": {"counts": hist.tolist(), "edges": edges.tolist()},
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def success_probabilities(

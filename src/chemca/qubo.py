@@ -117,10 +117,12 @@ def build_partition(numbers, penalty: float = 1.0) -> QuboProblem:
         raise ValueError("number set must be nonempty")
     if np.any(nums <= 0):
         raise ValueError("numbers must be positive")
-    total = nums.sum()
-    offset = penalty * total * total
-    linear = penalty * (4.0 * nums**2 - 4.0 * total * nums)
-    quad = penalty * 4.0 * np.outer(nums, nums)
+    # overflow is left to QuboProblem's finite check, which names the fields
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = nums.sum()
+        offset = penalty * total * total
+        linear = penalty * (4.0 * nums**2 - 4.0 * total * nums)
+        quad = penalty * 4.0 * np.outer(nums, nums)
     np.fill_diagonal(quad, 0.0)
     return QuboProblem(offset, linear, quad, {"kind": "partition", "numbers": list(map(float, nums)), "penalty": penalty})
 
@@ -146,14 +148,15 @@ def build_2sat(clauses, penalty: float = 1.0) -> QuboProblem:
     offset = 0.0
     linear = np.zeros(n)
     quad = np.zeros((n, n))
-    for la, lb in clauses:
-        va, wa = abs(la) - 1, float(np.sign(la))
-        vb, wb = abs(lb) - 1, float(np.sign(lb))
-        offset += penalty * (1.0 + wa + wb + wa * wb)
-        linear[va] += penalty * (-2.0 * wa - 2.0 * wa * wb)
-        linear[vb] += penalty * (-2.0 * wb - 2.0 * wa * wb)
-        quad[va, vb] += penalty * 2.0 * wa * wb
-        quad[vb, va] += penalty * 2.0 * wa * wb
+    with np.errstate(over="ignore", invalid="ignore"):  # as in build_partition
+        for la, lb in clauses:
+            va, wa = abs(la) - 1, float(np.sign(la))
+            vb, wb = abs(lb) - 1, float(np.sign(lb))
+            offset += penalty * (1.0 + wa + wb + wa * wb)
+            linear[va] += penalty * (-2.0 * wa - 2.0 * wa * wb)
+            linear[vb] += penalty * (-2.0 * wb - 2.0 * wa * wb)
+            quad[va, vb] += penalty * 2.0 * wa * wb
+            quad[vb, va] += penalty * 2.0 * wa * wb
     return QuboProblem(offset, linear, quad, {"kind": "2sat", "clauses": [list(c) for c in clauses], "penalty": penalty})
 
 
@@ -300,16 +303,3 @@ def load_problem(source) -> QuboProblem:
             quad = np.asarray(source["quad"], dtype=float)
         return QuboProblem(float(source.get("offset", 0.0)), linear, quad, {"kind": "explicit"})
     raise ValueError(f"unknown problem kind: {kind!r}")
-
-
-def write_solution_json(path, p: QuboProblem, emin: float, minima):
-    """The oracle's result: its minimum energy and minima (config indices)."""
-    payload = {
-        "problem": {k: v for k, v in p.metadata.items()},
-        "min_energy": emin,
-        "argmin_configs": [index_config(i, p.n).tolist() for i in minima],
-        "argmin_indices": minima,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

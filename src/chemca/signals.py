@@ -9,7 +9,6 @@ cycles.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -204,14 +203,3 @@ def synthesize_trace(
     for color, L in zip(segments, lengths):
         trace.extend([color] * L)
     return trace
-
-
-def write_trace_csv(path, traces: dict[int, list[ColorState]]):
-    """Trace file: one row per frame, columns cell_id, frame, color."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_id", "frame", "color"])
-        for cell_id in sorted(traces):
-            for frame, color in enumerate(traces[cell_id]):
-                writer.writerow([cell_id, frame, color.value])
-

@@ -15,9 +15,9 @@ from chemca.cca1d import (
     run_1d,
     single_seed,
     step_1d,
-    write_raster_csv,
 )
 from chemca.chemodel import prob_high_1d
+from chemca.harness import write_raster_csv
 from chemca.lattice import line
 
 from .eca_reference import eca_run

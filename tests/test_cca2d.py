@@ -12,9 +12,9 @@ from chemca.cca2d import (
     place_chemits,
     run_population_experiment,
     step_chemits,
-    write_population_csv,
 )
 from chemca.chemodel import ChemModel2DParams, PwmClass
+from chemca.harness import write_population_csv
 from chemca.lattice import torus
 
 CORE, HALO, FLUCT, OFF = PwmClass.CORE, PwmClass.HALO, PwmClass.FLUCT, PwmClass.OFF
@@ -132,7 +132,7 @@ def test_isolated_core_persists_and_builds_halo():
 
 def test_interfaces_only_around_cores():
     grid = torus(6)
-    pwm, _ = place_chemits(grid, 3, np.random.default_rng(1))
+    pwm = place_chemits(grid, 3, np.random.default_rng(1))
     cs = (np.random.default_rng(2).random((6, 6)) < 0.4).astype(np.uint8)
     new, _ = cca2d_update(grid, pwm, cs, 3, np.random.default_rng(3))
     on = set()
@@ -154,7 +154,7 @@ def test_interfaces_only_around_cores():
 def test_halo_cells_adjacent_to_some_core():
     grid = torus(8)
     rng = np.random.default_rng(10)
-    pwm, _ = place_chemits(grid, 5, rng)
+    pwm = place_chemits(grid, 5, rng)
     cs = np.zeros((8, 8), np.uint8)
     for _ in range(30):
         pwm, cs, _ = step_chemits(grid, pwm, cs, rng=rng)
@@ -170,7 +170,7 @@ def test_no_core_creation_without_chemistry():
     # with all chemical states forced 0 no new core ever appears
     grid = torus(6)
     rng = np.random.default_rng(4)
-    pwm, _ = place_chemits(grid, 4, rng)
+    pwm = place_chemits(grid, 4, rng)
     cs = np.zeros((6, 6), np.uint8)
     before = cores_of(pwm)
     for _ in range(20):
@@ -336,7 +336,7 @@ def test_write_once_classes():
     # stay cores, halos never repaint cores
     grid = torus(6)
     rng = np.random.default_rng(8)
-    pwm, _ = place_chemits(grid, 6, rng)
+    pwm = place_chemits(grid, 6, rng)
     cs = (rng.random((6, 6)) < 0.5).astype(np.uint8)
     new, _ = cca2d_update(grid, pwm, cs, 3, rng)
     cores = cores_of(new)

@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 from pathlib import Path
@@ -420,19 +421,67 @@ def test_cli_count_beyond_int_string_limit(tmp_path, capsys):
 
 def test_full_reproducibility_all_kinds(tmp_path):
     # every output byte except the manifest timestamps is reproducible
+    tsp3 = {"kind": "tsp", "coords": [[0, 0], [1, 0], [3, 3]]}
+    partition = {"kind": "partition", "numbers": [1, 3, 4, 8]}
     raws = [
+        {"kind": "count", "n": 3, "cell_levels": 4, "iface_levels": 2},
         {"kind": "cca1d", "rule": "110-7", "cells": 9, "steps": 15, "seed": 8},
         {"kind": "cca2d", "side": 8, "steps": 20, "initial_chemits": 2, "seed": 8},
+        {"kind": "solve", "problem": partition, "solver": 1, "max_steps": 200, "seed": 8},
+        {"kind": "solve", "problem": partition, "solver": 2, "p_chem": 0.9, "max_steps": 200,
+         "replicas": 2, "seed": 8},
+        {"kind": "markov", "problem": tsp3, "deterministic_indices": [1.0, 0.95], "horizon": 50},
         {"kind": "clock-demo", "cells": 4, "cycles": 3, "seed": 8},
     ]
-    for raw in raws:
-        a = dict(raw, out=str(tmp_path / raw["kind"] / "a"))
-        b = dict(raw, out=str(tmp_path / raw["kind"] / "b"))
-        ma = run(ExperimentConfig.from_dict(a), quiet=True)
-        mb = run(ExperimentConfig.from_dict(b), quiet=True)
+    assert {raw["kind"] for raw in raws} == set(SCHEMA)
+    for i, raw in enumerate(raws):
+        a, b = tmp_path / str(i) / "a", tmp_path / str(i) / "b"
+        ma = run(ExperimentConfig.from_dict(dict(raw, out=str(a))), quiet=True)
+        mb = run(ExperimentConfig.from_dict(dict(raw, out=str(b))), quiet=True)
         assert ma.outputs == mb.outputs
         assert ma.config_hash != ""
         for name in ma.outputs:
-            fa = (tmp_path / raw["kind"] / "a" / name).read_bytes()
-            fb = (tmp_path / raw["kind"] / "b" / name).read_bytes()
-            assert fa == fb, name
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (raw["kind"], name)
+
+
+def _writes_outside_harness(source: str, module: str) -> list[str]:
+    """The file writes of one module's source: every `open(...)` or
+    `.open(...)` whose mode writes, appends or creates (or is not a string
+    literal), and every `.write_text`/`.write_bytes`, as "module:line",
+    except in `harness` and in `hybrid.SolveTrace.write_jsonl`."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            writes = name in ("write_text", "write_bytes") and isinstance(func, ast.Attribute)
+            if name == "open":
+                # open(path, mode) or path.open(mode)
+                modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+                modes += node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+                writes = any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                             or set(m.value) & set("wax+") for m in modes)
+            allowed = module == "harness" or (module, scope) == ("hybrid", ("SolveTrace", "write_jsonl"))
+            if writes and not allowed:
+                found.append(f"{module}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_only_harness_writes_files():
+    src = Path(harness.__file__).parent
+    found = [hit for path in sorted(src.glob("*.py")) for hit in _writes_outside_harness(path.read_text(), path.stem)]
+    assert found == []
+    # the check sees each form of a write
+    probe = "def f(p):\n    open(p, 'w')\n    open(p, mode='a')\n    p.open('x')\n    open(p, m)\n    p.write_text('')\n"
+    assert _writes_outside_harness(probe, "qubo") == [f"qubo:{i}" for i in range(2, 7)]
+    assert _writes_outside_harness("def f(p):\n    open(p)\n    open(p, 'rb')\n", "qubo") == []
+    allowed = "class SolveTrace:\n    def write_jsonl(self, p):\n        open(p, 'w')\n"
+    assert _writes_outside_harness(allowed, "hybrid") == []
+    assert _writes_outside_harness(allowed, "markov") == ["markov:3"]

@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from chemca.harness import ExperimentConfig, run
 from chemca.hybrid import SolverParams, observed_change, solve_type2
 from chemca.markov import (
     _doomed,
@@ -480,13 +482,14 @@ def test_solver_success_matches_matrix_law():
 def test_success_report_outputs(tmp_path):
     t = build_transition_matrix(P4, 0.95)
     report = success_probabilities(t, minima_indices(P4), 100)
-    report.write_csv(tmp_path / "s.csv")
-    lines = (tmp_path / "s.csv").read_text().splitlines()
+    problem = {"kind": "partition", "numbers": [1, 3, 4, 8]}
+    raw = {"kind": "markov", "problem": problem, "deterministic_indices": [0.95], "horizon": 100}
+    run(ExperimentConfig.from_dict(dict(raw, out=str(tmp_path))), quiet=True)
+    lines = (tmp_path / "success_0p95.csv").read_text().splitlines()
     assert lines[0] == "config,success" and len(lines) == 17
-    report.write_json(tmp_path / "s.json")
-    import json
-
-    data = json.loads((tmp_path / "s.json").read_text())
+    assert lines[1:] == [f"{c},{v:.12g}" for c, v in enumerate(report.success)]
+    data = json.loads((tmp_path / "success_0p95.json").read_text())
     assert data["p_chem"] == 0.95 and data["horizon"] == 100
+    assert (data["min"], data["max"], data["mean"]) == (report.min, report.max, report.mean)
     counts, edges = report.histogram(10)
     assert counts.sum() == 16 and len(edges) == 11

@@ -22,8 +22,8 @@ from chemca.qubo import (
     load_problem,
     qubo_to_ising,
     tour_from_config,
-    write_solution_json,
 )
+from chemca.harness import ExperimentConfig, run
 
 from .spin_bits import spins_to_bits
 
@@ -69,6 +69,20 @@ def test_problem_coefficients_must_be_finite():
             QuboProblem(offset, linear, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="must be finite"):
         QuboProblem(0.0, [0.0, 0.0], [[0.0, np.nan], [np.nan, 0.0]])
+
+
+def test_builder_overflow_reported_without_warnings():
+    # the builders' arithmetic overflows; the finite check alone reports it
+    specs = [
+        {"kind": "partition", "numbers": [1e200, 1e200]},
+        {"kind": "partition", "numbers": [1e154, 1e154]},
+        {"kind": "2sat", "clauses": [[1, 2], [-1, 2], [1, -2]], "penalty": 1e308},
+    ]
+    for spec in specs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                load_problem(spec)
 
 
 def test_problem_energies_must_not_overflow():
@@ -373,10 +387,10 @@ def test_explicit_problem_both_conventions():
 
 
 def test_solution_json(tmp_path):
-    p = build_partition([1, 3, 4, 8])
-    emin, minima = brute_force_min(p)
-    write_solution_json(tmp_path / "sol.json", p, emin, minima)
-    data = json.loads((tmp_path / "sol.json").read_text())
+    problem = {"kind": "partition", "numbers": [1, 3, 4, 8]}
+    run(ExperimentConfig.from_dict({"kind": "markov", "problem": problem, "out": str(tmp_path)}), quiet=True)
+    data = json.loads((tmp_path / "oracle.json").read_text())
+    assert data["problem"] == {"kind": "partition", "numbers": [1.0, 3.0, 4.0, 8.0], "penalty": 1.0}
     assert data["min_energy"] == 0.0
     assert data["argmin_indices"] == [7, 8]
     assert data["argmin_configs"] == [[1, 1, 1, 0], [0, 0, 0, 1]]

@@ -15,8 +15,8 @@ from chemca.signals import (
     rfsm_step,
     synthesize_trace,
     tock_threshold,
-    write_trace_csv,
 )
+from chemca.harness import write_trace_csv
 
 R, LB, B = ColorState.RED, ColorState.LIGHT_BLUE, ColorState.BLUE
 
