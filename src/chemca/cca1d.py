@@ -6,11 +6,20 @@ ordered pair of adjoining chemical states to the interfacial stirrer bit.
 Each step runs the digital rule machine, then the probabilistic chemical
 machine. Display-screen mode short-circuits the chemistry: chemical states
 mirror the commanded stirrer bits one-to-one.
+
+Both phases of a cell depend only on the chemical states of cells i-2..i+2.
+A step reads each cell's window as one base-3 code, where the third symbol,
+`VIRTUAL`, stands for a cell beyond the ends of an open chain (no stirrer,
+no interface; a periodic chain wraps instead), and looks the code up in
+three per-rule tables: the cell's stirrer bit, its right interface bit and
+its high-state probability. The tables are derived from `apply_rule_a`,
+`apply_rule_b` and `chemodel.table_1d` on first use of a rule and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +28,10 @@ from .lattice import Grid, line
 
 MODE_PROBABILISTIC = "probabilistic"
 MODE_DISPLAY = "display"
+VIRTUAL = 2  # the window symbol of a cell beyond the ends of an open chain
+_VIRTUAL_CELL = np.array([VIRTUAL], np.uint8)
+_WEIGHTS = np.array([81, 27, 9, 3, 1], np.uint8)  # window code of cells i-2..i+2, at most 242 < 2^8
+
 
 @dataclass(frozen=True)
 class Rule1D:
@@ -84,21 +97,51 @@ def single_seed(width: int) -> np.ndarray:
     return cs
 
 
-def _neighbors(x: np.ndarray, periodic: bool):
-    """Left and right neighbor of every cell; 0 beyond the ends of an open chain."""
-    zero = np.zeros(1, x.dtype)
-    padded = np.concatenate((x[-1:], x, x[:1]) if periodic else (zero, x, zero))
-    return padded[:-2], padded[2:]
+@lru_cache(maxsize=16)
+def _windows(width: int, periodic: bool) -> np.ndarray:
+    """(5, width) indices of cells i-2..i+2 of every cell i, into the chain's
+    chemical states followed by one virtual cell (index `width`): a periodic
+    chain wraps, an open chain reads the virtual cell beyond its ends."""
+    if periodic:
+        ring = np.arange(-2, width + 2) % width
+    else:
+        ring = np.concatenate(([width, width], np.arange(width), [width, width]))
+    at = np.stack([ring[d : d + width] for d in range(5)])
+    at.flags.writeable = False
+    return at
 
 
-def _rule_phase(grid: Grid, cs: np.ndarray, rule: Rule1D):
-    """Digital phase: new cell and interface stirrer bits from chemical states.
+@lru_cache(maxsize=16)
+def _rule_tables(rule: Rule1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-rule tables over the 3^5 window codes of cells i-2..i+2: cell i's
+    stirrer bit (from cells i-1..i+1, by `apply_rule_a`), its right
+    interface bit (from cells i and i+1, by `apply_rule_b`) and its P(high)
+    (from `table_1d`, over the stirrer bits of cells i-1, i and i+1 and the
+    interface bits on either side of cell i). A virtual cell reads as
+    chemical state 0 to its neighbours' rules and has no stirrer and no
+    interface."""
+    symbols = range(3)
 
-    Interface j joins cells j and j + 1, wrapping only on a periodic chain."""
-    left, right = _neighbors(cs, grid.periodic)
-    stir = apply_rule_a(rule.rule_a, left, cs, right)
-    iface = apply_rule_b(rule.rule_b, cs, right)
-    return stir, (iface if grid.periodic else iface[:-1])
+    def state(s):
+        return 0 if s == VIRTUAL else s
+
+    # stir[l, c, r]: stirrer bit of a cell c between l and r; iface[a, b]: interface bit of a | b
+    stir = np.array([[[0 if c == VIRTUAL else apply_rule_a(rule.rule_a, state(l), c, state(r))
+                       for r in symbols] for c in symbols] for l in symbols], np.uint8)
+    iface = np.array([[0 if VIRTUAL in (a, b) else apply_rule_b(rule.rule_b, a, b)
+                       for b in symbols] for a in symbols], np.uint8)
+    # window axes are cells i-2..i+2
+    s_l, s_c, s_r = stir[:, :, :, None, None], stir[None, :, :, :, None], stir[None, None, :, :, :]
+    i_l, i_r = iface[None, :, :, None, None], iface[None, None, :, :, None]
+    code = s_c | s_l << 1 | s_r << 2 | i_l << 3 | i_r << 4
+    tables = (
+        np.broadcast_to(s_c, code.shape).ravel(),
+        np.broadcast_to(i_r, code.shape).ravel(),
+        table_1d()[code.ravel()],
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def step_1d(
@@ -110,20 +153,22 @@ def step_1d(
 ) -> Cca1dState:
     """One synchronous step: rule phase, then chemical phase.
 
-    Non-periodic boundary cells see virtual neighbors with chemical state 0
-    and inactive interfaces. The chemistry reads each cell's high-state
-    probability from `table_1d`; one uniform draw per cell, in index order.
+    Each cell's 5-cell window of chemical states is one base-3 code, which
+    indexes the rule's tables for its stirrer bit, its right interface bit
+    and its high-state probability. Cells beyond the ends of an open chain
+    are virtual: no stirrer, no interface, and state 0 to their neighbours'
+    rules. One uniform draw per cell, in index order.
     """
-    stir, iface = _rule_phase(grid, state.cs, rule)
+    stir_table, iface_table, prob_table = _rule_tables(rule)
+    cells = np.concatenate((state.cs, _VIRTUAL_CELL)).take(_windows(grid.width, grid.periodic))
+    code = _WEIGHTS @ cells
+    stir = stir_table.take(code)
+    # interface j joins cells j and j + 1, wrapping only on a periodic chain
+    iface = iface_table.take(code[: grid.width if grid.periodic else grid.width - 1])
     if mode == MODE_DISPLAY:
         new_cs = stir.copy()
     elif mode == MODE_PROBABILISTIC:
-        s_l, s_r = _neighbors(stir, grid.periodic)
-        # each cell's right interface; an open chain's last cell has none
-        i_r = iface if grid.periodic else np.append(iface, np.uint8(0))
-        i_l, _ = _neighbors(i_r, grid.periodic)
-        probs = table_1d()[stir | s_l << 1 | s_r << 2 | i_l << 3 | i_r << 4]
-        new_cs = (rng.random(grid.width) < probs).astype(np.uint8)
+        new_cs = (rng.random(grid.width) < prob_table.take(code)).view(np.uint8)
     else:
         raise ValueError(f"unknown mode: {mode!r}")
     return Cca1dState(new_cs, stir, iface, state.step + 1)
@@ -152,10 +197,18 @@ def run_1d(
 
 
 def raster_to_text(raster: np.ndarray, chars: str = ".#") -> str:
-    """Compact text grid: one character per cell, one line per step."""
-    lut = np.array(list(chars), dtype=object)
-    # one lookup per row: a whole-raster lookup holds a pointer per cell
-    return "\n".join(["".join(lut[row].tolist()) for row in raster]) + "\n"
+    """Compact text grid: one character per cell, one line per step.
+
+    Built as one uint8 array from a byte table of the characters' UTF-8
+    forms. 0xFF, which UTF-8 never uses, pads the shorter forms to one
+    width, and the decoder drops it."""
+    symbols = [c.encode() for c in chars]
+    size = max(map(len, symbols))
+    lut = np.frombuffer(b"".join(s.ljust(size, b"\xff") for s in symbols), np.uint8).reshape(-1, size)
+    rows, cols = raster.shape
+    text = np.full((rows, cols * size + 1), ord("\n"), np.uint8)
+    text[:, :-1] = lut[raster].reshape(rows, -1)
+    return text.tobytes().decode(errors="ignore")
 
 
 def default_chain(width: int = 7) -> Grid:

@@ -6,10 +6,11 @@ the output directory and finishes with a manifest. The engines return
 data; every output file's format is written here, except the solver's
 JSONL trace (`hybrid.SolveTrace.write_jsonl`). Re-running a manifest
 reproduces every output byte-for-byte; only the manifest's timestamps
-differ. `SCHEMA` lists each kind's keys (type, bounds, default, help): it
-checks every config and gives the CLI one flag per scalar key. Each key is
-parsed once, while the config is checked (a rule label into a `Rule1D`, a
-problem spec into a `QuboProblem`); the runners read those values from
+differ, and its `env` on another machine. `SCHEMA` lists each kind's keys
+(type, bounds, default, help): it checks every config and gives the CLI
+one flag per scalar key. Each key is parsed once, while the config is
+checked (a rule label into a `Rule1D`, a problem spec into a
+`QuboProblem`); the runners read those values from
 `ExperimentConfig.values`.
 """
 
@@ -19,6 +20,7 @@ import csv
 import hashlib
 import json
 import math
+import platform
 import sys
 import time
 from dataclasses import dataclass, field
@@ -146,8 +148,8 @@ SCHEMA = {
                                   "expected 'probabilistic' or 'display'")),
         Key("periodic", bool, None, None, False, "close the chain into a ring"),
         Key("init", list, None, None, None, "initial chemical states (default: one seed cell)",
-            lambda v, p: _require(len(v) == p["cells"] and all(s in (0, 1) for s in v),
-                                  f"expected {p['cells']} chemical states, each 0 or 1")),
+            lambda v, p: _require(len(v) == p["cells"] and all(_is_a(s, int) and s in (0, 1) for s in v),
+                                  f"expected {p['cells']} chemical states, each the integer 0 or 1")),
     ),
     "cca2d": _rows(
         Key("side", int, 1, None, REQUIRED, "torus side length"),
@@ -271,6 +273,7 @@ class RunManifest:
     artifact_version: str
     started: str
     finished: str
+    env: dict
     outputs: list[str] = field(default_factory=list)
 
     def write(self, path: Path):
@@ -291,16 +294,32 @@ def _write_csv(path: Path, header: list[str], rows):
 
 
 def write_raster_csv(path, raster: np.ndarray):
-    """CSV of (step, cell, cs), CRLF line ends, one line per cell and step.
+    """CSV of (step, cell, cs), CRLF line ends, one line per cell and step;
+    each cs is one digit (IndexError otherwise).
 
-    The lines of one step are a single `%` format: the per-cell templates,
-    built once, joined with the step number (the empty first template puts
-    it before cell 0). Each step is written as it is made."""
-    cells = [b""] + [b",%d,%%d\r\n" % i for i in range(raster.shape[1])]
+    A step's lines are one uint8 array, made again only when the step
+    number gains a digit; each step writes in the step digits that changed
+    and the cs digits, and is written as it is made."""
+    digits = np.frombuffer(b"0123456789", np.uint8)
+    cells = [b",%d," % i for i in range(raster.shape[1])]
+    last = b""
     with open(path, "wb") as fh:
         fh.write(b"step,cell,cs\r\n")
         for t, row in enumerate(raster):
-            fh.write((b"%d" % t).join(cells) % tuple(row.tolist()))
+            step = b"%d" % t
+            if len(step) != len(last):
+                lines = np.frombuffer(bytearray(b"".join(step + c + b"0\r\n" for c in cells)), np.uint8)
+                sizes = np.array([len(step) + len(c) + 3 for c in cells])
+                ends = np.cumsum(sizes)
+                # digit_at[k]: digit k of the step number in every line
+                digit_at, cs_at = ends - sizes + np.arange(len(step))[:, None], ends - 3
+            else:
+                for at, new, old in zip(digit_at, step, last):
+                    if new != old:
+                        lines[at] = new
+            last = step
+            lines[cs_at] = digits.take(row)
+            fh.write(lines)
 
 
 def write_population_csv(path, series: PopulationSeries):
@@ -330,6 +349,17 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _environment() -> dict:
+    """What a seeded run's outputs may depend on besides its config (not
+    `platform.platform()`, which takes milliseconds)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": sys.platform,
+        "machine": platform.machine(),
+    }
+
+
 def run(cfg: ExperimentConfig, quiet: bool = False) -> RunManifest:
     """Dispatch a validated config to its runner and write the manifest."""
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -344,6 +374,7 @@ def run(cfg: ExperimentConfig, quiet: bool = False) -> RunManifest:
         __version__,
         started,
         time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        _environment(),
         sorted(outputs),
     )
     manifest.write(out / "manifest.json")

@@ -129,7 +129,8 @@ def test_thresholded_single_step_matches_eca_row():
 
 def _step_by_cell_loop(cs, rule, periodic, u):
     """Per-cell reference for both phases: stirrer bits, interface bits and
-    next chemical states given the step's uniform draws `u`."""
+    next chemical states given the step's uniform draws `u`; with `u` None
+    (display mode) the next states are the stirrer bits."""
     n = len(cs)
 
     def at(x, i):  # neighbor i of a cell; 0 beyond the ends of an open chain
@@ -142,6 +143,8 @@ def _step_by_cell_loop(cs, rule, periodic, u):
     def iface_at(i):  # interface i; an open chain has none beyond its ends
         return at(iface, i) if periodic or 0 <= i < n_iface else 0
 
+    if u is None:
+        return stir, iface, stir
     new_cs = []
     for i in range(n):
         p = prob_high_1d(stir[i], at(stir, i - 1), at(stir, i + 1), iface_at(i - 1), iface_at(i))
@@ -149,18 +152,33 @@ def _step_by_cell_loop(cs, rule, periodic, u):
     return stir, iface, new_cs
 
 
+class _RecordingRng:
+    """A generator that records the size of every uniform draw."""
+
+    def __init__(self, seed):
+        self.rng, self.draws = np.random.default_rng(seed), []
+
+    def random(self, n):
+        self.draws.append(n)
+        return self.rng.random(n)
+
+
+# below width 5 a periodic 5-cell window wraps onto itself
 @pytest.mark.parametrize("periodic", [False, True])
 def test_probabilistic_step_matches_cell_loop(periodic):
     rng = np.random.default_rng(11)
-    for width in (1, 2, 3, 8):
+    for width in (1, 2, 3, 4, 5, 8):
         grid = line(width, periodic=periodic)
         for _ in range(30):
             rule = Rule1D(int(rng.integers(256)), int(rng.integers(16)))
             state = Cca1dState.initial(grid, rng.integers(0, 2, width))
-            nxt = step_1d(grid, state, rule, np.random.default_rng(5))
-            u = np.random.default_rng(5).random(width)
-            got = (nxt.cell_stirrers.tolist(), nxt.iface_stirrers.tolist(), nxt.cs.tolist())
-            assert got == _step_by_cell_loop(state.cs, rule, periodic, u)
+            for mode in (MODE_PROBABILISTIC, MODE_DISPLAY):
+                draws = _RecordingRng(5)
+                nxt = step_1d(grid, state, rule, draws, mode=mode)
+                u = np.random.default_rng(5).random(width) if mode == MODE_PROBABILISTIC else None
+                assert draws.draws == ([width] if mode == MODE_PROBABILISTIC else [])
+                got = (nxt.cell_stirrers.tolist(), nxt.iface_stirrers.tolist(), nxt.cs.tolist())
+                assert got == _step_by_cell_loop(state.cs, rule, periodic, u), (width, rule, mode)
 
 
 def test_quiescent_all_zero():
@@ -212,6 +230,8 @@ def test_raster_text_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "step,cell,cs"
     assert len(lines) == 1 + raster.size
+    with pytest.raises(IndexError):
+        write_raster_csv(path, raster * 10)
 
 
 def _csv_writer_raster(path, raster):
@@ -226,7 +246,7 @@ def _csv_writer_raster(path, raster):
 
 def test_raster_csv_matches_csv_writer(tmp_path):
     # row counts and widths cross every change in the digit count of step and cell
-    rng = np.random.default_rng(7)
+    rng, text_rng = np.random.default_rng(7), np.random.default_rng(8)
     for rows in (1, 10, 11, 100, 101, 1001):
         for width in (1, 2, 11, 201):
             raster = (rng.random((rows, width)) < 0.5).astype(np.uint8)
@@ -234,6 +254,8 @@ def test_raster_csv_matches_csv_writer(tmp_path):
             _csv_writer_raster(want, raster)
             write_raster_csv(got, raster)
             assert got.read_bytes() == want.read_bytes(), (rows, width)
-            for chars in (".#", "░█"):
-                ref = "\n".join("".join(chars[v] for v in row) for row in raster) + "\n"
-                assert raster_to_text(raster, chars) == ref, (rows, width, chars)
+            # .fhC is format_pwm_grid's alphabet for 0-3; .█ mixes 1- and 3-byte characters
+            for chars in (".#", "░█", ".fhC", "\0#", ".█"):
+                symbols = text_rng.integers(0, len(chars), raster.shape, dtype=np.uint8)
+                ref = "\n".join("".join(chars[v] for v in row) for row in symbols) + "\n"
+                assert raster_to_text(symbols, chars) == ref, (rows, width, chars)

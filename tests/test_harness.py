@@ -87,6 +87,8 @@ def test_config_validation_errors():
         (dict(cca1d, periodic="yes"), "cca1d.periodic"),
         (dict(cca1d, init=[0, 1]), "cca1d.init"),
         (dict(cca1d, init=[0, 1, 2, 0, 0, 0, 0]), "cca1d.init"),
+        (dict(cca1d, init=[True, False, 1, 0, 0, 0, 0]), "cca1d.init"),
+        (dict(cca1d, init=[1.0, 0, 1, 0, 0, 0, 0]), "cca1d.init"),
         (dict(cca1d, rule="30-0"), "cca1d.rule"),
         (dict(cca1d, cells=True), "cca1d.cells"),
         ({"kind": "clock-demo", "period": "12"}, "clock-demo.period"),
@@ -159,7 +161,9 @@ def test_count_run_outputs(tmp_path):
     assert data["input_states_sci"] == "6.12e54"
     assert data["chemical_states_sci"] == "5.6e14"
     assert manifest.outputs == ["counts.json"]
-    assert (tmp_path / "manifest.json").exists()
+    recorded = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(recorded["env"]) == {"python", "numpy", "platform", "machine"}
+    assert recorded["env"]["numpy"] == np.__version__
 
 
 def test_cca1d_display_run(tmp_path):
@@ -325,6 +329,7 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
         (["cca1d"] + config("{bad"), "--config"),
         (cca1d + ["--cells", "7"] + config({"out": 5}), "cca1d.out"),
         (cca1d + ["--cells", "7"] + config({"p_chme": 0.9}), "cca1d.p_chme"),
+        (cca1d + ["--cells", "3"] + config({"init": [True, False, 1], "out": str(tmp_path / "no")}), "cca1d.init"),
         (["count", "--side", "7", "--cell-levels", "4", "--iface-levels", "2"], "--side"),
         (["nope"], "nope"),
         ([], "kind"),
@@ -332,6 +337,7 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
     for argv, name in cases:
         assert main(argv) == EXIT_USER, argv
         assert name in capsys.readouterr().err, argv
+    assert not (tmp_path / "no").exists()
 
 
 def test_cli_flag_per_scalar_key(tmp_path):
