@@ -17,6 +17,7 @@ from chemca.cca2d import (
     place_chemits,
 )
 from chemca.chemodel import PwmClass
+from chemca.harness import stream_rng
 from chemca.lattice import torus
 
 grid = torus(5)
@@ -82,6 +83,6 @@ for t in range(300):
 
 print("\n--- population convergence from different initial counts (20x20, 5 replicas)")
 for init in (1, 5, 40):
-    res = run_population_experiment(20, init, 1500, 5, master_seed=11)
+    res = run_population_experiment(20, init, 1500, [stream_rng(11, k) for k in range(5)])
     print(f"  initial {init:3d}: late mean {res.late_mean(500):5.1f}")
 print("  (steady state set by the available space, not the start)")

@@ -80,7 +80,6 @@ class Cca1dState:
     cs: np.ndarray
     cell_stirrers: np.ndarray
     iface_stirrers: np.ndarray
-    step: int = 0
 
     @classmethod
     def initial(cls, grid: Grid, cs) -> "Cca1dState":
@@ -171,7 +170,7 @@ def step_1d(
         new_cs = (rng.random(grid.width) < prob_table.take(code)).view(np.uint8)
     else:
         raise ValueError(f"unknown mode: {mode!r}")
-    return Cca1dState(new_cs, stir, iface, state.step + 1)
+    return Cca1dState(new_cs, stir, iface)
 
 
 def run_1d(

@@ -5,7 +5,8 @@ maintains. Each step, the digital state machine moves, copies or kills
 cores based on where high chemical states appeared in the 12-cell
 neighborhood (4 nearest + 8 next-nearest), rebuilds halos, and scatters
 random fluctuations; the phenomenological chemical machine then samples
-the next chemical-state grid. Periodic boundaries throughout.
+the next chemical-state grid. Periodic boundaries throughout. A
+population experiment takes one generator per replica from its caller.
 """
 
 from __future__ import annotations
@@ -215,27 +216,22 @@ def run_population_experiment(
     grid_side: int,
     initial_chemits: int,
     steps: int,
-    replicas: int,
+    rngs: list[np.random.Generator],
     params: ChemModel2DParams | None = None,
     fluct_ratio: float = DEFAULT_FLUCT_RATIO,
-    master_seed: int = 0,
 ) -> PopulationResult:
-    """Independent seeded replicas of the population dynamics.
-
-    Replica k runs on its own stream derived from the master seed; series
-    are aggregated per step into mean and standard deviation.
+    """Independent replicas of the population dynamics, replica k drawing
+    from rngs[k]; series are aggregated per step into mean and standard
+    deviation.
     """
-    from .harness import derive_seed
-
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+    if not rngs:
+        raise ValueError("at least one replica generator required")
     grid = torus(grid_side)
     if initial_chemits > grid.n_cells:
         raise ValueError("more initial chemits than cells")
     params = params or ChemModel2DParams()
     all_series: list[PopulationSeries] = []
-    for k in range(replicas):
-        rng = np.random.default_rng(derive_seed(master_seed, k))
+    for rng in rngs:
         pwm = place_chemits(grid, initial_chemits, rng)
         cs = np.zeros((grid_side, grid_side), np.uint8)
         chemits = np.empty(steps + 1, int)

@@ -61,13 +61,6 @@ class ChemModel2DParams:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{f.name}={v} outside [0, 1]")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChemModel2DParams":
-        return cls(**d)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class SingleCellHysteresisParams:

@@ -158,7 +158,7 @@ SCHEMA = {
             lambda v, p: _require(v <= p["side"] ** 2, f"must be <= {p['side'] ** 2}")),
         Key("fluct_ratio", NUMBER, 0, 1, DEFAULT_FLUCT_RATIO, "share of cells made FLUCT per step"),
         Key("model", dict, None, None, ChemModel2DParams(), "chemical-model parameters",
-            lambda v, p: ChemModel2DParams.from_dict(v)),
+            lambda v, p: ChemModel2DParams(**v)),
     ),
     "solve": _rows(
         Key("problem", dict, None, None, REQUIRED, "problem spec", lambda v, p: load_problem(v)),
@@ -443,10 +443,9 @@ def _run_cca2d(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
         v["side"],
         v["initial_chemits"],
         v["steps"],
-        v["replicas"],
+        [stream_rng(v["seed"], k) for k in range(v["replicas"])],
         v["model"],
         v["fluct_ratio"],
-        v["seed"],
     )
     outputs = []
     for k, series in enumerate(result.series):
@@ -503,14 +502,14 @@ def _run_markov(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:
     _write_json(out / "oracle.json", oracle)
     outputs = ["oracle.json"]
     for idx in cfg.values["deterministic_indices"]:
-        t = build_transition_matrix(problem, float(idx))
-        report = success_probabilities(t, minima, cfg.values["horizon"])
+        accept = build_transition_matrix(problem, float(idx))
+        report = success_probabilities(accept, minima, cfg.values["horizon"])
         tag = _index_tag(idx)
         _write_csv(out / f"success_{tag}.csv", ["config", "success"],
                    ([c, f"{v:.12g}"] for c, v in enumerate(report.success)))
         hist, edges = report.histogram()
         summary = {
-            "p_chem": report.p_chem,
+            "p_chem": float(idx),
             "horizon": report.horizon,
             "minima": report.minima,
             "min": report.min,

@@ -4,7 +4,8 @@ The solver's proposal law (uniform single-spin flip, pairwise consistency
 signs iid with probability p_chem, accept when the observed change is
 <= 0) defines a discrete-time chain over all 2^N spin configurations.
 Acceptance probabilities are computed exactly by enumerating the sign
-patterns into a (2^N, N) table; success is absorption on the global minima.
+patterns into a plain (2^N, N) array; success is absorption on the
+global minima.
 """
 
 from __future__ import annotations
@@ -59,15 +60,6 @@ def acceptance_prob(p: QuboProblem, x, h: int, p_chem: float):
     return np.where(lin[..., None] + sums <= 0.0, probs, 0.0).sum(axis=-1)
 
 
-@dataclass
-class TransitionMatrix:
-    """accept[c, h] / n: probability of c -> c xor 2^h; rejected mass stays at c."""
-
-    accept: np.ndarray
-    n: int
-    p_chem: float
-
-
 def check_capacity(p: QuboProblem, p_chem: float):
     """Raise CapacityError if the acceptance table of p at p_chem exceeds the byte budget."""
     k = 0 if p_chem == 1.0 else int(np.count_nonzero(p.pairwise(), axis=1).max(initial=0))
@@ -79,15 +71,17 @@ def _neighbours(n: int) -> np.ndarray:
     return np.arange(1 << n)[:, None] ^ (1 << np.arange(n))
 
 
-def build_transition_matrix(p: QuboProblem, p_chem: float) -> TransitionMatrix:
-    """Acceptance table of the Type-2 chain, one acceptance_prob call over all
-    configs per flipped spin. Raises CapacityError before allocating."""
+def build_transition_matrix(p: QuboProblem, p_chem: float) -> np.ndarray:
+    """(2^n, n) acceptance table of the Type-2 chain: accept[c, h] / n is the
+    probability of c -> c xor 2^h, and the rejected mass stays at c. One
+    acceptance_prob call over all configs per flipped spin. Raises
+    CapacityError before allocating."""
     check_capacity(p, p_chem)
     configs = config_bits(p.n, 0, 1 << p.n)
     accept = np.empty((1 << p.n, p.n))
     for h in range(p.n):
         accept[:, h] = acceptance_prob(p, configs, h, p_chem)
-    return TransitionMatrix(accept, p.n, p_chem)
+    return accept
 
 
 @dataclass
@@ -96,7 +90,6 @@ class SuccessReport:
 
     success: np.ndarray
     minima: list[int]
-    p_chem: float
     horizon: int
 
     @property
@@ -122,9 +115,10 @@ class SuccessReport:
 
 
 def success_probabilities(
-    t: TransitionMatrix, minima, horizon: int | None = None
+    accept: np.ndarray, minima, horizon: int | None = None
 ) -> SuccessReport:
-    """Absorption mass on the minima within `horizon` proposals.
+    """Absorption mass on the minima within `horizon` proposals, for the
+    (2^n, n) acceptance table of build_transition_matrix.
 
     Minima are absorbing; success of config c is the probability that a
     chain started at c visits a minimum within the horizon, iterated
@@ -133,17 +127,18 @@ def success_probabilities(
     since every later step would return it too; the result is the one of
     all `horizon` steps, and the report records the requested horizon.
     """
+    n = accept.shape[1]
     minima = sorted(int(m) for m in minima)
     if not minima:
         raise ValueError("minima set must be nonempty")
     if horizon is None:
-        horizon = 100 * t.n
+        horizon = 100 * n
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    move = t.accept / t.n
+    move = accept / n
     stay = 1.0 - move.sum(axis=1)
-    neighbours = _neighbours(t.n)
-    success = np.zeros(1 << t.n)
+    neighbours = _neighbours(n)
+    success = np.zeros(1 << n)
     success[minima] = 1.0
     for _ in range(horizon):
         new = stay * success + (move * success[neighbours]).sum(axis=1)
@@ -151,7 +146,7 @@ def success_probabilities(
         if new.tobytes() == success.tobytes():
             break  # a fixed point, bit for bit (-0.0 is not 0.0): later steps repeat it
         success = new
-    return SuccessReport(success, minima, t.p_chem, horizon)
+    return SuccessReport(success, minima, horizon)
 
 
 def _doomed(accept, is_min) -> np.ndarray:
@@ -206,7 +201,7 @@ def empirical_success(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     greedy = p_chem == 1.0
-    table = build_transition_matrix(p, 1.0).accept == 1.0 if greedy else None
+    table = build_transition_matrix(p, 1.0) == 1.0 if greedy else None
     is_min = np.zeros(1 << p.n, dtype=bool)
     is_min[brute_force_min(p)[1]] = True
     ising = qubo_to_ising(p)

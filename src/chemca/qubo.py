@@ -8,7 +8,6 @@ coefficient of x_i x_j as written in an expanded Hamiltonian is
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +32,8 @@ class QuboProblem:
     def __post_init__(self):
         self.linear = np.asarray(self.linear, dtype=float)
         self.quad = np.asarray(self.quad, dtype=float)
+        if self.linear.ndim != 1:
+            raise ValueError(f"linear must be 1-D, got {self.linear.ndim} dimensions")
         n = self.linear.shape[0]
         if n < 1:
             raise ValueError("at least one variable required")
@@ -112,7 +113,11 @@ def build_partition(numbers, penalty: float = 1.0) -> QuboProblem:
     A(4 n_i^2 - 4 T n_i), pairwise 8 A n_i n_j (T = sum of the numbers).
     """
     _check_penalty(penalty)
-    nums = np.asarray(list(numbers), dtype=float)
+    nums = list(numbers)
+    for v in nums:
+        if not isinstance(v, (int, float, np.integer, np.floating)) or isinstance(v, bool):
+            raise ValueError(f"numbers must be real numbers, got {v!r}")
+    nums = np.asarray(nums, dtype=float)
     if nums.size == 0:
         raise ValueError("number set must be nonempty")
     if np.any(nums <= 0):
@@ -187,26 +192,14 @@ def build_tsp(distances, penalty: float = 1.0, scale: float | None = None) -> Qu
         if d.max() == 0:
             raise ValueError("all distances are zero; give a scale")
         scale = 0.1 / d.max()
-    dscaled = scale * d
-    n = n_city * n_city
-    var = lambda pos, city: pos * n_city + city
+    eye = np.eye(n_city)
+    # same position, two cities; or same city, two positions
+    one_hot = np.kron(eye, 1.0 - eye) + np.kron(1.0 - eye, eye)
+    # city u at position i, city v at position i + 1 (mod N); zero where u = v
+    tour = np.kron(np.roll(eye, 1, axis=1), scale * d / 2.0)
     offset = 2.0 * penalty * n_city
-    linear = np.full(n, -2.0 * penalty)
-    quad = np.zeros((n, n))
-    for i in range(n_city):
-        for a in range(n_city):
-            for b in range(a + 1, n_city):
-                quad[var(i, a), var(i, b)] += penalty  # same position, two cities
-                quad[var(a, i), var(b, i)] += penalty  # same city, two positions
-    for u in range(n_city):
-        for v in range(n_city):
-            if u == v:
-                continue
-            for i in range(n_city):
-                a, b = var(i, u), var((i + 1) % n_city, v)
-                quad[a, b] += dscaled[u, v] / 2.0
-    quad = quad + quad.T - np.diag(np.diag(quad))
-    np.fill_diagonal(quad, 0.0)
+    linear = np.full(n_city * n_city, -2.0 * penalty)
+    quad = penalty * one_hot + tour + tour.T
     meta = {"kind": "tsp", "n_cities": n_city, "scale": scale, "penalty": penalty}
     return QuboProblem(offset, linear, quad, meta)
 
@@ -267,17 +260,14 @@ def flip_terms(m: IsingModel, s: np.ndarray, h):
     return delta * m.g[h], delta[..., None] * m.coupling[h] * s
 
 
-def load_problem(source) -> QuboProblem:
-    """Build a problem from a dict or a JSON file path.
+def load_problem(source: dict) -> QuboProblem:
+    """Build a problem from a spec dict.
 
     Kinds: partition {numbers}, 2sat {clauses}, tsp {coords or distances,
     scale}, explicit {offset, linear, quad} where quad is either the full
     symmetric half-weight matrix or {"i,j": c} pairwise coefficients
     (both conventions accepted; pairwise values are halved on load).
     """
-    if not isinstance(source, dict):
-        with open(source) as fh:
-            source = json.load(fh)
     kind = source.get("kind")
     penalty = float(source.get("penalty", 1.0))
     if kind == "partition":

@@ -14,7 +14,7 @@ import pytest
 from chemca.cca1d import MODE_DISPLAY, MODE_PROBABILISTIC, Rule1D, default_chain, run_1d, single_seed
 from chemca.cca2d import PwmGrid, cca2d_update, run_population_experiment
 from chemca.chemodel import PwmClass, SingleCellHysteresisParams
-from chemca.harness import ExperimentConfig, derive_seed, run, run_from_manifest
+from chemca.harness import ExperimentConfig, derive_seed, run, run_from_manifest, stream_rng
 from chemca.hybrid import SolverParams, solve_type1, solve_type2
 from chemca.lattice import chemical_state_count, expansion_ratio, format_scientific, input_state_count, torus
 from chemca.markov import build_transition_matrix, empirical_success, success_probabilities
@@ -270,7 +270,7 @@ def test_c08_chemit_micro_events():
 def test_c09_population_dynamics():
     late = {}
     for init in (1, 10, 100):
-        res = run_population_experiment(50, init, 7000, 10, master_seed=2026)
+        res = run_population_experiment(50, init, 7000, [stream_rng(2026, k) for k in range(10)])
         late[init] = res.late_mean(2000)
     vals = sorted(late.values())
     rel_spread = (vals[-1] - vals[0]) / (sum(vals) / len(vals))
@@ -278,7 +278,7 @@ def test_c09_population_dynamics():
 
     sizes = {}
     for side in (10, 20, 50):
-        res = run_population_experiment(side, 10, 3000, 10, master_seed=2027)
+        res = run_population_experiment(side, 10, 3000, [stream_rng(2027, k) for k in range(10)])
         sizes[side] = res.late_mean(1500)
     assert sizes[10] < sizes[20] < sizes[50], sizes
     _announce(

@@ -14,7 +14,7 @@ from chemca.cca2d import (
     step_chemits,
 )
 from chemca.chemodel import ChemModel2DParams, PwmClass
-from chemca.harness import write_population_csv
+from chemca.harness import stream_rng, write_population_csv
 from chemca.lattice import torus
 
 CORE, HALO, FLUCT, OFF = PwmClass.CORE, PwmClass.HALO, PwmClass.FLUCT, PwmClass.OFF
@@ -324,7 +324,7 @@ def test_core_count_changes_by_counted_events(side):
     for seed in range(30):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # tiny tori clamp the fluctuation budget
-            res = run_population_experiment(side, min(8, side * side), 40, 1, master_seed=seed)
+            res = run_population_experiment(side, min(8, side * side), 40, [stream_rng(seed, 0)])
         (series,) = res.series
         for t, ev in enumerate(series.events):
             change = series.chemit_count[t + 1] - series.chemit_count[t]
@@ -345,12 +345,12 @@ def test_write_once_classes():
 
 
 def test_seed_determinism():
-    a = run_population_experiment(10, 3, 50, 2, master_seed=123)
-    b = run_population_experiment(10, 3, 50, 2, master_seed=123)
+    a = run_population_experiment(10, 3, 50, [stream_rng(123, k) for k in range(2)])
+    b = run_population_experiment(10, 3, 50, [stream_rng(123, k) for k in range(2)])
     for sa, sb in zip(a.series, b.series):
         assert np.array_equal(sa.chemit_count, sb.chemit_count)
         assert np.array_equal(sa.high_cs_count, sb.high_cs_count)
-    c = run_population_experiment(10, 3, 50, 2, master_seed=124)
+    c = run_population_experiment(10, 3, 50, [stream_rng(124, k) for k in range(2)])
     assert any(
         not np.array_equal(sa.chemit_count, sc.chemit_count)
         for sa, sc in zip(a.series, c.series)
@@ -358,14 +358,16 @@ def test_seed_determinism():
 
 
 def test_population_zero_steps_matches_placement():
-    res = run_population_experiment(10, 7, 0, 3, master_seed=5)
+    res = run_population_experiment(10, 7, 0, [stream_rng(5, k) for k in range(3)])
     for s in res.series:
         assert s.chemit_count.tolist() == [7]
 
 
 def test_placement_bounds():
     with pytest.raises(ValueError):
-        run_population_experiment(5, 26, 1, 1)
+        run_population_experiment(5, 26, 1, [stream_rng(0, 0)])
+    with pytest.raises(ValueError, match="generator"):
+        run_population_experiment(5, 1, 1, [])
     with pytest.raises(ValueError):
         place_chemits(torus(5), 26, np.random.default_rng(0))
 
@@ -375,7 +377,7 @@ def test_snapshot_and_csv_outputs(tmp_path):
     pwm = chemit_at(grid, 2, 2)
     text = format_pwm_grid(pwm)
     assert text.splitlines()[2] == ".hCh."
-    res = run_population_experiment(8, 2, 5, 1, master_seed=1)
+    res = run_population_experiment(8, 2, 5, [stream_rng(1, 0)])
     write_population_csv(tmp_path / "pop.csv", res.series[0])
     lines = (tmp_path / "pop.csv").read_text().splitlines()
     assert lines[0] == "step,chemits,high_cs,propagation,replication,annihilation"

@@ -154,8 +154,3 @@ def test_prob_single():
     assert table[0, 1] == pytest.approx(0.1)
     assert table[0, 0] == 0.0
     assert table[1, 1] == 0.9
-
-
-def test_params_dict_round_trip():
-    p = ChemModel2DParams(p1=0.4)
-    assert ChemModel2DParams.from_dict(p.to_dict()) == p

@@ -125,6 +125,10 @@ def test_config_validation_errors():
         {"kind": "partition", "numbers": [1, 3, 4, 8], "penalty": 0},
         {"kind": "2sat", "clauses": [[True, 2]]},
         {"kind": "2sat", "clauses": [[1.5, 2]]},
+        {"kind": "explicit", "linear": [[0, 0]], "quad": [[0]]},  # a 1 x 2 linear
+        {"kind": "partition", "numbers": "12"},
+        {"kind": "partition", "numbers": ["1", "2"]},
+        {"kind": "partition", "numbers": [True, 2, 3]},
     ]
     for bad in bad_problems:
         cases.append((dict(solve, problem=bad), "solve.problem"))
@@ -491,3 +495,33 @@ def test_only_harness_writes_files():
     allowed = "class SolveTrace:\n    def write_jsonl(self, p):\n        open(p, 'w')\n"
     assert _writes_outside_harness(allowed, "hybrid") == []
     assert _writes_outside_harness(allowed, "markov") == ["markov:3"]
+
+
+def _harness_imports(source: str, module: str) -> list[str]:
+    """Every import of `harness` in one module's source, at any depth
+    (inside functions too), as "module:line"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "harness" for name in names):
+            found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_only_entry_points_import_harness():
+    # the engines take generators and return data; only the CLI and the
+    # package root reach the harness
+    src = Path(harness.__file__).parent
+    found = [hit for path in sorted(src.glob("*.py")) if path.stem not in ("__init__", "cli")
+             for hit in _harness_imports(path.read_text(), path.stem)]
+    assert found == []
+    lazy = "def f(seed):\n    from .harness import derive_seed\n    return derive_seed(seed, 0)\n"
+    assert _harness_imports(lazy, "cca2d") == ["cca2d:2"]
+    for probe in ("from . import harness\n", "import chemca.harness\n", "from chemca.harness import run\n"):
+        assert _harness_imports(probe, "qubo") == ["qubo:1"], probe
+    assert _harness_imports("from .hybrid import solve_type2\nimport json\n", "qubo") == []

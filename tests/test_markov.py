@@ -126,35 +126,35 @@ def test_acceptance_batched_rows_equal_single_config():
 
 def test_transition_matrix_n1_descends():
     p = QuboProblem(1.0, np.array([-1.0]), np.zeros((1, 1)))
-    t = build_transition_matrix(p, 1.0)
-    assert t.accept[0].tolist() == [1.0]  # x=0 (E=1) -> x=1 (E=0)
-    assert t.accept[1].tolist() == [0.0]  # staying put at the minimum
+    accept = build_transition_matrix(p, 1.0)
+    assert accept[0].tolist() == [1.0]  # x=0 (E=1) -> x=1 (E=0)
+    assert accept[1].tolist() == [0.0]  # staying put at the minimum
 
 
 def test_transition_matrix_row_stochastic():
     for p_chem in (1.0, 0.99, 0.95, 0.5):
-        t = build_transition_matrix(P8, p_chem)
-        assert t.accept.shape == (256, 8)
-        assert np.all(t.accept >= 0)
-        assert np.all(t.accept.sum(axis=1) / t.n <= 1.0 + 1e-12)
+        accept = build_transition_matrix(P8, p_chem)
+        assert accept.shape == (256, 8)
+        assert np.all(accept >= 0)
+        assert np.all(accept.sum(axis=1) / 8 <= 1.0 + 1e-12)
 
 
 def test_minima_absorbing_at_index_one():
-    t = build_transition_matrix(P4, 1.0)
+    accept = build_transition_matrix(P4, 1.0)
     for m in minima_indices(P4):
         # all strict moves uphill; only the zero-delta plateau moves leak
         x = index_config(m, 4)
-        out = sum(t.accept[m, h] for h in range(4) if true_delta(P4, x, h) > 0)
+        out = sum(accept[m, h] for h in range(4) if true_delta(P4, x, h) > 0)
         assert out == 0.0
 
 
-def dense_success(t, minima, horizon):
+def dense_success(accept, minima, horizon):
     """Oracle: the dense 2^n x 2^n one-proposal matrix with absorbing
     minima, raised to the horizon."""
-    size = 1 << t.n
+    size, n = accept.shape
     m = np.zeros((size, size))
-    for c, h in itertools.product(range(size), range(t.n)):
-        m[c, c ^ (1 << h)] = t.accept[c, h] / t.n
+    for c, h in itertools.product(range(size), range(n)):
+        m[c, c ^ (1 << h)] = accept[c, h] / n
     m[np.arange(size), np.arange(size)] = 1.0 - m.sum(axis=1)
     m[minima] = 0.0
     m[minima, minima] = 1.0
@@ -178,7 +178,7 @@ def test_success_fixed_point_exit_matches_full_horizon():
         minima = minima_indices(p)
         for p_chem in (1.0, 0.95, 0.5):
             t = build_transition_matrix(p, p_chem)
-            move = t.accept / t.n
+            move = t / p.n
             stay = 1.0 - move.sum(axis=1)
             neighbours = np.arange(1 << p.n)[:, None] ^ (1 << np.arange(p.n))
             success = np.zeros(1 << p.n)
@@ -274,7 +274,7 @@ def test_negative_horizon_rejected():
 
 def test_dense_capacity_cap():
     free = QuboProblem(0.0, np.zeros(15), np.zeros((15, 15)))
-    assert np.all(build_transition_matrix(free, 1.0).accept == 1.0)
+    assert np.all(build_transition_matrix(free, 1.0) == 1.0)
     # 2^14 configs times 2^13 sign patterns: rejected before allocating
     tracemalloc.start()
     try:
@@ -365,7 +365,7 @@ def _trapped_stuck_start(p):
     (found as demo_deterministic_index.py finds them) and no flip accepted."""
     t = build_transition_matrix(p, 1.0)
     trapped = np.flatnonzero(success_probabilities(t, minima_indices(p), 800).success <= 1e-12)
-    return next(int(c) for c in trapped if not t.accept[c].any())
+    return next(int(c) for c in trapped if not t[c].any())
 
 
 def test_empirical_success_matches_isin_loop():
@@ -435,7 +435,7 @@ def test_classify_matches_backward_reachability(seed):
         is_min = np.zeros(1 << p.n, dtype=bool)
         is_min[minima_indices(p)] = True
         verdict = _solver_verdict(p)
-        table = build_transition_matrix(p, 1.0).accept == 1.0
+        table = build_transition_matrix(p, 1.0) == 1.0
         assert np.array_equal(table, verdict), p.n
         # the backward fixed point holds for any target set, not just the minima
         for targets in (rng.random(1 << p.n) < q for q in (0.0, 0.02, 0.2)):

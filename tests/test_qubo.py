@@ -200,6 +200,49 @@ def test_tsp_coincident_cities_need_a_scale():
     assert emin == 0.0 and len(minima) == 6  # every tour, penalties only
 
 
+def _tsp_quad_loops(d, penalty, scale):
+    """Reference: build_tsp's quadratic matrix written as loops over the
+    one-hot pairs and the tour steps, upper half then symmetrized."""
+    n_city = d.shape[0]
+    if scale is None:
+        scale = 0.1 / d.max()
+    dscaled = scale * d
+    var = lambda pos, city: pos * n_city + city
+    quad = np.zeros((n_city * n_city, n_city * n_city))
+    for i in range(n_city):
+        for a in range(n_city):
+            for b in range(a + 1, n_city):
+                quad[var(i, a), var(i, b)] += penalty  # same position, two cities
+                quad[var(a, i), var(b, i)] += penalty  # same city, two positions
+    for u in range(n_city):
+        for v in range(n_city):
+            if u == v:
+                continue
+            for i in range(n_city):
+                a, b = var(i, u), var((i + 1) % n_city, v)
+                quad[a, b] += dscaled[u, v] / 2.0
+    quad = quad + quad.T - np.diag(np.diag(quad))
+    np.fill_diagonal(quad, 0.0)
+    return quad
+
+
+def test_tsp_quad_matches_loop_reference_bytes():
+    # 2 cities: the tour term and its transpose land on the same entries;
+    # integer coords give coincident cities, the nudge a distance matrix
+    # symmetric only to allclose
+    rng = np.random.default_rng(5)
+    for trial in range(400):
+        n_city = 2 + trial % 5
+        pts = rng.integers(0, 3, (n_city, 2)) if trial % 2 else 10 * rng.random((n_city, 2))
+        d = distance_matrix_from_coords(pts)
+        if trial % 3 == 0:
+            d = d + np.triu(1e-10 * rng.random((n_city, n_city)), 1)
+        penalty = (0.5, 1.0, 3.7, 1e6)[trial % 4]
+        scale = (None, 0.37, 1.0)[trial % 3]  # None only on nudged, nonzero distances
+        got = build_tsp(d, penalty, scale).quad
+        assert got.tobytes() == _tsp_quad_loops(d, penalty, scale).tobytes(), (trial, n_city, penalty, scale)
+
+
 def test_oracle_partition_4():
     emin, minima = brute_force_min(build_partition([1, 3, 4, 8]))
     assert emin == 0.0
@@ -359,19 +402,6 @@ def test_config_index_exact_against_python_ints(n):
     # indices wider than n keep their n low bits, as the definition does
     for idx in ((1 << (n + 3)) + 5, -1):
         assert index_config(idx, n).tolist() == py_index_config(idx, n)
-
-
-def test_problem_json_round_trip(tmp_path):
-    for src in (
-        {"kind": "partition", "numbers": [1, 3, 4, 8]},
-        {"kind": "2sat", "clauses": [list(c) for c in SAT1]},
-        {"kind": "tsp", "coords": CITIES},
-    ):
-        path = tmp_path / "problem.json"
-        path.write_text(json.dumps(src))
-        p = load_problem(path)
-        q = load_problem(src)
-        assert np.allclose(p.linear, q.linear) and np.allclose(p.quad, q.quad)
 
 
 def test_explicit_problem_both_conventions():
