@@ -165,9 +165,10 @@ SCHEMA = {
         Key("solver", int, 1, 2, 2, "hybrid solver type, 1 or 2"),
         Key("p_chem", NUMBER, 0, 1, SolverParams.p_chem, "deterministic index"),
         Key("k_temp", NUMBER, None, None, SolverParams.k_temp, "Type-1 temperature, > 0",
-            lambda v, p: _require(v > 0, "must be > 0")),
+            lambda v, p: SolverParams(k_temp=v).k_temp),
         Key("max_steps", int, 0, None, SolverParams.max_steps, "proposals per run"),
-        Key("target_energy", NUMBER, None, None, SolverParams.target_energy, "stop a run at this energy"),
+        Key("target_energy", NUMBER, None, None, SolverParams.target_energy, "stop a run at this energy, finite",
+            lambda v, p: SolverParams(target_energy=v).target_energy),
     ),
     "markov": _rows(
         Key("deterministic_indices", list, None, None, (1.0,), "indices to analyse", _check_indices),

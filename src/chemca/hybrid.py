@@ -3,8 +3,9 @@
 Type 1 treats the chemical states as the spins: each step flips one cell's
 commanded PWM bit, reads every cell back through the hysteresis model, and
 accepts with the Metropolis probability min(exp(-dE/k), 1) on the readout
-energy; it makes two energy evaluations per proposal, the commanded
-configuration's (for the true change) and the readout's. Type 2 treats the
+energy. It needs two energies per proposal, the commanded configuration's
+(for the true change) and the readout's, and computes each configuration's
+energy at most once per run. Type 2 treats the
 commanded PWM bits as the spins and checks each pairwise interaction
 against the ideal lookup outcome: a check agrees with probability p_chem
 (the deterministic index), a disagreeing check flips the sign of that
@@ -52,8 +53,10 @@ class SolverParams:
     def __post_init__(self):
         if not 0.0 <= self.p_chem <= 1.0:
             raise ValueError("p_chem must be in [0, 1]")
-        if self.k_temp <= 0:
-            raise ValueError("k_temp must be positive")
+        if not self.k_temp > 0:
+            raise ValueError(f"k_temp must be > 0, got {self.k_temp}")
+        if self.target_energy is not None and not math.isfinite(self.target_energy):
+            raise ValueError(f"target_energy must be finite, got {self.target_energy}")
 
     def resolved_patience(self, n: int) -> int | None:
         if self.patience is not None:
@@ -152,16 +155,17 @@ def _init_bits(p: QuboProblem, init, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
-def _run(p: QuboProblem, params: SolverParams, rng: np.random.Generator, x, e, propose) -> SolveTrace:
-    """The run loop of both solvers, from config `x` of energy `e`.
+def _run(p: QuboProblem, params: SolverParams, rng: np.random.Generator, start: int, e, propose) -> SolveTrace:
+    """The run loop of both solvers, from the config of index `start` and
+    energy `e`.
 
     Each step draws the spin `h` and calls `propose(h)`, which returns the
     observed change, the true change, whether the move was accepted, and
-    the config and energy to record after it. The run stops at the target
-    energy (a success, also before the first step), after `patience`
-    proposals in a row without an accepted move, or after max_steps.
+    the index and energy of the config to record after it. The run stops
+    at the target energy (a success, also before the first step), after
+    `patience` proposals in a row without an accepted move, or after
+    max_steps.
     """
-    start = config_index(x)
     trace = SolveTrace(p.n, start, best_energy=e, best_config=start)
     # QuboProblem bounds every energy, so no run reaches a target of -inf
     target = -math.inf if params.target_energy is None else params.target_energy + 1e-12
@@ -171,9 +175,9 @@ def _run(p: QuboProblem, params: SolverParams, rng: np.random.Generator, x, e, p
         if trace.best_energy <= target or since_accept >= patience:
             break
         h = int(rng.integers(p.n))
-        obs_de, true_de, accept, x, e = propose(h)
+        obs_de, true_de, accept, idx, e = propose(h)
         since_accept = 0 if accept else since_accept + 1
-        trace.record(h, obs_de, true_de, accept, config_index(x), e)
+        trace.record(h, obs_de, true_de, accept, idx, e)
     trace.success = trace.best_energy <= target
     return trace
 
@@ -192,32 +196,48 @@ def solve_type1(
     energy and accepts with min(exp(-dE/k_temp), 1); a rejected flip reverts
     the command and keeps the previous readout. With p_read = 1 this is
     exactly Metropolis on the commanded configuration.
+
+    Energies are kept per config index for the run, so a configuration met
+    again, as a command or as a readout, is not scored again; the table
+    grows by at most two entries per proposal.
     """
     params = params or SolverParams()
     rng = rng or np.random.default_rng()
     cmd = _init_bits(p, init, rng)
     law = table_single(params.hysteresis)
     read = (rng.random(p.n) < law[cmd, 0]).astype(np.uint8)
-    e_read = energy(p, read)
-    e_cmd = energy(p, cmd)  # always the energy of cmd as it stands
+    scored = {}
+
+    def score(idx, x):
+        e = scored.get(idx)
+        if e is None:
+            e = scored[idx] = energy(p, x)
+        return e
+
+    read_idx, cmd_idx = config_index(read), config_index(cmd)
+    e_read = score(read_idx, read)
+    e_cmd = score(cmd_idx, cmd)  # always the energy of cmd as it stands
 
     def propose(h):
-        nonlocal read, e_read, e_cmd
+        nonlocal read, read_idx, e_read, cmd_idx, e_cmd
         cmd[h] ^= 1
-        e_cmd_new = energy(p, cmd)
+        cmd_idx ^= 1 << h
+        e_cmd_new = score(cmd_idx, cmd)
         true_de = e_cmd_new - e_cmd
-        new_read = (rng.random(p.n) < law[cmd, read]).astype(np.uint8)
-        e_new = energy(p, new_read)
+        u = rng.random(p.n + 1)  # n readout draws, then the acceptance draw, made on every proposal
+        new_read = (u[:-1] < law[cmd, read]).view(np.uint8)
+        new_idx = config_index(new_read)
+        e_new = score(new_idx, new_read)
         obs_de = e_new - e_read
-        u = rng.random()  # drawn on every proposal, downhill ones included
-        accept = obs_de <= 0.0 or u < math.exp(-obs_de / params.k_temp)
+        accept = obs_de <= 0.0 or u[-1] < math.exp(-obs_de / params.k_temp)
         if accept:
-            read, e_read, e_cmd = new_read, e_new, e_cmd_new
+            read, read_idx, e_read, e_cmd = new_read, new_idx, e_new, e_cmd_new
         else:
             cmd[h] ^= 1
-        return obs_de, true_de, accept, read, e_read
+            cmd_idx ^= 1 << h
+        return obs_de, true_de, accept, read_idx, e_read
 
-    return _run(p, params, rng, read, e_read, propose)
+    return _run(p, params, rng, read_idx, e_read, propose)
 
 
 def consistency_signs(u: np.ndarray, p_chem: float) -> np.ndarray:
@@ -314,6 +334,6 @@ def solve_type2(
             x[h] ^= 1
             s[h] = -s[h]
             e_true = energy(p, x)
-        return obs_de, true_de, accept, x, e_true
+        return obs_de, true_de, accept, config_index(x), e_true
 
-    return _run(p, params, rng, x, e_true, propose)
+    return _run(p, params, rng, config_index(x), e_true, propose)

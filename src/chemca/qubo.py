@@ -101,9 +101,9 @@ def bits_to_spins(x) -> np.ndarray:
     return (2 * np.asarray(x, dtype=int) - 1).astype(np.int8)
 
 
-def _check_penalty(penalty):
-    if not (math.isfinite(penalty) and penalty > 0):
-        raise ValueError(f"penalty must be finite and > 0, got {penalty}")
+def _check_positive(name, value):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def build_partition(numbers, penalty: float = 1.0) -> QuboProblem:
@@ -112,7 +112,7 @@ def build_partition(numbers, penalty: float = 1.0) -> QuboProblem:
     With s = 2x - 1 and x^2 = x folded: offset A*T^2, linear
     A(4 n_i^2 - 4 T n_i), pairwise 8 A n_i n_j (T = sum of the numbers).
     """
-    _check_penalty(penalty)
+    _check_positive("penalty", penalty)
     nums = list(numbers)
     for v in nums:
         if not isinstance(v, (int, float, np.integer, np.floating)) or isinstance(v, bool):
@@ -138,7 +138,7 @@ def build_2sat(clauses, penalty: float = 1.0) -> QuboProblem:
     Clauses are pairs of nonzero integer literals (DIMACS style, variables
     1..n, negative for negation); each violated clause costs 4A.
     """
-    _check_penalty(penalty)
+    _check_positive("penalty", penalty)
     clauses = [tuple(cl) for cl in clauses]
     if not clauses:
         raise ValueError("clause list must be nonempty")
@@ -177,9 +177,12 @@ def build_tsp(distances, penalty: float = 1.0, scale: float | None = None) -> Qu
     Variable (i, j) means city j occupies tour position i (flat index
     i*N + j). Row and column one-hot penalties cost `penalty` each;
     adjacent positions couple with scaled distances d' = scale * d, where
-    the default scale makes max(d') = 0.1 (so it needs a nonzero distance).
+    the default scale makes max(d') = 0.1 (so it needs a nonzero distance);
+    a given scale must be finite and > 0.
     """
-    _check_penalty(penalty)
+    _check_positive("penalty", penalty)
+    if scale is not None:
+        _check_positive("scale", scale)
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")

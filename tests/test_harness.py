@@ -82,6 +82,10 @@ def test_config_validation_errors():
         (dict(solve, max_steps="10"), "solve.max_steps"),
         (dict(solve, k_temp=0), "solve.k_temp"),
         (dict(solve, target_energy="0"), "solve.target_energy"),
+        (dict(solve, target_energy=float("nan")), "solve.target_energy"),
+        (dict(solve, target_energy=float("inf")), "solve.target_energy"),
+        (dict(solve, target_energy=-float("inf")), "solve.target_energy"),
+        (dict(solve, k_temp=float("nan")), "solve.k_temp"),
         (dict(cca2d, fluct_ratio="0.1"), "cca2d.fluct_ratio"),
         (dict(cca2d, fluct_ratio=7), "cca2d.fluct_ratio"),
         (dict(cca1d, periodic="yes"), "cca1d.periodic"),
@@ -129,6 +133,10 @@ def test_config_validation_errors():
         {"kind": "partition", "numbers": "12"},
         {"kind": "partition", "numbers": ["1", "2"]},
         {"kind": "partition", "numbers": [True, 2, 3]},
+        {"kind": "tsp", "coords": [[0, 0], [1, 0], [3, 3], [0, 10]], "scale": -0.5},
+        {"kind": "tsp", "coords": [[0, 0], [1, 0], [3, 3], [0, 10]], "scale": 0},
+        {"kind": "tsp", "coords": [[0, 0], [1, 0], [3, 3], [0, 10]], "scale": float("inf")},
+        {"kind": "tsp", "coords": [[0, 0], [1, 0], [3, 3], [0, 10]], "scale": float("nan")},
     ]
     for bad in bad_problems:
         cases.append((dict(solve, problem=bad), "solve.problem"))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from chemca import hybrid
 from chemca.chemodel import SingleCellHysteresisParams, table_single
 from chemca.hybrid import (
     PairwiseChemistry,
@@ -43,8 +44,12 @@ def perfect(**kw):
 def test_params_validation():
     with pytest.raises(ValueError):
         SolverParams(p_chem=1.2)
-    with pytest.raises(ValueError):
-        SolverParams(k_temp=0.0)
+    for k_temp in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="k_temp"):
+            SolverParams(k_temp=k_temp)
+    for target in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="target_energy"):
+            SolverParams(target_energy=target)
 
 
 def observed_delta_e(p, s, h, consistency):
@@ -426,6 +431,27 @@ def test_type1_matches_reference_loop(name, case, tmp_path):
             got.write_jsonl(tmp_path / "got.jsonl")
             reference_write_jsonl(want, tmp_path / "want.jsonl")
             assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes(), where
+
+
+def test_type1_scores_each_config_once(monkeypatch):
+    # the reference loop scores three configs per proposal; the solver makes
+    # one energy() call per distinct one of them and one config_index() call
+    # per proposal, plus the start's
+    p, real_energy = REFERENCE_PROBLEMS["tsp4"], energy
+    params = SolverParams(max_steps=3000, patience=0, hysteresis=SingleCellHysteresisParams(0.9))
+    want = []
+    monkeypatch.setitem(globals(), "energy", lambda q, x: want.append(reference_index(x)) or real_energy(q, x))
+    reference_type1(p, params, np.random.default_rng(7))
+    monkeypatch.undo()
+    got, indexed = [], []
+    monkeypatch.setattr(hybrid, "energy", lambda q, x: got.append(reference_index(x)) or real_energy(q, x))
+    monkeypatch.setattr(hybrid, "config_index", lambda x: indexed.append(1) or config_index(x))
+    trace = solve_type1(p, params, np.random.default_rng(7))
+    assert trace.n_steps == 3000 and len(want) == 3 * 3000 + 1
+    assert len(got) == len(set(got)) and set(got) == set(want)
+    for cfg, e in zip(trace.configs, trace.energies):
+        assert e == real_energy(p, index_config(cfg, p.n))
+    assert trace.n_steps <= len(indexed) <= trace.n_steps + 2
 
 
 @pytest.mark.parametrize("case", list(TYPE2_CASES))

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import warnings
 
@@ -187,6 +188,9 @@ def test_tsp_validation():
         build_tsp([[0, 1], [1, 0], [0, 0]])  # not square
     with pytest.raises(ValueError):
         build_tsp([[0, 1], [2, 0]])  # not symmetric
+    for scale in (-0.5, 0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="scale must be finite and > 0"):
+            build_tsp([[0, 1], [1, 0]], scale=scale)
 
 
 def test_tsp_coincident_cities_need_a_scale():
