@@ -7,13 +7,16 @@ Each step runs the digital rule machine, then the probabilistic chemical
 machine. Display-screen mode short-circuits the chemistry: chemical states
 mirror the commanded stirrer bits one-to-one.
 
-Both phases of a cell depend only on the chemical states of cells i-2..i+2.
-A step reads each cell's window as one base-3 code, where the third symbol,
-`VIRTUAL`, stands for a cell beyond the ends of an open chain (no stirrer,
-no interface; a periodic chain wraps instead), and looks the code up in
-three per-rule tables: the cell's stirrer bit, its right interface bit and
-its high-state probability. The tables are derived from `apply_rule_a`,
-`apply_rule_b` and `chemodel.table_1d` on first use of a rule and cached.
+A step maps chemical states to chemical states; the stirrer bits it
+commands only carry the dynamics from one step to the next. Both phases of
+a cell depend only on the chemical states of cells i-2..i+2. A step reads
+each cell's window as one base-3 code, where the third symbol, `VIRTUAL`,
+stands for a cell beyond the ends of an open chain (no stirrer, no
+interface; a periodic chain wraps instead), and looks the code up in one
+of two per-rule tables: the cell's stirrer bit in display mode, its
+high-state probability in probabilistic mode. The tables are derived from
+`apply_rule_a`, `apply_rule_b` and `chemodel.table_1d` on first use of a
+rule and cached.
 """
 
 from __future__ import annotations
@@ -73,23 +76,6 @@ def apply_rule_b(rule_b: int, a: int, b: int) -> int:
     return (rule_b >> (2 * a + b)) & 1
 
 
-@dataclass
-class Cca1dState:
-    """Chemical states plus the stirrer bits commanded at the last step."""
-
-    cs: np.ndarray
-    cell_stirrers: np.ndarray
-    iface_stirrers: np.ndarray
-
-    @classmethod
-    def initial(cls, grid: Grid, cs) -> "Cca1dState":
-        cs = np.asarray(cs, dtype=np.uint8)
-        if cs.shape != (grid.width,):
-            raise ValueError("initial chemical states must match the chain length")
-        n_iface = grid.width if grid.periodic else grid.width - 1
-        return cls(cs, np.zeros(grid.width, np.uint8), np.zeros(max(n_iface, 0), np.uint8))
-
-
 def single_seed(width: int) -> np.ndarray:
     cs = np.zeros(width, np.uint8)
     cs[width // 2] = 1
@@ -111,14 +97,13 @@ def _windows(width: int, periodic: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _rule_tables(rule: Rule1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rule_tables(rule: Rule1D) -> tuple[np.ndarray, np.ndarray]:
     """Per-rule tables over the 3^5 window codes of cells i-2..i+2: cell i's
-    stirrer bit (from cells i-1..i+1, by `apply_rule_a`), its right
-    interface bit (from cells i and i+1, by `apply_rule_b`) and its P(high)
+    stirrer bit (from cells i-1..i+1, by `apply_rule_a`) and its P(high)
     (from `table_1d`, over the stirrer bits of cells i-1, i and i+1 and the
-    interface bits on either side of cell i). A virtual cell reads as
-    chemical state 0 to its neighbours' rules and has no stirrer and no
-    interface."""
+    interface bits on either side of cell i, by `apply_rule_b`). A virtual
+    cell reads as chemical state 0 to its neighbours' rules and has no
+    stirrer and no interface."""
     symbols = range(3)
 
     def state(s):
@@ -133,11 +118,7 @@ def _rule_tables(rule: Rule1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s_l, s_c, s_r = stir[:, :, :, None, None], stir[None, :, :, :, None], stir[None, None, :, :, :]
     i_l, i_r = iface[None, :, :, None, None], iface[None, None, :, :, None]
     code = s_c | s_l << 1 | s_r << 2 | i_l << 3 | i_r << 4
-    tables = (
-        np.broadcast_to(s_c, code.shape).ravel(),
-        np.broadcast_to(i_r, code.shape).ravel(),
-        table_1d()[code.ravel()],
-    )
+    tables = np.broadcast_to(s_c, code.shape).ravel(), table_1d()[code.ravel()]
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -145,32 +126,28 @@ def _rule_tables(rule: Rule1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def step_1d(
     grid: Grid,
-    state: Cca1dState,
+    cs: np.ndarray,
     rule: Rule1D,
     rng: np.random.Generator,
     mode: str = MODE_PROBABILISTIC,
-) -> Cca1dState:
-    """One synchronous step: rule phase, then chemical phase.
+) -> np.ndarray:
+    """One synchronous step: the chain's next chemical states.
 
-    Each cell's 5-cell window of chemical states is one base-3 code, which
-    indexes the rule's tables for its stirrer bit, its right interface bit
-    and its high-state probability. Cells beyond the ends of an open chain
-    are virtual: no stirrer, no interface, and state 0 to their neighbours'
-    rules. One uniform draw per cell, in index order.
+    Each cell's 5-cell window of chemical states is one base-3 code. In
+    display mode it indexes the rule's stirrer-bit table; in probabilistic
+    mode it indexes the rule's high-state probability table, which folds in
+    the rule phase, and each cell takes one uniform draw, in index order.
+    Cells beyond the ends of an open chain are virtual: no stirrer, no
+    interface, and state 0 to their neighbours' rules.
     """
-    stir_table, iface_table, prob_table = _rule_tables(rule)
-    cells = np.concatenate((state.cs, _VIRTUAL_CELL)).take(_windows(grid.width, grid.periodic))
+    stir_table, prob_table = _rule_tables(rule)
+    cells = np.concatenate((cs, _VIRTUAL_CELL)).take(_windows(grid.width, grid.periodic))
     code = _WEIGHTS @ cells
-    stir = stir_table.take(code)
-    # interface j joins cells j and j + 1, wrapping only on a periodic chain
-    iface = iface_table.take(code[: grid.width if grid.periodic else grid.width - 1])
     if mode == MODE_DISPLAY:
-        new_cs = stir.copy()
-    elif mode == MODE_PROBABILISTIC:
-        new_cs = (rng.random(grid.width) < prob_table.take(code)).view(np.uint8)
-    else:
-        raise ValueError(f"unknown mode: {mode!r}")
-    return Cca1dState(new_cs, stir, iface)
+        return stir_table.take(code)
+    if mode == MODE_PROBABILISTIC:
+        return (rng.random(grid.width) < prob_table.take(code)).view(np.uint8)
+    raise ValueError(f"unknown mode: {mode!r}")
 
 
 def run_1d(
@@ -186,12 +163,13 @@ def run_1d(
         raise ValueError("steps must be >= 0")
     if rng is None:
         rng = np.random.default_rng()
-    state = Cca1dState.initial(grid, init_cs)
+    cs = np.asarray(init_cs, dtype=np.uint8)
+    if cs.shape != (grid.width,):
+        raise ValueError("initial chemical states must match the chain length")
     raster = np.empty((steps + 1, grid.width), np.uint8)
-    raster[0] = state.cs
+    raster[0] = cs
     for t in range(steps):
-        state = step_1d(grid, state, rule, rng, mode=mode)
-        raster[t + 1] = state.cs
+        raster[t + 1] = cs = step_1d(grid, cs, rule, rng, mode=mode)
     return raster
 
 

@@ -5,8 +5,12 @@ maintains. Each step, the digital state machine moves, copies or kills
 cores based on where high chemical states appeared in the 12-cell
 neighborhood (4 nearest + 8 next-nearest), rebuilds halos, and scatters
 random fluctuations; the phenomenological chemical machine then samples
-the next chemical-state grid. Periodic boundaries throughout. A
-population experiment takes one generator per replica from its caller.
+the next chemical-state grid. Periodic boundaries throughout. A step
+maps the class grid and the chemical states to the next of each: the
+interfacial stirrers around a core are folded into the 2D law
+(`chemodel.table_2d`), which reads classes and previous chemical states
+only. A population experiment takes one generator per replica from its
+caller.
 """
 
 from __future__ import annotations
@@ -26,22 +30,13 @@ _CORE, _FLUCT, _HALO = int(PwmClass.CORE), int(PwmClass.FLUCT), int(PwmClass.HAL
 
 @dataclass
 class PwmGrid:
-    """PWM class per cell plus interfacial stirrer bits.
-
-    iface_h[r, c] couples (r, c) with (r, c+1); iface_v[r, c] couples
-    (r, c) with (r+1, c); both wrap.
-    """
+    """PWM class per cell, (height, width) int8 `PwmClass` values."""
 
     classes: np.ndarray
-    iface_h: np.ndarray
-    iface_v: np.ndarray
 
     @classmethod
     def empty(cls, grid: Grid) -> "PwmGrid":
-        shape = (grid.height, grid.width)
-        return cls(
-            np.zeros(shape, np.int8), np.zeros(shape, np.uint8), np.zeros(shape, np.uint8)
-        )
+        return cls(np.zeros((grid.height, grid.width), np.int8))
 
 
 @dataclass
@@ -78,11 +73,11 @@ def cca2d_update(
     per core; an outcome writes either its own old core or an old non-core
     pick, so the outcomes are applied together afterwards.
 
-    Every new core then turns on its four interfaces, and its nearest
-    neighbors become HALO unless they are new cores or cells that a core
-    propagated from. Finally `fluct_budget` of the still-unfrozen cells
-    become FLUCT (clamped with a warning if the budget exceeds the unfrozen
-    count).
+    The nearest neighbors of every new core then become HALO unless they
+    are new cores or cells that a core propagated from. Finally
+    `fluct_budget` of the still-unfrozen cells become FLUCT (clamped with a
+    warning if the budget exceeds the unfrozen count). The result holds the
+    new classes only: the interfaces a core turns on are part of the 2D law.
     """
     if fluct_budget < 0:
         raise ValueError("fluct_budget must be >= 0")
@@ -132,15 +127,11 @@ def cca2d_update(
         new[died + moved] = _FLUCT
         new[born] = _CORE
     frozen = new == _CORE
-    new_cores = frozen.nonzero()[0]
+    ring = nb[frozen.nonzero()[0], :4]  # the nearest neighbors of every new core
     frozen[moved] = True  # a cell a core moved from keeps its FLUCT
-    ring = nb[new_cores, :4]
     halo_cells = ring[~frozen[ring]]
     new[halo_cells] = _HALO
     frozen[halo_cells] = True
-    ifaces = np.zeros((2, old.size), np.uint8)  # iface_h, iface_v
-    ifaces[:, new_cores] = 1
-    ifaces[0, ring[:, 0]] = ifaces[1, ring[:, 2]] = 1  # coupler to the left / above
 
     unfrozen = (~frozen).nonzero()[0]
     budget = fluct_budget
@@ -155,7 +146,7 @@ def cca2d_update(
         chosen = rng.choice(unfrozen.size, size=budget, replace=False)
         new[unfrozen[chosen]] = _FLUCT
 
-    return PwmGrid(new.reshape(h, w), *ifaces.reshape(2, h, w)), counts
+    return PwmGrid(new.reshape(h, w)), counts
 
 
 def step_chemits(

@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(kind, help=f"run a {kind} experiment")
         sub.add_argument("--config", help="JSON experiment config file")
         sub.add_argument("--quiet", action="store_true", help="suppress progress output")
-        for row in (*COMMON.values(), *rows.values()):
+        for row in {**COMMON, **rows}.values():  # a kind's row replaces a common one
             if row.type in _FLAG_OPTIONS:
                 flags = [f"-{row.key}"] if len(row.key) == 1 else []
                 flags.append(f"--{row.key.replace('_', '-')}")

@@ -130,9 +130,13 @@ COMMON = _rows(
     Key("out", str, None, None, "out", "output directory"),
 )
 
+# the `replicas` row of the kinds that run one stream, in place of COMMON's
+_ONE_STREAM = Key("replicas", int, 1, 1, 1, "replica count; this kind runs one stream")
+
 # kind -> its keys, in checking order; a default of None means "absent"
 SCHEMA = {
     "count": _rows(
+        _ONE_STREAM,
         Key("n", int, 1, None, REQUIRED, "grid side length"),
         Key("cell_levels", int, 1, None, REQUIRED, "cell stirrer levels"),
         Key("chem_levels", int, 1, None, 2, "chemical states per cell"),
@@ -171,12 +175,14 @@ SCHEMA = {
             lambda v, p: SolverParams(target_energy=v).target_energy),
     ),
     "markov": _rows(
+        _ONE_STREAM,
         Key("deterministic_indices", list, None, None, (1.0,), "indices to analyse", _check_indices),
         # after the indices, so that its capacity check sees them checked (or their default)
         Key("problem", dict, None, None, REQUIRED, "problem spec", _check_markov_capacity),
         Key("horizon", int, 0, None, None, "proposals (default 100 * n)"),
     ),
     "clock-demo": _rows(
+        _ONE_STREAM,
         Key("cells", int, 1, None, 7, "cells in the bank"),
         Key("cycles", int, 1, None, 4, "oscillation cycles"),
         Key("period", int, 4, None, 12, "frames per cycle"),  # synthesize_trace needs 4
@@ -256,7 +262,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"{', '.join(unknown)}: unknown key")
         values = _check(kind, rows, raw)
-        params = {k: v for k, v in raw.items() if k in SCHEMA[kind]}
+        params = {k: v for k, v in raw.items() if k in SCHEMA[kind] and k not in COMMON}
         return cls(kind, params, values)
 
     def to_dict(self) -> dict:

@@ -48,9 +48,9 @@ def line(width: int, periodic: bool = False) -> Grid:
     return Grid(LINE_1D, width, 1, periodic)
 
 
-def torus(side: int, width: int | None = None) -> Grid:
-    """2D periodic grid, square unless a distinct width is given."""
-    return Grid(TORUS_2D, width if width is not None else side, side, True)
+def torus(side: int) -> Grid:
+    """Square 2D periodic grid."""
+    return Grid(TORUS_2D, side, side, True)
 
 
 # Nearest (left, right, up, down), then next-nearest: diagonals first, then

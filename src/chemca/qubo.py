@@ -263,6 +263,17 @@ def flip_terms(m: IsingModel, s: np.ndarray, h):
     return delta * m.g[h], delta[..., None] * m.coupling[h] * s
 
 
+def _pair_key(key: str, n: int) -> tuple[int, int]:
+    """The spins (i, j) of a `pairs` key "i,j": two distinct integers in [0, n)."""
+    try:
+        i, j = map(int, key.split(","))
+        if 0 <= i < n and 0 <= j < n and i != j:
+            return i, j
+    except ValueError:
+        pass
+    raise ValueError(f"pairs key {key!r}: expected 'i,j', two distinct integers in [0, {n})")
+
+
 def load_problem(source: dict) -> QuboProblem:
     """Build a problem from a spec dict.
 
@@ -289,7 +300,7 @@ def load_problem(source: dict) -> QuboProblem:
         if "pairs" in source:
             quad = np.zeros((n, n))
             for key, c in source["pairs"].items():
-                i, j = (int(v) for v in key.split(","))
+                i, j = _pair_key(key, n)
                 quad[i, j] += float(c) / 2.0
                 quad[j, i] += float(c) / 2.0
         else:

@@ -6,7 +6,6 @@ import pytest
 from chemca.cca1d import (
     MODE_DISPLAY,
     MODE_PROBABILISTIC,
-    Cca1dState,
     Rule1D,
     apply_rule_a,
     apply_rule_b,
@@ -122,15 +121,14 @@ def test_thresholded_single_step_matches_eca_row():
     # reproduces the rule-30 row for one step from a single seed
     grid = default_chain(7)
     rule = Rule1D(30, 15)
-    state = Cca1dState.initial(grid, single_seed(7))
-    nxt = step_1d(grid, state, rule, _ConstantDraws(0.75))
-    assert nxt.cs.tolist() == eca_run(30, list(single_seed(7)), 1)[1]
+    nxt = step_1d(grid, single_seed(7), rule, _ConstantDraws(0.75))
+    assert nxt.tolist() == eca_run(30, list(single_seed(7)), 1)[1]
 
 
 def _step_by_cell_loop(cs, rule, periodic, u):
-    """Per-cell reference for both phases: stirrer bits, interface bits and
-    next chemical states given the step's uniform draws `u`; with `u` None
-    (display mode) the next states are the stirrer bits."""
+    """Per-cell reference for both phases: the next chemical states given
+    the step's uniform draws `u`, from the stirrer and interface bits the
+    rule commands; with `u` None (display mode) they are the stirrer bits."""
     n = len(cs)
 
     def at(x, i):  # neighbor i of a cell; 0 beyond the ends of an open chain
@@ -144,12 +142,12 @@ def _step_by_cell_loop(cs, rule, periodic, u):
         return at(iface, i) if periodic or 0 <= i < n_iface else 0
 
     if u is None:
-        return stir, iface, stir
+        return stir
     new_cs = []
     for i in range(n):
         p = prob_high_1d(stir[i], at(stir, i - 1), at(stir, i + 1), iface_at(i - 1), iface_at(i))
         new_cs.append(int(u[i] < p))
-    return stir, iface, new_cs
+    return new_cs
 
 
 class _RecordingRng:
@@ -171,22 +169,27 @@ def test_probabilistic_step_matches_cell_loop(periodic):
         grid = line(width, periodic=periodic)
         for _ in range(30):
             rule = Rule1D(int(rng.integers(256)), int(rng.integers(16)))
-            state = Cca1dState.initial(grid, rng.integers(0, 2, width))
+            cs = rng.integers(0, 2, width).astype(np.uint8)
             for mode in (MODE_PROBABILISTIC, MODE_DISPLAY):
                 draws = _RecordingRng(5)
-                nxt = step_1d(grid, state, rule, draws, mode=mode)
+                nxt = step_1d(grid, cs, rule, draws, mode=mode)
                 u = np.random.default_rng(5).random(width) if mode == MODE_PROBABILISTIC else None
                 assert draws.draws == ([width] if mode == MODE_PROBABILISTIC else [])
-                got = (nxt.cell_stirrers.tolist(), nxt.iface_stirrers.tolist(), nxt.cs.tolist())
-                assert got == _step_by_cell_loop(state.cs, rule, periodic, u), (width, rule, mode)
+                assert nxt.dtype == np.uint8 and nxt.shape == (width,)
+                assert nxt.tolist() == _step_by_cell_loop(cs, rule, periodic, u), (width, rule, mode)
 
 
 def test_quiescent_all_zero():
     grid = default_chain(7)
     rule = Rule1D(30, 15)  # rule 30 has bit0 = 0
-    state = Cca1dState.initial(grid, np.zeros(7, np.uint8))
-    nxt = step_1d(grid, state, rule, np.random.default_rng(0))
-    assert nxt.cs.sum() == 0
+    nxt = step_1d(grid, np.zeros(7, np.uint8), rule, np.random.default_rng(0))
+    assert nxt.sum() == 0
+
+
+@pytest.mark.parametrize("init", [single_seed(6), single_seed(8), np.zeros((1, 7), np.uint8), 0])
+def test_run_rejects_init_of_wrong_length(init):
+    with pytest.raises(ValueError, match="chain length"):
+        run_1d(default_chain(7), init, Rule1D(30, 15), 3, rng=np.random.default_rng(0))
 
 
 def test_raster_reproducible_bit_for_bit():

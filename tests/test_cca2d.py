@@ -15,7 +15,7 @@ from chemca.cca2d import (
 )
 from chemca.chemodel import ChemModel2DParams, PwmClass
 from chemca.harness import stream_rng, write_population_csv
-from chemca.lattice import torus
+from chemca.lattice import TORUS_2D, Grid, torus
 
 CORE, HALO, FLUCT, OFF = PwmClass.CORE, PwmClass.HALO, PwmClass.FLUCT, PwmClass.OFF
 
@@ -130,27 +130,6 @@ def test_isolated_core_persists_and_builds_halo():
     assert counts == ChemitEventCounts()
 
 
-def test_interfaces_only_around_cores():
-    grid = torus(6)
-    pwm = place_chemits(grid, 3, np.random.default_rng(1))
-    cs = (np.random.default_rng(2).random((6, 6)) < 0.4).astype(np.uint8)
-    new, _ = cca2d_update(grid, pwm, cs, 3, np.random.default_rng(3))
-    on = set()
-    for r, c in np.argwhere(new.iface_h == 1):
-        on.add((r, c))
-        on.add((r, (c + 1) % 6))
-    for r, c in np.argwhere(new.iface_v == 1):
-        on.add((r, c))
-        on.add(((r + 1) % 6, c))
-    cores = cores_of(new)
-    assert cores  # scenario sanity
-    for cell in on:
-        assert cell in cores or any(
-            cell in {((cr + dr) % 6, (cc + dc) % 6) for dr, dc in ((0, -1), (0, 1), (-1, 0), (1, 0))}
-            for cr, cc in cores
-        )
-
-
 def test_halo_cells_adjacent_to_some_core():
     grid = torus(8)
     rng = np.random.default_rng(10)
@@ -238,8 +217,6 @@ def reference_update(grid, pwm, cs, fluct_budget, rng):
     cs_flat = np.asarray(cs, dtype=np.uint8).reshape(-1)
     new = np.zeros_like(old)
     freeze = np.zeros(old.shape[0], dtype=bool)
-    iface_h = np.zeros((h, w), np.uint8)
-    iface_v = np.zeros((h, w), np.uint8)
     counts = ChemitEventCounts()
     for cell in np.flatnonzero(old == CORE):
         cell = int(cell)
@@ -274,11 +251,6 @@ def reference_update(grid, pwm, cs, fluct_budget, rng):
             new[cell] = CORE
     for cell in np.flatnonzero(new == CORE):
         cell = int(cell)
-        r, c = divmod(cell, w)
-        iface_h[r, c] = 1
-        iface_h[r, (c - 1) % w] = 1
-        iface_v[r, c] = 1
-        iface_v[(r - 1) % h, c] = 1
         for p in nn[cell]:
             if not freeze[p] and new[p] != CORE:
                 new[p] = HALO
@@ -289,14 +261,14 @@ def reference_update(grid, pwm, cs, fluct_budget, rng):
     if budget:
         chosen = rng.choice(unfrozen.size, size=budget, replace=False)
         new[unfrozen[chosen]] = FLUCT
-    return PwmGrid(new.reshape(h, w), iface_h, iface_v), counts
+    return PwmGrid(new.reshape(h, w)), counts
 
 
 @pytest.mark.parametrize(
     "shape", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (3, 5), (4, 7)]
 )
 def test_update_matches_reference_loop(shape):
-    grid = torus(*shape)
+    grid = Grid(TORUS_2D, shape[1], shape[0], periodic=True)
     rng = np.random.default_rng(shape)
     for density in (0.1, 0.5, 0.9):
         for core_share in (0.1, 0.3, 0.6):
@@ -311,8 +283,6 @@ def test_update_matches_reference_loop(shape):
                     got, got_counts = cca2d_update(grid, pwm, cs, budget, got_rng)
                     want, want_counts = reference_update(grid, pwm, cs, budget, want_rng)
                 assert np.array_equal(got.classes, want.classes)
-                assert np.array_equal(got.iface_h, want.iface_h)
-                assert np.array_equal(got.iface_v, want.iface_v)
                 for name in _SHARED_COUNTERS:
                     assert getattr(got_counts, name) == getattr(want_counts, name), name
                 assert got_rng.bit_generator.state == want_rng.bit_generator.state

@@ -112,6 +112,10 @@ def test_config_validation_errors():
         (dict(count, seed=True), "count.seed"),
         (dict(solve, solver=3), "solve.solver"),
         (dict(cca1d, mode="foo"), "cca1d.mode"),
+        # the kinds that run one stream take no second replica
+        (dict(count, replicas=4), "count.replicas"),
+        (dict(markov, replicas=2), "markov.replicas"),
+        ({"kind": "clock-demo", "replicas": 3}, "clock-demo.replicas"),
     ]
     bad_problems = [
         {"kind": "partition", "numbers": 5},
@@ -141,11 +145,19 @@ def test_config_validation_errors():
     for bad in bad_problems:
         cases.append((dict(solve, problem=bad), "solve.problem"))
         cases.append((dict(markov, problem=bad), "markov.problem"))
+    # a pairs key is two distinct spins of the problem, never wrapped
+    for key in ("-1,0", "0,-2", "0,3", "1,1", "0", "0,1,2", "a,1", "0.5,1", ""):
+        bad = {"kind": "explicit", "linear": [0, 0, 0], "pairs": {"0,1": 1, key: 2}}
+        cases.append((dict(solve, problem=bad), f"solve.problem: pairs key '{re.escape(key)}'"))
+        cases.append((dict(markov, problem=bad), f"markov.problem: pairs key '{re.escape(key)}'"))
     for raw, field in cases:
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig.from_dict(raw)
     for raw in (count, cca1d, cca2d, solve, markov, dict(markov, horizon=None)):
         ExperimentConfig.from_dict(raw)
+    for raw in (dict(count, replicas=1), dict(markov, seed=5, replicas=1), {"kind": "clock-demo", "replicas": 1}):
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.values["replicas"] == 1 and "replicas" not in cfg.params
 
 
 def test_config_keys_parsed_once(tmp_path, monkeypatch):
@@ -343,6 +355,11 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
         (cca1d + ["--cells", "7"] + config({"p_chme": 0.9}), "cca1d.p_chme"),
         (cca1d + ["--cells", "3"] + config({"init": [True, False, 1], "out": str(tmp_path / "no")}), "cca1d.init"),
         (["count", "--side", "7", "--cell-levels", "4", "--iface-levels", "2"], "--side"),
+        (["count", "-n", "7", "--cell-levels", "4", "--iface-levels", "2", "--replicas", "4",
+          "--out", str(tmp_path / "no")], "count.replicas"),
+        (["clock-demo", "--replicas", "3", "--out", str(tmp_path / "no")], "clock-demo.replicas"),
+        (["solve"] + config({"problem": {"kind": "explicit", "linear": [0, 0, 0], "pairs": {"-1,0": 2}},
+                             "out": str(tmp_path / "no")}), "solve.problem: pairs key '-1,0'"),
         (["nope"], "nope"),
         ([], "kind"),
     ]
