@@ -1,6 +1,8 @@
 """Command-line entry point: one subcommand per experiment kind, with one
 flag per scalar key of that kind's `harness.SCHEMA` rows (`--key-name`,
 plus `-k` for a one-letter key); list and dict keys come from `--config`.
+A run that names its kind first builds only that kind's subcommand; any
+other command line (`--help`, no kind, a bad kind) gets all six.
 
 Exit codes: 0 success, 1 user/config error, 2 capacity exceeded.
 """
@@ -11,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .harness import COMMON, NUMBER, SCHEMA, ConfigError, ExperimentConfig, run
+from .harness import COMMON, KINDS, NUMBER, SCHEMA, ConfigError, ExperimentConfig, run
 from .qubo import CapacityError
 
 EXIT_OK = 0
@@ -34,17 +36,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(kinds=KINDS) -> argparse.ArgumentParser:
+    """The top-level parser with one subcommand per kind in `kinds`."""
     parser = _Parser(
         prog="chemca",
         description="Probabilistic chemical cellular automata and hybrid Ising solvers",
     )
     subs = parser.add_subparsers(dest="kind", required=True)
-    for kind, rows in SCHEMA.items():
+    for kind in kinds:
         sub = subs.add_parser(kind, help=f"run a {kind} experiment")
         sub.add_argument("--config", help="JSON experiment config file")
         sub.add_argument("--quiet", action="store_true", help="suppress progress output")
-        for row in {**COMMON, **rows}.values():  # a kind's row replaces a common one
+        for row in {**COMMON, **SCHEMA[kind]}.values():  # a kind's row replaces a common one
             if row.type in _FLAG_OPTIONS:
                 flags = [f"-{row.key}"] if len(row.key) == 1 else []
                 flags.append(f"--{row.key.replace('_', '-')}")
@@ -71,8 +74,11 @@ def _assemble(args) -> dict:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a subcommand's parse, help and errors do not depend on its siblings
+    kinds = argv[:1] if argv[:1] and argv[0] in SCHEMA else KINDS
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(kinds).parse_args(argv)
         run(ExperimentConfig.from_dict(_assemble(args)), quiet=args.quiet)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)

@@ -300,33 +300,38 @@ def _write_csv(path: Path, header: list[str], rows):
         writer.writerows(rows)
 
 
+_RASTER_BLOCK = 32  # steps per write; 64 steps save ~5% more time for twice the buffer
+
+
 def write_raster_csv(path, raster: np.ndarray):
     """CSV of (step, cell, cs), CRLF line ends, one line per cell and step;
     each cs is one digit (IndexError otherwise).
 
-    A step's lines are one uint8 array, made again only when the step
-    number gains a digit; each step writes in the step digits that changed
-    and the cs digits, and is written as it is made."""
+    The steps whose numbers have the same digit count share one line
+    template, copied into a uint8 array of `_RASTER_BLOCK` steps. Each
+    block of steps fills in its step digits (made as bytes) and its cs
+    digits with one fancy-index write each, and is written with one call."""
     digits = np.frombuffer(b"0123456789", np.uint8)
+    rows = raster.shape[0]
     cells = [b",%d," % i for i in range(raster.shape[1])]
-    last = b""
     with open(path, "wb") as fh:
         fh.write(b"step,cell,cs\r\n")
-        for t, row in enumerate(raster):
-            step = b"%d" % t
-            if len(step) != len(last):
-                lines = np.frombuffer(bytearray(b"".join(step + c + b"0\r\n" for c in cells)), np.uint8)
-                sizes = np.array([len(step) + len(c) + 3 for c in cells])
-                ends = np.cumsum(sizes)
-                # digit_at[k]: digit k of the step number in every line
-                digit_at, cs_at = ends - sizes + np.arange(len(step))[:, None], ends - 3
-            else:
-                for at, new, old in zip(digit_at, step, last):
-                    if new != old:
-                        lines[at] = new
-            last = step
-            lines[cs_at] = digits.take(row)
-            fh.write(lines)
+        start, d = 0, 1
+        while start < rows:
+            stop = min(10**d, rows)  # steps start..stop-1 have d digits
+            sizes = np.array([d + len(c) + 3 for c in cells], np.intp)
+            ends = np.cumsum(sizes)
+            # digit_at[i, k]: digit k of the step number in line i of a step
+            digit_at, cs_at = (ends - sizes)[:, None] + np.arange(d), ends - 3
+            line = np.frombuffer(b"".join(b"0" * d + c + b"0\r\n" for c in cells), np.uint8)
+            lines = np.tile(line, (min(_RASTER_BLOCK, stop - start), 1))
+            for t in range(start, stop, len(lines)):
+                k = min(len(lines), stop - t)
+                steps = np.frombuffer(b"".join(b"%d" % i for i in range(t, t + k)), np.uint8)
+                lines[:k, digit_at] = steps.reshape(k, 1, d)
+                lines[:k, cs_at] = digits.take(raster[t : t + k])
+                fh.write(lines[:k])
+            start, d = stop, d + 1
 
 
 def write_population_csv(path, series: PopulationSeries):

@@ -101,9 +101,18 @@ def bits_to_spins(x) -> np.ndarray:
     return (2 * np.asarray(x, dtype=int) - 1).astype(np.int8)
 
 
-def _check_positive(name, value):
+def _is_real(value) -> bool:
+    """A real number; a bool is no number."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _check_positive(name, value) -> float:
+    """`value` as a float: a real number, finite and > 0."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return float(value)
 
 
 def build_partition(numbers, penalty: float = 1.0) -> QuboProblem:
@@ -112,10 +121,10 @@ def build_partition(numbers, penalty: float = 1.0) -> QuboProblem:
     With s = 2x - 1 and x^2 = x folded: offset A*T^2, linear
     A(4 n_i^2 - 4 T n_i), pairwise 8 A n_i n_j (T = sum of the numbers).
     """
-    _check_positive("penalty", penalty)
+    penalty = _check_positive("penalty", penalty)
     nums = list(numbers)
     for v in nums:
-        if not isinstance(v, (int, float, np.integer, np.floating)) or isinstance(v, bool):
+        if not _is_real(v):
             raise ValueError(f"numbers must be real numbers, got {v!r}")
     nums = np.asarray(nums, dtype=float)
     if nums.size == 0:
@@ -138,7 +147,7 @@ def build_2sat(clauses, penalty: float = 1.0) -> QuboProblem:
     Clauses are pairs of nonzero integer literals (DIMACS style, variables
     1..n, negative for negation); each violated clause costs 4A.
     """
-    _check_positive("penalty", penalty)
+    penalty = _check_positive("penalty", penalty)
     clauses = [tuple(cl) for cl in clauses]
     if not clauses:
         raise ValueError("clause list must be nonempty")
@@ -180,7 +189,7 @@ def build_tsp(distances, penalty: float = 1.0, scale: float | None = None) -> Qu
     the default scale makes max(d') = 0.1 (so it needs a nonzero distance);
     a given scale must be finite and > 0.
     """
-    _check_positive("penalty", penalty)
+    penalty = _check_positive("penalty", penalty)
     if scale is not None:
         _check_positive("scale", scale)
     d = np.asarray(distances, dtype=float)
@@ -283,7 +292,7 @@ def load_problem(source: dict) -> QuboProblem:
     (both conventions accepted; pairwise values are halved on load).
     """
     kind = source.get("kind")
-    penalty = float(source.get("penalty", 1.0))
+    penalty = source.get("penalty", 1.0)
     if kind == "partition":
         return build_partition(source["numbers"], penalty)
     if kind == "2sat":
@@ -298,9 +307,14 @@ def load_problem(source: dict) -> QuboProblem:
         linear = np.asarray(source["linear"], dtype=float)
         n = linear.shape[0]
         if "pairs" in source:
+            pairs = source["pairs"]
+            if not isinstance(pairs, dict):
+                raise ValueError(f"pairs must be an object of 'i,j': coefficient, got {type(pairs).__name__}")
             quad = np.zeros((n, n))
-            for key, c in source["pairs"].items():
+            for key, c in pairs.items():
                 i, j = _pair_key(key, n)
+                if not _is_real(c):
+                    raise ValueError(f"pairs key {key!r}: coefficient must be a real number, got {c!r}")
                 quad[i, j] += float(c) / 2.0
                 quad[j, i] += float(c) / 2.0
         else:

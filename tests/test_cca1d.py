@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from chemca import harness
 from chemca.cca1d import (
     MODE_DISPLAY,
     MODE_PROBABILISTIC,
@@ -235,6 +236,11 @@ def test_raster_text_and_csv(tmp_path):
     assert len(lines) == 1 + raster.size
     with pytest.raises(IndexError):
         write_raster_csv(path, raster * 10)
+    # a cs above 9 in a later step block, after row 0 was written
+    late = np.zeros((3 * harness._RASTER_BLOCK + 5, 5), np.uint8)
+    late[-1, 2] = 10
+    with pytest.raises(IndexError):
+        write_raster_csv(path, late)
 
 
 def _csv_writer_raster(path, raster):
@@ -248,9 +254,13 @@ def _csv_writer_raster(path, raster):
 
 
 def test_raster_csv_matches_csv_writer(tmp_path):
-    # row counts and widths cross every change in the digit count of step and cell
+    # row counts and widths cross every change in the digit count of step and
+    # cell; the row counts of the second line end one step before, at and
+    # after the end of a full step block, inside the 2- and 3-digit bands
+    block = harness._RASTER_BLOCK
+    ends = [band + m * block + e for band in (10, 100) for m in (1, 2) for e in (-1, 0, 1)]
     rng, text_rng = np.random.default_rng(7), np.random.default_rng(8)
-    for rows in (1, 10, 11, 100, 101, 1001):
+    for rows in (1, 10, 11, 100, 101, 1001, 63, 64, 65, 127, 128, 129, *ends):
         for width in (1, 2, 11, 201):
             raster = (rng.random((rows, width)) < 0.5).astype(np.uint8)
             want, got = tmp_path / "want.csv", tmp_path / "got.csv"

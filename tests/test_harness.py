@@ -9,7 +9,7 @@ import pytest
 from chemca import harness
 from chemca.cca1d import Rule1D
 from chemca.chemodel import ChemModel2DParams
-from chemca.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USER, main
+from chemca.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USER, _assemble, build_parser, main
 from chemca.harness import (
     SCHEMA,
     ConfigError,
@@ -142,6 +142,21 @@ def test_config_validation_errors():
         {"kind": "tsp", "coords": [[0, 0], [1, 0], [3, 3], [0, 10]], "scale": float("inf")},
         {"kind": "tsp", "coords": [[0, 0], [1, 0], [3, 3], [0, 10]], "scale": float("nan")},
     ]
+    # penalty, scale and pairs are named when their type is wrong; a bool is no number
+    named_problems = [
+        ({"kind": "tsp", "coords": [[0, 0], [1, 0], [0, 1]], "scale": "x"}, "scale"),
+        ({"kind": "tsp", "coords": [[0, 0], [1, 0], [0, 1]], "scale": True}, "scale"),
+        ({"kind": "tsp", "coords": [[0, 0], [1, 0], [0, 1]], "penalty": True}, "penalty"),
+        ({"kind": "partition", "numbers": [1, 3, 4, 8], "penalty": True}, "penalty"),
+        ({"kind": "partition", "numbers": [1, 3, 4, 8], "penalty": "2"}, "penalty"),
+        ({"kind": "2sat", "clauses": [[1, 2]], "penalty": False}, "penalty"),
+        ({"kind": "explicit", "linear": [0, 0], "pairs": [1, 2]}, "pairs"),
+        ({"kind": "explicit", "linear": [0, 0], "pairs": {"0,1": True}}, "pairs key '0,1'"),
+        ({"kind": "explicit", "linear": [0, 0], "pairs": {"0,1": "2"}}, "pairs key '0,1'"),
+    ]
+    for bad, key in named_problems:
+        cases.append((dict(solve, problem=bad), f"solve.problem: {key}"))
+        cases.append((dict(markov, problem=bad), f"markov.problem: {key}"))
     for bad in bad_problems:
         cases.append((dict(solve, problem=bad), "solve.problem"))
         cases.append((dict(markov, problem=bad), "markov.problem"))
@@ -360,6 +375,10 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
         (["clock-demo", "--replicas", "3", "--out", str(tmp_path / "no")], "clock-demo.replicas"),
         (["solve"] + config({"problem": {"kind": "explicit", "linear": [0, 0, 0], "pairs": {"-1,0": 2}},
                              "out": str(tmp_path / "no")}), "solve.problem: pairs key '-1,0'"),
+        (["solve"] + config({"problem": {"kind": "explicit", "linear": [0, 0], "pairs": [1, 2]},
+                             "out": str(tmp_path / "no")}), "solve.problem: pairs"),
+        (["markov"] + config({"problem": {"kind": "partition", "numbers": [1, 3], "penalty": True},
+                              "out": str(tmp_path / "no")}), "markov.problem: penalty"),
         (["nope"], "nope"),
         ([], "kind"),
     ]
@@ -367,6 +386,60 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
         assert main(argv) == EXIT_USER, argv
         assert name in capsys.readouterr().err, argv
     assert not (tmp_path / "no").exists()
+
+
+def _parse(parser, argv, capsys):
+    """What one parse gives: its Namespace and config, or its exit code or
+    error; and what it printed."""
+    try:
+        args = parser.parse_args(argv)
+        result = (args, _assemble(args))
+    except SystemExit as exc:
+        result = exc.code
+    except ConfigError as exc:
+        result = str(exc)
+    return result, capsys.readouterr()
+
+
+def test_one_kind_parser_matches_full_tree(tmp_path, capsys):
+    # a run builds only its kind's subcommand; it must parse, help and fail as in the full tree
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 9, "steps": 4, "p_chem": 0.5, "jitter": 2, "cells": 5}))
+    flags = {
+        "count": [["-n", "7", "--cell-levels", "4"], ["--n", "3", "--iface-levels", "2", "--chem-levels", "3"]],
+        "cca1d": [["--cel", "7", "--no-periodic", "--rule", "30-1"], ["--periodic", "--mode", "display"],
+                  ["--c", "7"]],  # ambiguous: --config or --cells
+        "cca2d": [["--side", "5", "--fluct-ratio", "0.2", "--initial-chemits", "2"]],
+        "solve": [["--p-chem", "0.9", "--solver", "1", "--k-temp", "2"]],
+        "markov": [["--horizon", "10"], ["--horizon", "ten"]],
+        "clock-demo": [["--cells", "3", "--jitter", "1", "--period", "8"]],
+    }
+    for kind in SCHEMA:
+        table = [[], ["--quiet", "--seed", "3", "--out", "x"], ["--help"], ["--he"], ["--bogus"],
+                 ["--seed", "abc"], ["extra"], ["--config", str(config)], ["--config", str(config), "--seed", "4"],
+                 *flags[kind], *(["--config", str(config), *f] for f in flags[kind])]
+        for argv in table:
+            argv = [kind, *argv]
+            assert _parse(build_parser([kind]), argv, capsys) == _parse(build_parser(), argv, capsys), argv
+    # flags override the config file's keys
+    (_, raw), _ = _parse(build_parser(["cca1d"]), ["cca1d", "--config", str(config), "--cel", "7", "--seed", "4"], capsys)
+    assert raw["cells"] == 7 and raw["seed"] == 4 and raw["steps"] == 4
+
+
+def test_cli_help_and_bad_kind(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(kind in out for kind in SCHEMA)
+    with pytest.raises(SystemExit) as exc:
+        main(["cca1d", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--rule" in out and "--side" not in out
+    assert main(["nope"]) == EXIT_USER
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err and all(f"'{kind}'" in err for kind in SCHEMA)
 
 
 def test_cli_flag_per_scalar_key(tmp_path):
