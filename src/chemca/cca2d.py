@@ -9,14 +9,23 @@ the next chemical-state grid. Periodic boundaries throughout. A step
 maps the class grid and the chemical states to the next of each: the
 interfacial stirrers around a core are folded into the 2D law
 (`chemodel.table_2d`), which reads classes and previous chemical states
-only. A population experiment takes one generator per replica from its
-caller.
+only.
+
+A step takes one (h, w) torus with one generator, or a batch of R tori
+stacked as (R, h, w) with one generator per torus: the array work runs
+once for the whole batch and only the draws run per torus, each torus
+drawing its core outcomes, then its fluctuations, then its chemical
+states, in the order it would alone. A population experiment steps its
+replicas as one batch, one generator per replica from its caller, and
+keeps each replica's events as a (steps, 8) table whose columns are
+`EVENT_FIELDS`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,7 +34,7 @@ from .chemodel import ChemModel2DParams, PwmClass, prob_high_2d_grid
 from .lattice import Grid, neighbor_table, torus
 
 DEFAULT_FLUCT_RATIO = 0.1
-_CORE, _FLUCT, _HALO = int(PwmClass.CORE), int(PwmClass.FLUCT), int(PwmClass.HALO)
+_OFF, _FLUCT, _HALO, _CORE = map(int, PwmClass)
 
 
 @dataclass
@@ -51,12 +60,21 @@ class ChemitEventCounts:
     fluct_clamped: int = 0  # budgeted FLUCT cells that found no unfrozen cell
 
 
+EVENT_FIELDS = tuple(f.name for f in fields(ChemitEventCounts))  # the columns of an event table
+
+
+def _generators(classes: np.ndarray, rng) -> list:
+    """The generator of each torus: `rng` itself for one (h, w) torus."""
+    return [rng] if classes.ndim == 2 else rng
+
+
 def cca2d_update(
     grid: Grid,
     pwm: PwmGrid,
     cs: np.ndarray,
     fluct_budget: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+    events: np.ndarray | None = None,
 ) -> tuple[PwmGrid, ChemitEventCounts]:
     """Digital phase of the 2D automaton.
 
@@ -75,19 +93,27 @@ def cca2d_update(
 
     The nearest neighbors of every new core then become HALO unless they
     are new cores or cells that a core propagated from. Finally
-    `fluct_budget` of the still-unfrozen cells become FLUCT (clamped with a
-    warning if the budget exceeds the unfrozen count). The result holds the
+    `fluct_budget` of the still-unfrozen cells of each torus become FLUCT
+    (clamped with a warning if the budget exceeds the unfrozen count). The result holds the
     new classes only: the interfaces a core turns on are part of the 2D law.
+
+    `pwm.classes` and `cs` are one (h, w) torus drawing from the generator
+    `rng`, or a batch of R tori, (R, h, w), torus k drawing from `rng[k]`
+    exactly as it would alone. The counts returned are summed over the
+    batch; row k of `events`, an (R, 8) table, receives torus k's counts in
+    `EVENT_FIELDS` order.
     """
     if fluct_budget < 0:
         raise ValueError("fluct_budget must be >= 0")
-    h, w = grid.height, grid.width
-    nb = neighbor_table(h, w)
-    old = np.ascontiguousarray(pwm.classes).reshape(-1)
+    old = np.ascontiguousarray(pwm.classes)
+    rngs = _generators(old, rng)
+    n = grid.n_cells
+    nb = neighbor_table(grid.height, grid.width, len(rngs))
+    old = old.reshape(-1)
     cs_flat = np.asarray(cs, dtype=np.uint8).reshape(-1)
-    if cs_flat.shape != old.shape:
-        raise ValueError("chemical-state grid does not match the PWM grid")
-    counts = ChemitEventCounts()
+    if old.size != nb.shape[0] or cs_flat.shape != old.shape:
+        raise ValueError("PWM grid, chemical states and generators do not match the grid")
+    tally = [[0] * 8 for _ in rngs]  # per torus, in EVENT_FIELDS order
 
     was_core = old == _CORE
     cores = was_core.nonzero()[0]
@@ -97,56 +123,68 @@ def cca2d_update(
     cand = rows[high]
     adjacent, cand_is_core = (col < 4).tolist(), was_core[cand].tolist()
     cand = cand.tolist()
-    died, moved, born = [], [], []
+    died, moved, born = [], [], set()
     first = 0  # index of this core's first candidate
+    limit = 0  # the end of the current core's torus
     for cell, k in zip(cores.tolist(), np.bincount(owner, minlength=cores.size).tolist()):
         if not k:
             continue
+        if cell >= limit:  # the first busy core of a torus
+            r = cell // n
+            limit, counts, draw = (r + 1) * n, tally[r], rngs[r]
         j = first
-        if k > 1:
-            counts.random_selection += 1
-            j += int(rng.integers(k))
         first += k
+        if k > 1:
+            counts[5] += 1  # random_selection
+            j += int(draw.integers(k))
         if adjacent[j] and cand_is_core[j]:
-            if rng.random() < 0.5:
-                counts.competition_survived += 1
+            if draw.random() < 0.5:
+                counts[2] += 1  # competition_survived
             else:
                 died.append(cell)
-        elif adjacent[j]:
+                counts[3] += 1  # competition_died
+                counts[4] += 1  # annihilation
+            continue
+        if adjacent[j]:
             moved.append(cell)
-            born.append(cand[j])
-        elif not cand_is_core[j]:
-            born.append(cand[j])
-    counts.competition_died = counts.annihilation = len(died)
-    counts.propagation = len(moved)
-    counts.replication = len(born) - len(moved)
-    counts.merged = len(born) - len(set(born))
+            counts[0] += 1  # propagation
+        elif cand_is_core[j]:
+            continue
+        else:
+            counts[1] += 1  # replication
+        if cand[j] in born:
+            counts[6] += 1  # merged
+        born.add(cand[j])
 
+    # A dead core's cell stays free (OFF) until the fluctuations are placed;
+    # a cell a core moved from is frozen with its FLUCT.
     new = old * was_core
-    if died or born:  # most steps change no core; an empty fancy index is not free
-        new[died + moved] = _FLUCT
-        new[born] = _CORE
-    frozen = new == _CORE
-    ring = nb[frozen.nonzero()[0], :4]  # the nearest neighbors of every new core
-    frozen[moved] = True  # a cell a core moved from keeps its FLUCT
-    halo_cells = ring[~frozen[ring]]
-    new[halo_cells] = _HALO
-    frozen[halo_cells] = True
+    if died:
+        new[died] = _OFF
+    if moved:
+        new[moved] = _FLUCT
+    if born:
+        new[list(born)] = _CORE
+    ring = nb[(new == _CORE).nonzero()[0], :4]  # the nearest neighbors of every new core
+    new[ring[new[ring] == _OFF]] = _HALO
+    for counts, draw, cells, is_free in zip(tally, rngs, new.reshape(-1, n), (new == _OFF).reshape(-1, n)):
+        free = is_free.nonzero()[0]
+        budget = fluct_budget
+        if budget > free.size:
+            warnings.warn(
+                f"fluctuation budget {budget} exceeds {free.size} unfrozen cells; clamped",
+                stacklevel=2,
+            )
+            budget = free.size
+            counts[7] = fluct_budget - budget  # fluct_clamped
+        if budget:
+            cells[free[draw.choice(free.size, size=budget, replace=False)]] = _FLUCT
+    if died:
+        new[died] = np.maximum(new[died], _FLUCT)  # a dead core not made HALO is FLUCT
 
-    unfrozen = (~frozen).nonzero()[0]
-    budget = fluct_budget
-    if budget > unfrozen.size:
-        warnings.warn(
-            f"fluctuation budget {budget} exceeds {unfrozen.size} unfrozen cells; clamped",
-            stacklevel=2,
-        )
-        budget = unfrozen.size
-        counts.fluct_clamped = fluct_budget - budget
-    if budget:
-        chosen = rng.choice(unfrozen.size, size=budget, replace=False)
-        new[unfrozen[chosen]] = _FLUCT
-
-    return PwmGrid(new.reshape(h, w)), counts
+    if events is not None:
+        events[...] = tally
+    return PwmGrid(new.reshape(pwm.classes.shape)), ChemitEventCounts(*map(sum, zip(*tally)))
 
 
 def step_chemits(
@@ -155,17 +193,24 @@ def step_chemits(
     cs: np.ndarray,
     params: ChemModel2DParams | None = None,
     fluct_ratio: float = DEFAULT_FLUCT_RATIO,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    events: np.ndarray | None = None,
 ) -> tuple[PwmGrid, np.ndarray, ChemitEventCounts]:
-    """One full automaton step: digital update, then chemical sampling."""
+    """One full automaton step: digital update, then chemical sampling.
+
+    A batch of tori steps as one (see `cca2d_update`): each torus draws its
+    update, then its chemical states, from its own generator.
+    """
     params = params or ChemModel2DParams()
     if rng is None:
         rng = np.random.default_rng()
     budget = int(round(grid.n_cells * fluct_ratio))
-    new_pwm, counts = cca2d_update(grid, pwm, cs, budget, rng)
-    probs = prob_high_2d_grid(new_pwm.classes, np.asarray(cs), params)
-    new_cs = (rng.random(probs.shape) < probs).astype(np.uint8)
-    return new_pwm, new_cs, counts
+    new_pwm, counts = cca2d_update(grid, pwm, cs, budget, rng, events)
+    probs = prob_high_2d_grid(new_pwm.classes, cs, params)
+    draws = np.empty(probs.shape)
+    for draw, out in zip(_generators(probs, rng), draws.reshape(-1, grid.n_cells)):
+        draw.random(out=out)
+    return new_pwm, (draws < probs).view(np.uint8), counts
 
 
 def place_chemits(grid: Grid, n_chemits: int, rng: np.random.Generator) -> PwmGrid:
@@ -183,11 +228,11 @@ def place_chemits(grid: Grid, n_chemits: int, rng: np.random.Generator) -> PwmGr
 @dataclass
 class PopulationSeries:
     """One replica's trajectory: per-step core and high-CS counts, and the
-    events of each step."""
+    event counts of each step, (steps, 8) in `EVENT_FIELDS` order."""
 
     chemit_count: np.ndarray
     high_cs_count: np.ndarray
-    events: list[ChemitEventCounts]
+    events: np.ndarray
 
 
 @dataclass
@@ -212,8 +257,8 @@ def run_population_experiment(
     fluct_ratio: float = DEFAULT_FLUCT_RATIO,
 ) -> PopulationResult:
     """Independent replicas of the population dynamics, replica k drawing
-    from rngs[k]; series are aggregated per step into mean and standard
-    deviation.
+    from rngs[k], stepped together as one batch; series are aggregated per
+    step into mean and standard deviation.
     """
     if not rngs:
         raise ValueError("at least one replica generator required")
@@ -221,23 +266,18 @@ def run_population_experiment(
     if initial_chemits > grid.n_cells:
         raise ValueError("more initial chemits than cells")
     params = params or ChemModel2DParams()
-    all_series: list[PopulationSeries] = []
-    for rng in rngs:
-        pwm = place_chemits(grid, initial_chemits, rng)
-        cs = np.zeros((grid_side, grid_side), np.uint8)
-        chemits = np.empty(steps + 1, int)
-        high = np.empty(steps + 1, int)
-        chemits[0] = int(np.count_nonzero(pwm.classes == PwmClass.CORE))
-        high[0] = int(cs.sum())
-        events: list[ChemitEventCounts] = []
-        for t in range(steps):
-            pwm, cs, counts = step_chemits(grid, pwm, cs, params, fluct_ratio, rng)
-            chemits[t + 1] = int(np.count_nonzero(pwm.classes == PwmClass.CORE))
-            high[t + 1] = int(cs.sum())
-            events.append(counts)
-        all_series.append(PopulationSeries(chemits, high, events))
-    stacked = np.stack([s.chemit_count for s in all_series]).astype(float)
-    return PopulationResult(stacked.mean(axis=0), stacked.std(axis=0), all_series)
+    pwm = PwmGrid(np.stack([place_chemits(grid, initial_chemits, rng).classes for rng in rngs]))
+    cs = np.zeros(pwm.classes.shape, np.uint8)
+    chemits = np.empty((len(rngs), steps + 1), int)
+    high = np.zeros((len(rngs), steps + 1), int)
+    events = np.empty((len(rngs), steps, len(EVENT_FIELDS)), int)
+    chemits[:, 0] = initial_chemits
+    for t in range(steps):
+        pwm, cs, _ = step_chemits(grid, pwm, cs, params, fluct_ratio, rngs, events[:, t])
+        chemits[:, t + 1] = (pwm.classes == _CORE).reshape(len(rngs), -1).sum(1, dtype=np.int32)
+        high[:, t + 1] = cs.reshape(len(rngs), -1).sum(1, dtype=np.int32)
+    all_series = [PopulationSeries(*series) for series in zip(chemits, high, events)]
+    return PopulationResult(chemits.mean(axis=0), chemits.std(axis=0), all_series)
 
 
 def format_pwm_grid(pwm: PwmGrid) -> str:

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from functools import lru_cache
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
-
-from .lattice import neighbor_table
 
 
 class PwmClass(IntEnum):
@@ -134,28 +133,45 @@ def _law_2d(center: int, neighbors: list[int], prev_cs: int, p: ChemModel2DParam
 
 @lru_cache(maxsize=64)
 def table_2d(params: ChemModel2DParams) -> np.ndarray:
-    """The 2D law tabulated over all 2048 codes (layout in the module docstring)."""
-    table = np.empty(2048)
-    for code in range(2048):
-        center, *neighbors = ((code >> s) & 3 for s in range(0, 10, 2))
-        table[code] = _law_2d(center, neighbors, code >> 10, params)
+    """The 2D law tabulated over all 2048 codes (layout in the module docstring).
+
+    The law reads the neighbors as a multiset, so it is evaluated once per
+    (center, sorted neighbors, prev_cs) and written to every ordering.
+    """
+    table = np.empty((2, 4, 4, 4, 4, 4))  # [prev_cs, down, up, right, left, center]: the code's digits
+    for center, prev_cs in product(range(4), (0, 1)):
+        for neighbors in combinations_with_replacement(range(4), 4):
+            value = _law_2d(center, list(neighbors), prev_cs, params)
+            for left, right, up, down in set(permutations(neighbors)):
+                table[prev_cs, down, up, right, left, center] = value
+    table = table.reshape(-1)
     table.flags.writeable = False
     return table
-
-
-_NEIGHBOR_WEIGHTS = np.array([4, 16, 64, 256], np.intp)  # left, right, up, down
 
 
 def prob_high_2d_grid(
     classes: np.ndarray, prev_cs: np.ndarray, params: ChemModel2DParams | None = None
 ) -> np.ndarray:
-    """The 2D law over a full (h, w) torus of PWM classes (4-neighbors wrap)."""
+    """The 2D law over an (h, w) torus of PWM classes, or over a (..., h, w)
+    stack of tori; the 4-neighbors wrap within each torus."""
     table = table_2d(params or ChemModel2DParams())
-    c = np.asarray(classes, np.intp)
-    flat = c.reshape(-1)
-    nearest = flat[neighbor_table(*c.shape)[:, :4].T]
-    code = flat + _NEIGHBOR_WEIGHTS @ nearest + 1024 * (np.asarray(prev_cs).reshape(-1) != 0)
-    return table[code].reshape(c.shape)
+    c = np.asarray(classes)
+    h, w = c.shape[-2:]
+    pad = np.empty((*c.shape[:-2], h + 2, w + 2), np.uint16)  # each torus wrapped in a one-cell border
+    pad[..., 1:-1, 1:-1] = c
+    pad[..., 0, 1:-1], pad[..., -1, 1:-1] = c[..., -1, :], c[..., 0, :]
+    pad[..., 1:-1, 0], pad[..., 1:-1, -1] = c[..., :, -1], c[..., :, 0]
+    # read flat, a cell's left and right lie 1 place away, up and down w + 2
+    flat, step = pad.reshape(-1), w + 2
+    code = np.empty_like(pad)
+    run = code.reshape(-1)[step:-step]  # every cell with a row above and below; borders are discarded
+    np.left_shift(flat[step + 1 : 1 - step], 4, out=run)  # right
+    run |= flat[step - 1 : -1 - step] << 2  # left
+    run |= flat[: -2 * step] << 6  # up
+    run |= flat[2 * step :] << 8  # down
+    run |= flat[step:-step]  # center
+    code = code[..., 1:-1, 1:-1] | np.left_shift(np.asarray(prev_cs) != 0, 10, dtype=np.uint16)
+    return table[code.astype(np.intp)]
 
 
 def table_single(params: SingleCellHysteresisParams) -> np.ndarray:

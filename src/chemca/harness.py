@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .cca1d import MODE_DISPLAY, MODE_PROBABILISTIC, Rule1D, run_1d, raster_to_text, single_seed
-from .cca2d import DEFAULT_FLUCT_RATIO, ChemitEventCounts, PopulationSeries, run_population_experiment
+from .cca2d import DEFAULT_FLUCT_RATIO, EVENT_FIELDS, PopulationSeries, run_population_experiment
 from .chemodel import ChemModel2DParams
 from .lattice import chemical_state_count, expansion_ratio, format_scientific, input_state_count, line
 from .markov import build_transition_matrix, check_capacity, success_probabilities
@@ -336,15 +336,12 @@ def write_raster_csv(path, raster: np.ndarray):
 
 def write_population_csv(path, series: PopulationSeries):
     """Per-step CSV: step, chemits, high_cs, propagation, replication, annihilation."""
-    events = [ChemitEventCounts(), *series.events]  # step 0 has no events
-    _write_csv(
-        path,
-        ["step", "chemits", "high_cs", "propagation", "replication", "annihilation"],
-        (
-            [t, int(chemits), int(high), ev.propagation, ev.replication, ev.annihilation]
-            for t, (chemits, high, ev) in enumerate(zip(series.chemit_count, series.high_cs_count, events))
-        ),
-    )
+    header = ["step", "chemits", "high_cs", "propagation", "replication", "annihilation"]
+    steps = len(series.chemit_count)
+    events = np.zeros((steps, 3), int)  # step 0 has no events
+    events[1:] = series.events[:, [EVENT_FIELDS.index(f) for f in header[3:]]]
+    rows = np.column_stack((np.arange(steps), series.chemit_count, series.high_cs_count, events))
+    _write_csv(path, header, rows.tolist())
 
 
 def write_trace_csv(path, traces: dict[int, list[ColorState]]):

@@ -63,19 +63,26 @@ _NNN_OFFSETS = (
 
 
 @lru_cache(maxsize=16)
-def neighbor_table(height: int, width: int) -> np.ndarray:
+def neighbor_table(height: int, width: int, copies: int = 1) -> np.ndarray:
     """Flat-index neighbors of every cell of a height x width torus, (n, 12).
 
     Columns 0-3 are the nearest neighbors in `_NN_OFFSETS` order, duplicates
     kept (on a 2-wide torus left and right are one cell). Columns 4-11
     follow `_NNN_OFFSETS`; an entry equal to the cell itself or to an
     earlier next-nearest entry is -1, so tiny tori list each cell once.
+    With `copies` > 1 the table covers that many tori stacked one after
+    another, (copies * n, 12): torus k holds cells k*n .. k*n + n - 1, and
+    every neighbor lies in the cell's own torus.
     """
+    if copies > 1:
+        one, n = neighbor_table(height, width), height * width
+        table = np.where(one < 0, -1, one + n * np.arange(copies)[:, None, None]).reshape(-1, 12)
+        table.flags.writeable = False
+        return table
     cells = np.arange(height * width)
     rows, cols = np.divmod(cells, width)
     offsets = _NN_OFFSETS + _NNN_OFFSETS
-    # column-major, so that the nearest columns gather as contiguous rows of .T
-    table = np.stack([(rows + dr) % height * width + (cols + dc) % width for dr, dc in offsets]).T
+    table = np.stack([(rows + dr) % height * width + (cols + dc) % width for dr, dc in offsets], axis=1)
     nnn = table[:, 4:]
     repeat = (nnn[:, :, None] == nnn[:, None, :]) & np.tri(8, k=-1, dtype=bool)
     nnn[repeat.any(axis=2) | (nnn == cells[:, None])] = -1

@@ -283,6 +283,17 @@ def _pair_key(key: str, n: int) -> tuple[int, int]:
     raise ValueError(f"pairs key {key!r}: expected 'i,j', two distinct integers in [0, {n})")
 
 
+def _real_array(name: str, value) -> np.ndarray:
+    """`value`, a real number or nested lists of them, as a float array."""
+    items = [value]
+    for v in items:  # the list grows as nested lists are met
+        if isinstance(v, (list, tuple)):
+            items += v
+        elif not _is_real(v):
+            raise ValueError(f"{name} must hold real numbers only, got {v!r}")
+    return np.asarray(value, dtype=float)
+
+
 def load_problem(source: dict) -> QuboProblem:
     """Build a problem from a spec dict.
 
@@ -304,7 +315,9 @@ def load_problem(source: dict) -> QuboProblem:
             d = distance_matrix_from_coords(source["coords"])
         return build_tsp(d, penalty, source.get("scale"))
     if kind == "explicit":
-        linear = np.asarray(source["linear"], dtype=float)
+        if "penalty" in source:
+            raise ValueError("penalty does not apply to an explicit problem")
+        linear = _real_array("linear", source["linear"])
         n = linear.shape[0]
         if "pairs" in source:
             pairs = source["pairs"]
@@ -318,6 +331,9 @@ def load_problem(source: dict) -> QuboProblem:
                 quad[i, j] += float(c) / 2.0
                 quad[j, i] += float(c) / 2.0
         else:
-            quad = np.asarray(source["quad"], dtype=float)
-        return QuboProblem(float(source.get("offset", 0.0)), linear, quad, {"kind": "explicit"})
+            quad = _real_array("quad", source["quad"])
+        offset = source.get("offset", 0.0)
+        if not _is_real(offset):
+            raise ValueError(f"offset must be a real number, got {offset!r}")
+        return QuboProblem(float(offset), linear, quad, {"kind": "explicit"})
     raise ValueError(f"unknown problem kind: {kind!r}")

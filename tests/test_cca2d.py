@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chemca.cca2d import (
+    EVENT_FIELDS,
     ChemitEventCounts,
     PwmGrid,
     cca2d_update,
@@ -291,14 +292,84 @@ def test_update_matches_reference_loop(shape):
 @pytest.mark.parametrize("side", [10, 2, 3, 5])
 def test_core_count_changes_by_counted_events(side):
     # every change in the core count is a replication, an annihilation or a merge
+    replication, annihilation, merged = map(EVENT_FIELDS.index, ("replication", "annihilation", "merged"))
     for seed in range(30):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # tiny tori clamp the fluctuation budget
             res = run_population_experiment(side, min(8, side * side), 40, [stream_rng(seed, 0)])
         (series,) = res.series
-        for t, ev in enumerate(series.events):
-            change = series.chemit_count[t + 1] - series.chemit_count[t]
-            assert change == ev.replication - ev.annihilation - ev.merged, (seed, t, astuple(ev))
+        assert series.events.shape == (40, len(EVENT_FIELDS))
+        change = np.diff(series.chemit_count)
+        balance = series.events[:, replication] - series.events[:, annihilation] - series.events[:, merged]
+        assert np.array_equal(change, balance), seed
+
+
+def random_batch(rng, reps, side):
+    """`reps` random class grids and chemical states on a side x side torus."""
+    shape = (reps, side, side)
+    classes = np.where(rng.random(shape) < 0.2, CORE, rng.integers(0, 3, shape)).astype(np.int8)
+    return PwmGrid(classes), (rng.random(shape) < 0.5).astype(np.uint8)
+
+
+@pytest.mark.parametrize("side", [2, 3, 5, 10])
+def test_batched_update_matches_single_grids(side):
+    # a stacked batch steps each torus exactly as a single-grid call with its own generator
+    rng = np.random.default_rng(side)
+    grid = torus(side)
+    clamped = 0
+    for reps in (1, 2, 4):
+        for budget in (round(0.1 * side * side), side * side):  # the second clamps
+            pwm, cs = random_batch(rng, reps, side)
+            seeds = rng.integers(2**32, size=reps).tolist()
+            batch_rngs = [np.random.default_rng(s) for s in seeds]
+            single_rngs = [np.random.default_rng(s) for s in seeds]
+            rows = np.full((reps, len(EVENT_FIELDS)), -1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got, total = cca2d_update(grid, pwm, cs, budget, batch_rngs, rows)
+                singles = [
+                    cca2d_update(grid, PwmGrid(pwm.classes[k]), cs[k], budget, single_rngs[k]) for k in range(reps)
+                ]
+            assert got.classes.shape == pwm.classes.shape
+            for k, (want, counts) in enumerate(singles):
+                assert np.array_equal(got.classes[k], want.classes)
+                assert rows[k].tolist() == list(astuple(counts))
+                assert batch_rngs[k].bit_generator.state == single_rngs[k].bit_generator.state
+            assert astuple(total) == tuple(rows.sum(axis=0).tolist())
+            clamped += int(rows[:, EVENT_FIELDS.index("fluct_clamped")].sum())
+    assert clamped > 0
+
+
+def test_batched_update_keeps_the_trace_hook_contract():
+    # a profiler that wraps cca2d_update reads the cores of its input and sums
+    # the fields of its counts: both cover every torus of a batch
+    rng = np.random.default_rng(17)
+    pwm, cs = random_batch(rng, 3, 10)
+    rows = np.zeros((3, len(EVENT_FIELDS)), int)
+    cores_in = (pwm.classes == CORE).sum()
+    _, counts = cca2d_update(torus(10), pwm, cs, 10, [np.random.default_rng(k) for k in range(3)], rows)
+    assert cores_in == sum(int((pwm.classes[k] == CORE).sum()) for k in range(3))
+    fields = vars(counts)
+    assert list(fields) == list(EVENT_FIELDS)
+    assert all(type(v) is int for v in fields.values())
+    assert list(fields.values()) == rows.sum(axis=0).tolist()
+    assert counts.random_selection > 0 and counts.propagation + counts.replication > 0
+
+
+@pytest.mark.parametrize("side", [3, 10])
+def test_population_batch_matches_single_replicas(side):
+    reps = 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        batch = run_population_experiment(side, 4, 60, [stream_rng(41, k) for k in range(reps)], fluct_ratio=0.3)
+        singles = [run_population_experiment(side, 4, 60, [stream_rng(41, k)], fluct_ratio=0.3) for k in range(reps)]
+    for got, (want,) in zip(batch.series, (s.series for s in singles)):
+        assert np.array_equal(got.chemit_count, want.chemit_count)
+        assert np.array_equal(got.high_cs_count, want.high_cs_count)
+        assert np.array_equal(got.events, want.events)
+    counts = np.stack([s.series[0].chemit_count for s in singles]).astype(float)
+    assert np.array_equal(batch.mean, counts.mean(axis=0))
+    assert np.array_equal(batch.std, counts.std(axis=0))
 
 
 def test_write_once_classes():

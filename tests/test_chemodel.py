@@ -121,6 +121,10 @@ def test_display_screen_limit_is_deterministic(params, center, neighbors, prev):
 
 def test_grid_model_matches_scalar():
     # every (center, left, right, up, down, prev) code, exactly
+    for params in (ChemModel2DParams(), CUSTOM_2D):
+        per_code = [_law_2d(code & 3, [(code >> s) & 3 for s in (2, 4, 6, 8)], code >> 10, params)
+                    for code in range(2048)]
+        assert np.array_equal(table_2d(params).view(np.int64), np.array(per_code).view(np.int64))
     codes = itertools.product(range(4), range(4), range(4), range(4), range(4), (0, 1))
     for params, (center, left, right, up, down, prev) in itertools.product(
         (ChemModel2DParams(), CUSTOM_2D), codes
@@ -146,6 +150,18 @@ def test_grid_gather_matches_roll_formula(shape, params):
     rolled = [np.roll(c, shift, axis) for axis in (1, 0) for shift in (1, -1)]  # l, r, u, d
     want = table_2d(params)[code_2d(c, *rolled, prev != 0)]
     assert np.array_equal(prob_high_2d_grid(classes, prev, params), want)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (1, 5), (3, 7), (10, 10)])
+def test_grid_batch_matches_single_grids(shape):
+    # a stack of tori gives each torus its own law, its neighbors wrapping within it
+    rng = np.random.default_rng(sum(shape))
+    for reps in (1, 2, 5):
+        classes = rng.integers(0, 4, (reps, *shape)).astype(np.int8)
+        prev = rng.integers(0, 2, (reps, *shape)).astype(np.uint8)
+        got = prob_high_2d_grid(classes, prev, CUSTOM_2D)
+        want = np.stack([prob_high_2d_grid(c, p, CUSTOM_2D) for c, p in zip(classes, prev)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_prob_single():

@@ -153,6 +153,15 @@ def test_config_validation_errors():
         ({"kind": "explicit", "linear": [0, 0], "pairs": [1, 2]}, "pairs"),
         ({"kind": "explicit", "linear": [0, 0], "pairs": {"0,1": True}}, "pairs key '0,1'"),
         ({"kind": "explicit", "linear": [0, 0], "pairs": {"0,1": "2"}}, "pairs key '0,1'"),
+        # explicit coefficients are real numbers, and an explicit problem takes no penalty
+        ({"kind": "explicit", "linear": [True, 0], "quad": [[0, False], [False, 0]], "offset": True}, "linear"),
+        ({"kind": "explicit", "linear": [0, "1"], "quad": [[0, 0], [0, 0]]}, "linear"),
+        ({"kind": "explicit", "linear": [0, 0], "quad": [[0, False], [False, 0]]}, "quad"),
+        ({"kind": "explicit", "linear": [0, 0], "quad": [[0, None], [0, 0]]}, "quad"),
+        ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "offset": True}, "offset"),
+        ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "offset": "1"}, "offset"),
+        ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "penalty": "x"}, "penalty"),
+        ({"kind": "explicit", "linear": [0, 0], "pairs": {"0,1": 1}, "penalty": 2}, "penalty"),
     ]
     for bad, key in named_problems:
         cases.append((dict(solve, problem=bad), f"solve.problem: {key}"))
@@ -379,6 +388,10 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
                              "out": str(tmp_path / "no")}), "solve.problem: pairs"),
         (["markov"] + config({"problem": {"kind": "partition", "numbers": [1, 3], "penalty": True},
                               "out": str(tmp_path / "no")}), "markov.problem: penalty"),
+        (["solve"] + config({"problem": {"kind": "explicit", "linear": [True, 0], "quad": [[0, False], [False, 0]],
+                                         "offset": True}, "out": str(tmp_path / "no")}), "solve.problem: linear"),
+        (["markov"] + config({"problem": {"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]],
+                                          "penalty": "x"}, "out": str(tmp_path / "no")}), "markov.problem: penalty"),
         (["nope"], "nope"),
         ([], "kind"),
     ]
