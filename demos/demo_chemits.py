@@ -18,9 +18,6 @@ from chemca.cca2d import (
 )
 from chemca.chemodel import PwmClass
 from chemca.harness import stream_rng
-from chemca.lattice import torus
-
-grid = torus(5)
 
 
 def chemit(pwm, r, c):
@@ -42,21 +39,21 @@ def show(title, pwm, cs, new):
 
 rng = np.random.default_rng(3)
 
-pwm = PwmGrid.empty(grid)
+pwm = PwmGrid(np.zeros((5, 5), np.int8))
 chemit(pwm, 2, 2)
 cs = np.zeros((5, 5), np.uint8)
 cs[2, 3] = 1
-new, _ = cca2d_update(grid, pwm, cs, 0, rng)
+new, _ = cca2d_update(pwm, cs, 0, rng)
 show("propagation: high CS at a nearest neighbor", pwm, cs, new)
 
-pwm = PwmGrid.empty(grid)
+pwm = PwmGrid(np.zeros((5, 5), np.int8))
 chemit(pwm, 2, 2)
 cs = np.zeros((5, 5), np.uint8)
 cs[3, 3] = 1
-new, _ = cca2d_update(grid, pwm, cs, 0, rng)
+new, _ = cca2d_update(pwm, cs, 0, rng)
 show("replication: high CS at a next-nearest neighbor", pwm, cs, new)
 
-pwm = PwmGrid.empty(grid)
+pwm = PwmGrid(np.zeros((5, 5), np.int8))
 pwm.classes[2, 1] = PwmClass.CORE
 pwm.classes[2, 2] = PwmClass.CORE
 cs = np.zeros((5, 5), np.uint8)
@@ -64,18 +61,17 @@ cs[2, 1] = 1
 cs[2, 2] = 1
 tallies = {0: 0, 1: 0, 2: 0}
 for seed in range(10_000):
-    new, _ = cca2d_update(grid, pwm, cs, 0, np.random.default_rng(seed))
+    new, _ = cca2d_update(pwm, cs, 0, np.random.default_rng(seed))
     tallies[int(np.count_nonzero(new.classes == PwmClass.CORE))] += 1
 print("--- competition between two adjacent cores, 10^4 seeds")
 print(f"  both survive {tallies[2]/100:.1f}%   both die {tallies[0]/100:.1f}%   one survives {tallies[1]/100:.1f}%")
 print("  (expected 25 / 25 / 50)\n")
 
 print("--- free-running 20x20 automaton, 300 steps")
-g20 = torus(20)
-pwm = place_chemits(g20, 5, np.random.default_rng(7))
+pwm = place_chemits(20, 5, np.random.default_rng(7))
 cs = np.zeros((20, 20), np.uint8)
 for t in range(300):
-    pwm, cs, counts = step_chemits(g20, pwm, cs, rng=np.random.default_rng(1000 + t))
+    pwm, cs, counts = step_chemits(pwm, cs, rng=np.random.default_rng(1000 + t))
     if t % 60 == 0:
         cores = int(np.count_nonzero(pwm.classes == PwmClass.CORE))
         print(f"  step {t:3d}: {cores:3d} chemits, {int(cs.sum()):3d} high chemical states, "

@@ -5,8 +5,10 @@ maintains. Each step, the digital state machine moves, copies or kills
 cores based on where high chemical states appeared in the 12-cell
 neighborhood (4 nearest + 8 next-nearest), rebuilds halos, and scatters
 random fluctuations; the phenomenological chemical machine then samples
-the next chemical-state grid. Periodic boundaries throughout. A step
-maps the class grid and the chemical states to the next of each: the
+the next chemical-state grid. A torus is the shape of its class array:
+an (h, w) array wraps in both directions, and every function reads h
+and w from it. A step maps the class grid and the chemical states to
+the next of each: the
 interfacial stirrers around a core are folded into the 2D law
 (`chemodel.table_2d`), which reads classes and previous chemical states
 only.
@@ -31,7 +33,7 @@ import numpy as np
 
 from .cca1d import raster_to_text
 from .chemodel import ChemModel2DParams, PwmClass, prob_high_2d_grid
-from .lattice import Grid, neighbor_table, torus
+from .lattice import neighbor_table
 
 DEFAULT_FLUCT_RATIO = 0.1
 _OFF, _FLUCT, _HALO, _CORE = map(int, PwmClass)
@@ -42,10 +44,6 @@ class PwmGrid:
     """PWM class per cell, (height, width) int8 `PwmClass` values."""
 
     classes: np.ndarray
-
-    @classmethod
-    def empty(cls, grid: Grid) -> "PwmGrid":
-        return cls(np.zeros((grid.height, grid.width), np.int8))
 
 
 @dataclass
@@ -69,7 +67,6 @@ def _generators(classes: np.ndarray, rng) -> list:
 
 
 def cca2d_update(
-    grid: Grid,
     pwm: PwmGrid,
     cs: np.ndarray,
     fluct_budget: int,
@@ -107,12 +104,13 @@ def cca2d_update(
         raise ValueError("fluct_budget must be >= 0")
     old = np.ascontiguousarray(pwm.classes)
     rngs = _generators(old, rng)
-    n = grid.n_cells
-    nb = neighbor_table(grid.height, grid.width, len(rngs))
+    h, w = old.shape[-2:]
+    n = h * w
+    nb = neighbor_table(h, w, len(rngs))
     old = old.reshape(-1)
     cs_flat = np.asarray(cs, dtype=np.uint8).reshape(-1)
     if old.size != nb.shape[0] or cs_flat.shape != old.shape:
-        raise ValueError("PWM grid, chemical states and generators do not match the grid")
+        raise ValueError("PWM grid, chemical states and generators do not match")
     tally = [[0] * 8 for _ in rngs]  # per torus, in EVENT_FIELDS order
 
     was_core = old == _CORE
@@ -188,7 +186,6 @@ def cca2d_update(
 
 
 def step_chemits(
-    grid: Grid,
     pwm: PwmGrid,
     cs: np.ndarray,
     params: ChemModel2DParams | None = None,
@@ -204,25 +201,29 @@ def step_chemits(
     params = params or ChemModel2DParams()
     if rng is None:
         rng = np.random.default_rng()
-    budget = int(round(grid.n_cells * fluct_ratio))
-    new_pwm, counts = cca2d_update(grid, pwm, cs, budget, rng, events)
+    h, w = pwm.classes.shape[-2:]
+    budget = int(round(h * w * fluct_ratio))
+    # by keyword: perfbench's cca2d_update hook reads `pwm` from its keywords or its second argument
+    new_pwm, counts = cca2d_update(pwm=pwm, cs=cs, fluct_budget=budget, rng=rng, events=events)
     probs = prob_high_2d_grid(new_pwm.classes, cs, params)
     draws = np.empty(probs.shape)
-    for draw, out in zip(_generators(probs, rng), draws.reshape(-1, grid.n_cells)):
+    for draw, out in zip(_generators(probs, rng), draws.reshape(-1, h * w)):
         draw.random(out=out)
     return new_pwm, (draws < probs).view(np.uint8), counts
 
 
-def place_chemits(grid: Grid, n_chemits: int, rng: np.random.Generator) -> PwmGrid:
-    """Seed `n_chemits` cores at distinct random cells, halos around each."""
-    if n_chemits < 0 or n_chemits > grid.n_cells:
-        raise ValueError(f"cannot place {n_chemits} chemits on {grid.n_cells} cells")
-    pwm = PwmGrid.empty(grid)
-    flat = pwm.classes.reshape(-1)
-    sites = rng.choice(grid.n_cells, size=n_chemits, replace=False)
-    flat[neighbor_table(grid.height, grid.width)[sites, :4]] = PwmClass.HALO
+def place_chemits(side: int, n_chemits: int, rng: np.random.Generator) -> PwmGrid:
+    """Seed `n_chemits` cores at distinct random cells of a side x side
+    torus, halos around each."""
+    n = side * side
+    if side < 1 or not 0 <= n_chemits <= n:
+        raise ValueError(f"cannot place {n_chemits} chemits on {n} cells")
+    classes = np.zeros((side, side), np.int8)
+    flat = classes.reshape(-1)
+    sites = rng.choice(n, size=n_chemits, replace=False)
+    flat[neighbor_table(side, side)[sites, :4]] = PwmClass.HALO
     flat[sites] = PwmClass.CORE
-    return pwm
+    return PwmGrid(classes)
 
 
 @dataclass
@@ -262,18 +263,15 @@ def run_population_experiment(
     """
     if not rngs:
         raise ValueError("at least one replica generator required")
-    grid = torus(grid_side)
-    if initial_chemits > grid.n_cells:
-        raise ValueError("more initial chemits than cells")
     params = params or ChemModel2DParams()
-    pwm = PwmGrid(np.stack([place_chemits(grid, initial_chemits, rng).classes for rng in rngs]))
+    pwm = PwmGrid(np.stack([place_chemits(grid_side, initial_chemits, rng).classes for rng in rngs]))
     cs = np.zeros(pwm.classes.shape, np.uint8)
     chemits = np.empty((len(rngs), steps + 1), int)
     high = np.zeros((len(rngs), steps + 1), int)
     events = np.empty((len(rngs), steps, len(EVENT_FIELDS)), int)
     chemits[:, 0] = initial_chemits
     for t in range(steps):
-        pwm, cs, _ = step_chemits(grid, pwm, cs, params, fluct_ratio, rngs, events[:, t])
+        pwm, cs, _ = step_chemits(pwm, cs, params, fluct_ratio, rngs, events[:, t])
         chemits[:, t + 1] = (pwm.classes == _CORE).reshape(len(rngs), -1).sum(1, dtype=np.int32)
         high[:, t + 1] = cs.reshape(len(rngs), -1).sum(1, dtype=np.int32)
     all_series = [PopulationSeries(*series) for series in zip(chemits, high, events)]

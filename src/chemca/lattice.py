@@ -1,7 +1,9 @@
-"""Grid topology, neighborhoods and configuration-space counting.
+"""Chain topology, torus neighborhoods and configuration-space counting.
 
-Cells live on either a 1D chain or a 2D torus. Interfacial couplers sit
-between nearest-neighbor cells. All counting is exact (arbitrary-precision
+A 1D chain is a `Grid`: its length and whether its ends are joined. A 2D
+torus is the shape of its (h, w) class array, whose neighbor table
+`neighbor_table(h, w)` gives. Interfacial couplers sit between
+nearest-neighbor cells. All counting is exact (arbitrary-precision
 integers); a scientific string form is provided for reporting.
 """
 
@@ -12,45 +14,22 @@ from functools import lru_cache
 
 import numpy as np
 
-LINE_1D = "line1d"
-TORUS_2D = "torus2d"
-
 
 @dataclass(frozen=True)
 class Grid:
-    """Cell array topology.
+    """A 1D chain of `width` cells, its ends joined when `periodic`."""
 
-    kind is LINE_1D (height forced to 1) or TORUS_2D (always periodic).
-    """
-
-    kind: str
     width: int
-    height: int = 1
     periodic: bool = False
 
     def __post_init__(self):
-        if self.kind not in (LINE_1D, TORUS_2D):
-            raise ValueError(f"unknown grid kind: {self.kind!r}")
-        if self.width < 1 or self.height < 1:
+        if self.width < 1:
             raise ValueError("grid dimensions must be >= 1")
-        if self.kind == LINE_1D and self.height != 1:
-            raise ValueError("1D chains have height 1")
-        if self.kind == TORUS_2D and not self.periodic:
-            raise ValueError("2D grids are periodic (torus)")
-
-    @property
-    def n_cells(self) -> int:
-        return self.width * self.height
 
 
 def line(width: int, periodic: bool = False) -> Grid:
     """1D chain. Experiments default to a non-periodic 7-cell rig."""
-    return Grid(LINE_1D, width, 1, periodic)
-
-
-def torus(side: int) -> Grid:
-    """Square 2D periodic grid."""
-    return Grid(TORUS_2D, side, side, True)
+    return Grid(width, periodic)
 
 
 # Nearest (left, right, up, down), then next-nearest: diagonals first, then

@@ -16,7 +16,7 @@ from chemca.cca2d import PwmGrid, cca2d_update, run_population_experiment
 from chemca.chemodel import PwmClass, SingleCellHysteresisParams
 from chemca.harness import ExperimentConfig, derive_seed, run, run_from_manifest, stream_rng
 from chemca.hybrid import SolverParams, solve_type1, solve_type2
-from chemca.lattice import chemical_state_count, expansion_ratio, format_scientific, input_state_count, torus
+from chemca.lattice import chemical_state_count, expansion_ratio, format_scientific, input_state_count
 from chemca.markov import build_transition_matrix, empirical_success, success_probabilities
 from chemca.qubo import (
     brute_force_min,
@@ -205,8 +205,6 @@ def test_c07_1d_cca_degeneration():
 
 
 def test_c08_chemit_micro_events():
-    grid = torus(5)
-
     def chemit(pwm, r, c):
         pwm.classes[r, c] = PwmClass.CORE
         for dr, dc in ((0, -1), (0, 1), (-1, 0), (1, 0)):
@@ -216,36 +214,36 @@ def test_c08_chemit_micro_events():
         return {tuple(x) for x in np.argwhere(pwm.classes == PwmClass.CORE)}
 
     # propagation: high CS at a nearest neighbor moves the core there
-    pwm = PwmGrid.empty(grid)
+    pwm = PwmGrid(np.zeros((5, 5), np.int8))
     chemit(pwm, 2, 2)
     cs = np.zeros((5, 5), np.uint8)
     cs[2, 3] = 1
-    new, counts = cca2d_update(grid, pwm, cs, 0, np.random.default_rng(1))
+    new, counts = cca2d_update(pwm, cs, 0, np.random.default_rng(1))
     assert counts.propagation == 1 and cores(new) == {(2, 3)}
 
     # replication: high CS at a next-nearest neighbor copies the core
-    pwm = PwmGrid.empty(grid)
+    pwm = PwmGrid(np.zeros((5, 5), np.int8))
     chemit(pwm, 2, 2)
     cs = np.zeros((5, 5), np.uint8)
     cs[3, 3] = 1
-    new, counts = cca2d_update(grid, pwm, cs, 0, np.random.default_rng(1))
+    new, counts = cca2d_update(pwm, cs, 0, np.random.default_rng(1))
     assert counts.replication == 1 and cores(new) == {(2, 2), (3, 3)}
 
     # random selection among multiple high neighbors
-    pwm = PwmGrid.empty(grid)
+    pwm = PwmGrid(np.zeros((5, 5), np.int8))
     chemit(pwm, 2, 2)
     cs = np.zeros((5, 5), np.uint8)
     cs[2, 3] = 1
     cs[3, 3] = 1
     kinds = set()
     for seed in range(60):
-        _, counts = cca2d_update(grid, pwm, cs, 0, np.random.default_rng(seed))
+        _, counts = cca2d_update(pwm, cs, 0, np.random.default_rng(seed))
         assert counts.random_selection == 1
         kinds.add("prop" if counts.propagation else "repl")
     assert kinds == {"prop", "repl"}
 
     # competition outcome frequencies: 25% both live, 25% both die, 50% one
-    pwm = PwmGrid.empty(grid)
+    pwm = PwmGrid(np.zeros((5, 5), np.int8))
     pwm.classes[2, 1] = PwmClass.CORE
     pwm.classes[2, 2] = PwmClass.CORE
     cs = np.zeros((5, 5), np.uint8)
@@ -254,7 +252,7 @@ def test_c08_chemit_micro_events():
     tallies = {0: 0, 1: 0, 2: 0}
     n = 10_000
     for seed in range(n):
-        new, _ = cca2d_update(grid, pwm, cs, 0, np.random.default_rng(derive_seed(808, seed)))
+        new, _ = cca2d_update(pwm, cs, 0, np.random.default_rng(derive_seed(808, seed)))
         tallies[len(cores(new))] += 1
     assert abs(tallies[2] / n - 0.25) < 0.02
     assert abs(tallies[0] / n - 0.25) < 0.02

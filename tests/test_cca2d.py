@@ -16,18 +16,21 @@ from chemca.cca2d import (
 )
 from chemca.chemodel import ChemModel2DParams, PwmClass
 from chemca.harness import stream_rng, write_population_csv
-from chemca.lattice import TORUS_2D, Grid, torus
 
 CORE, HALO, FLUCT, OFF = PwmClass.CORE, PwmClass.HALO, PwmClass.FLUCT, PwmClass.OFF
 
 
-def chemit_at(grid, row, col):
+def empty(side):
+    """A side x side torus of OFF cells."""
+    return PwmGrid(np.zeros((side, side), np.int8))
+
+
+def chemit_at(row, col, side=5):
     """Standard 5-cell Chemit: core plus halo ring."""
-    pwm = PwmGrid.empty(grid)
+    pwm = empty(side)
     pwm.classes[row, col] = CORE
-    h, w = grid.height, grid.width
     for dr, dc in ((0, -1), (0, 1), (-1, 0), (1, 0)):
-        pwm.classes[(row + dr) % h, (col + dc) % w] = HALO
+        pwm.classes[(row + dr) % side, (col + dc) % side] = HALO
     return pwm
 
 
@@ -36,29 +39,26 @@ def cores_of(pwm):
 
 
 def test_propagation_scenario():
-    grid = torus(5)
-    pwm = chemit_at(grid, 2, 2)
+    pwm = chemit_at(2, 2)
     cs = np.zeros((5, 5), np.uint8)
     cs[2, 3] = 1  # high state at the right nearest neighbor (a halo cell)
-    new, counts = cca2d_update(grid, pwm, cs, 0, np.random.default_rng(0))
+    new, counts = cca2d_update(pwm, cs, 0, np.random.default_rng(0))
     assert counts.propagation == 1
     assert cores_of(new) == {(2, 3)}
     assert new.classes[2, 2] == FLUCT  # old core left behind as fluctuation
 
 
 def test_replication_scenario():
-    grid = torus(5)
-    pwm = chemit_at(grid, 2, 2)
+    pwm = chemit_at(2, 2)
     cs = np.zeros((5, 5), np.uint8)
     cs[3, 3] = 1  # bottom-right diagonal: next-nearest
-    new, counts = cca2d_update(grid, pwm, cs, 0, np.random.default_rng(0))
+    new, counts = cca2d_update(pwm, cs, 0, np.random.default_rng(0))
     assert counts.replication == 1
     assert cores_of(new) == {(2, 2), (3, 3)}  # original survives
 
 
 def test_competition_frequencies():
-    grid = torus(5)
-    pwm = PwmGrid.empty(grid)
+    pwm = empty(5)
     pwm.classes[2, 1] = CORE
     pwm.classes[2, 2] = CORE
     cs = np.zeros((5, 5), np.uint8)
@@ -67,7 +67,7 @@ def test_competition_frequencies():
     outcomes = {0: 0, 1: 0, 2: 0}
     n = 10_000
     for seed in range(n):
-        new, _ = cca2d_update(grid, pwm, cs, 0, np.random.default_rng(seed))
+        new, _ = cca2d_update(pwm, cs, 0, np.random.default_rng(seed))
         outcomes[len(cores_of(new))] += 1
     assert outcomes[2] / n == pytest.approx(0.25, abs=0.02)  # both survive
     assert outcomes[0] / n == pytest.approx(0.25, abs=0.02)  # both die
@@ -75,14 +75,13 @@ def test_competition_frequencies():
 
 
 def test_random_selection_two_nearest():
-    grid = torus(5)
-    pwm = chemit_at(grid, 2, 2)
+    pwm = chemit_at(2, 2)
     cs = np.zeros((5, 5), np.uint8)
     cs[2, 3] = 1
     cs[2, 1] = 1  # two high nearest neighbors: propagation to one of them
     seen = set()
     for seed in range(40):
-        new, counts = cca2d_update(grid, pwm, cs, 0, np.random.default_rng(seed))
+        new, counts = cca2d_update(pwm, cs, 0, np.random.default_rng(seed))
         assert counts.propagation == 1 and counts.random_selection == 1
         (core,) = cores_of(new)
         seen.add(core)
@@ -90,14 +89,13 @@ def test_random_selection_two_nearest():
 
 
 def test_random_selection_two_next_nearest():
-    grid = torus(5)
-    pwm = chemit_at(grid, 2, 2)
+    pwm = chemit_at(2, 2)
     cs = np.zeros((5, 5), np.uint8)
     cs[3, 3] = 1
     cs[1, 1] = 1  # two high next-nearest: replication to one of them
     seen = set()
     for seed in range(40):
-        new, counts = cca2d_update(grid, pwm, cs, 0, np.random.default_rng(seed))
+        new, counts = cca2d_update(pwm, cs, 0, np.random.default_rng(seed))
         assert counts.replication == 1
         assert (2, 2) in cores_of(new) and len(cores_of(new)) == 2
         seen |= cores_of(new) - {(2, 2)}
@@ -105,14 +103,13 @@ def test_random_selection_two_next_nearest():
 
 
 def test_random_selection_mixed_events():
-    grid = torus(5)
-    pwm = chemit_at(grid, 2, 2)
+    pwm = chemit_at(2, 2)
     cs = np.zeros((5, 5), np.uint8)
     cs[2, 3] = 1  # nearest: would propagate
     cs[3, 3] = 1  # next-nearest: would replicate
     kinds = set()
     for seed in range(60):
-        new, counts = cca2d_update(grid, pwm, cs, 0, np.random.default_rng(seed))
+        new, counts = cca2d_update(pwm, cs, 0, np.random.default_rng(seed))
         assert counts.random_selection == 1
         assert counts.propagation + counts.replication == 1
         kinds.add("prop" if counts.propagation else "repl")
@@ -120,11 +117,10 @@ def test_random_selection_mixed_events():
 
 
 def test_isolated_core_persists_and_builds_halo():
-    grid = torus(5)
-    pwm = PwmGrid.empty(grid)
+    pwm = empty(5)
     pwm.classes[1, 1] = CORE
     cs = np.zeros((5, 5), np.uint8)
-    new, counts = cca2d_update(grid, pwm, cs, 0, np.random.default_rng(0))
+    new, counts = cca2d_update(pwm, cs, 0, np.random.default_rng(0))
     assert cores_of(new) == {(1, 1)}
     for nb in ((1, 0), (1, 2), (0, 1), (2, 1)):
         assert new.classes[nb] == HALO
@@ -132,12 +128,11 @@ def test_isolated_core_persists_and_builds_halo():
 
 
 def test_halo_cells_adjacent_to_some_core():
-    grid = torus(8)
     rng = np.random.default_rng(10)
-    pwm = place_chemits(grid, 5, rng)
+    pwm = place_chemits(8, 5, rng)
     cs = np.zeros((8, 8), np.uint8)
     for _ in range(30):
-        pwm, cs, _ = step_chemits(grid, pwm, cs, rng=rng)
+        pwm, cs, _ = step_chemits(pwm, cs, rng=rng)
         cores = cores_of(pwm)
         for r, c in np.argwhere(pwm.classes == HALO):
             assert any(
@@ -148,13 +143,12 @@ def test_halo_cells_adjacent_to_some_core():
 
 def test_no_core_creation_without_chemistry():
     # with all chemical states forced 0 no new core ever appears
-    grid = torus(6)
     rng = np.random.default_rng(4)
-    pwm = place_chemits(grid, 4, rng)
+    pwm = place_chemits(6, 4, rng)
     cs = np.zeros((6, 6), np.uint8)
     before = cores_of(pwm)
     for _ in range(20):
-        pwm, counts = cca2d_update(grid, pwm, cs, 3, rng)
+        pwm, counts = cca2d_update(pwm, cs, 3, rng)
         now = cores_of(pwm)
         assert now <= before
         assert counts.replication == counts.propagation == 0
@@ -162,36 +156,33 @@ def test_no_core_creation_without_chemistry():
 
 
 def test_fluct_alone_cannot_create_core():
-    grid = torus(6)
     rng = np.random.default_rng(5)
-    pwm = PwmGrid.empty(grid)
+    pwm = empty(6)
     cs = np.zeros((6, 6), np.uint8)
     for _ in range(50):
-        pwm, cs, _ = step_chemits(grid, pwm, cs, fluct_ratio=0.2, rng=rng)
+        pwm, cs, _ = step_chemits(pwm, cs, fluct_ratio=0.2, rng=rng)
         assert not cores_of(pwm)
 
 
 def test_core_with_forced_chemistry_persists():
     # q3 = 1: a core's own chemical state is high every step, so the lone
     # core keeps persisting (its high CS is its only candidate source)
-    grid = torus(5)
     params = ChemModel2DParams(q1=0.0, q2=0.0, q3=1.0, q4=0.0)
     rng = np.random.default_rng(6)
-    pwm = PwmGrid.empty(grid)
+    pwm = empty(5)
     pwm.classes[2, 2] = CORE
     cs = np.zeros((5, 5), np.uint8)
     for _ in range(40):
-        pwm, cs, _ = step_chemits(grid, pwm, cs, params, fluct_ratio=0.0, rng=rng)
+        pwm, cs, _ = step_chemits(pwm, cs, params, fluct_ratio=0.0, rng=rng)
         assert len(cores_of(pwm)) == 1
     assert cs[tuple(next(iter(cores_of(pwm))))] == 1
 
 
 def test_budget_clamped_with_warning():
-    grid = torus(3)
-    pwm = PwmGrid.empty(grid)
+    pwm = empty(3)
     cs = np.zeros((3, 3), np.uint8)
     with pytest.warns(UserWarning, match="clamped"):
-        new, counts = cca2d_update(grid, pwm, cs, 100, np.random.default_rng(0))
+        new, counts = cca2d_update(pwm, cs, 100, np.random.default_rng(0))
     assert np.count_nonzero(new.classes == FLUCT) == 9
     assert counts.fluct_clamped == 91
 
@@ -204,9 +195,9 @@ _SHARED_COUNTERS = (
 )
 
 
-def reference_update(grid, pwm, cs, fluct_budget, rng):
+def reference_update(pwm, cs, fluct_budget, rng):
     """The per-core loop that cca2d_update replaced, with its own neighbor lists."""
-    h, w = grid.height, grid.width
+    h, w = pwm.classes.shape
 
     def shifted(cell, offsets):
         r, c = divmod(cell, w)
@@ -269,20 +260,20 @@ def reference_update(grid, pwm, cs, fluct_budget, rng):
     "shape", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (3, 5), (4, 7)]
 )
 def test_update_matches_reference_loop(shape):
-    grid = Grid(TORUS_2D, shape[1], shape[0], periodic=True)
     rng = np.random.default_rng(shape)
+    n = shape[0] * shape[1]
     for density in (0.1, 0.5, 0.9):
         for core_share in (0.1, 0.3, 0.6):
-            for budget in (round(0.1 * grid.n_cells), grid.n_cells):  # the second clamps
-                pwm = PwmGrid.empty(grid)
+            for budget in (round(0.1 * n), n):  # the second clamps
+                pwm = PwmGrid(np.zeros(shape, np.int8))
                 pwm.classes[:] = np.where(rng.random(shape) < core_share, CORE, rng.integers(0, 3, shape))
                 cs = (rng.random(shape) < density).astype(np.uint8)
                 seed = int(rng.integers(2**32))
                 got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    got, got_counts = cca2d_update(grid, pwm, cs, budget, got_rng)
-                    want, want_counts = reference_update(grid, pwm, cs, budget, want_rng)
+                    got, got_counts = cca2d_update(pwm, cs, budget, got_rng)
+                    want, want_counts = reference_update(pwm, cs, budget, want_rng)
                 assert np.array_equal(got.classes, want.classes)
                 for name in _SHARED_COUNTERS:
                     assert getattr(got_counts, name) == getattr(want_counts, name), name
@@ -315,7 +306,6 @@ def random_batch(rng, reps, side):
 def test_batched_update_matches_single_grids(side):
     # a stacked batch steps each torus exactly as a single-grid call with its own generator
     rng = np.random.default_rng(side)
-    grid = torus(side)
     clamped = 0
     for reps in (1, 2, 4):
         for budget in (round(0.1 * side * side), side * side):  # the second clamps
@@ -326,9 +316,9 @@ def test_batched_update_matches_single_grids(side):
             rows = np.full((reps, len(EVENT_FIELDS)), -1)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                got, total = cca2d_update(grid, pwm, cs, budget, batch_rngs, rows)
+                got, total = cca2d_update(pwm, cs, budget, batch_rngs, rows)
                 singles = [
-                    cca2d_update(grid, PwmGrid(pwm.classes[k]), cs[k], budget, single_rngs[k]) for k in range(reps)
+                    cca2d_update(PwmGrid(pwm.classes[k]), cs[k], budget, single_rngs[k]) for k in range(reps)
                 ]
             assert got.classes.shape == pwm.classes.shape
             for k, (want, counts) in enumerate(singles):
@@ -347,7 +337,7 @@ def test_batched_update_keeps_the_trace_hook_contract():
     pwm, cs = random_batch(rng, 3, 10)
     rows = np.zeros((3, len(EVENT_FIELDS)), int)
     cores_in = (pwm.classes == CORE).sum()
-    _, counts = cca2d_update(torus(10), pwm, cs, 10, [np.random.default_rng(k) for k in range(3)], rows)
+    _, counts = cca2d_update(pwm, cs, 10, [np.random.default_rng(k) for k in range(3)], rows)
     assert cores_in == sum(int((pwm.classes[k] == CORE).sum()) for k in range(3))
     fields = vars(counts)
     assert list(fields) == list(EVENT_FIELDS)
@@ -375,11 +365,10 @@ def test_population_batch_matches_single_replicas(side):
 def test_write_once_classes():
     # no cell may change class twice within one update: competition winners
     # stay cores, halos never repaint cores
-    grid = torus(6)
     rng = np.random.default_rng(8)
-    pwm = place_chemits(grid, 6, rng)
+    pwm = place_chemits(6, 6, rng)
     cs = (rng.random((6, 6)) < 0.5).astype(np.uint8)
-    new, _ = cca2d_update(grid, pwm, cs, 3, rng)
+    new, _ = cca2d_update(pwm, cs, 3, rng)
     cores = cores_of(new)
     for r, c in np.argwhere(new.classes == HALO):
         assert (r, c) not in cores
@@ -410,12 +399,11 @@ def test_placement_bounds():
     with pytest.raises(ValueError, match="generator"):
         run_population_experiment(5, 1, 1, [])
     with pytest.raises(ValueError):
-        place_chemits(torus(5), 26, np.random.default_rng(0))
+        place_chemits(5, 26, np.random.default_rng(0))
 
 
 def test_snapshot_and_csv_outputs(tmp_path):
-    grid = torus(5)
-    pwm = chemit_at(grid, 2, 2)
+    pwm = chemit_at(2, 2)
     text = format_pwm_grid(pwm)
     assert text.splitlines()[2] == ".hCh."
     res = run_population_experiment(8, 2, 5, [stream_rng(1, 0)])

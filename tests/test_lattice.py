@@ -2,54 +2,48 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chemca.lattice import (
-    Grid,
     chemical_state_count,
     expansion_ratio,
     format_scientific,
     input_state_count,
+    line,
     neighbor_table,
-    torus,
 )
 
 
-def nearest(g, cell):
-    """Nearest neighbors of a (row, col) cell as (row, col) pairs, from its table row."""
+def nearest(side, cell):
+    """Nearest neighbors of a (row, col) cell of a side x side torus as (row, col) pairs."""
     r, c = cell
-    return [divmod(int(i), g.width) for i in neighbor_table(g.height, g.width)[r * g.width + c, :4]]
+    return [divmod(int(i), side) for i in neighbor_table(side, side)[r * side + c, :4]]
 
 
-def next_nearest(g, cell):
+def next_nearest(side, cell):
     """Next-nearest neighbors of a (row, col) cell as (row, col) pairs, -1 padding dropped."""
     r, c = cell
-    row = neighbor_table(g.height, g.width)[r * g.width + c, 4:]
-    return [divmod(int(i), g.width) for i in row if i >= 0]
+    row = neighbor_table(side, side)[r * side + c, 4:]
+    return [divmod(int(i), side) for i in row if i >= 0]
 
 
 def test_torus_wrap_corner():
-    g = torus(7)
-    assert nearest(g, (0, 0)) == [(0, 6), (0, 1), (6, 0), (1, 0)]
+    assert nearest(7, (0, 0)) == [(0, 6), (0, 1), (6, 0), (1, 0)]
 
 
 def test_torus_interior():
-    g = torus(5)
-    assert nearest(g, (2, 2)) == [(2, 1), (2, 3), (1, 2), (3, 2)]
+    assert nearest(5, (2, 2)) == [(2, 1), (2, 3), (1, 2), (3, 2)]
 
 
 def test_next_nearest_fixed_order_7x7():
-    g = torus(7)
-    got = next_nearest(g, (3, 3))
+    got = next_nearest(7, (3, 3))
     assert got == [(2, 2), (2, 4), (4, 2), (4, 4), (1, 3), (5, 3), (3, 1), (3, 5)]
 
 
 def test_next_nearest_wraparound_5x5():
-    g = torus(5)
-    got = set(next_nearest(g, (0, 0)))
+    got = set(next_nearest(5, (0, 0)))
     assert (4, 4) in got and (3, 0) in got
 
 
 def test_next_nearest_small_grid_dedup():
-    g = torus(3)
-    got = next_nearest(g, (1, 1))
+    got = next_nearest(3, (1, 1))
     assert len(got) == len(set(got)) <= 8
     assert (1, 1) not in got
 
@@ -64,16 +58,15 @@ def test_neighbor_table_layout_small_tori():
 
 @given(st.integers(5, 12), st.integers(0, 11), st.integers(0, 11))
 def test_neighbor_symmetry_and_counts(side, r, c):
-    g = torus(side)
     cell = (r % side, c % side)
-    nn = nearest(g, cell)
+    nn = nearest(side, cell)
     assert len(nn) == 4
     for other in nn:
-        assert cell in nearest(g, other)
-    nnn = next_nearest(g, cell)
+        assert cell in nearest(side, other)
+    nnn = next_nearest(side, cell)
     assert len(nnn) == 8
     for other in nnn:
-        assert cell in next_nearest(g, other)
+        assert cell in next_nearest(side, other)
 
 
 def test_input_state_count_published():
@@ -124,6 +117,4 @@ def test_format_scientific_truncates_not_rounds():
 
 def test_grid_invariants():
     with pytest.raises(ValueError):
-        Grid("torus2d", 5, 5, periodic=False)
-    with pytest.raises(ValueError):
-        Grid("line1d", 0)
+        line(0)
