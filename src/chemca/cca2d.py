@@ -8,10 +8,9 @@ random fluctuations; the phenomenological chemical machine then samples
 the next chemical-state grid. A torus is the shape of its class array:
 an (h, w) array wraps in both directions, and every function reads h
 and w from it. A step maps the class grid and the chemical states to
-the next of each: the
-interfacial stirrers around a core are folded into the 2D law
-(`chemodel.table_2d`), which reads classes and previous chemical states
-only.
+the next of each: the interfacial stirrers around a core are folded
+into the 2D law (`chemodel.table_2d`), which reads classes and previous
+chemical states only.
 
 A step takes one (h, w) torus with one generator, or a batch of R tori
 stacked as (R, h, w) with one generator per torus: the array work runs

@@ -124,6 +124,37 @@ def _check_markov_capacity(spec: dict, p: dict):
     return problem
 
 
+# The estimated peak of one cca1d or cca2d run, in bytes, may not exceed
+# this (1 GiB). Each estimate is a sum of per-cell and per-step terms that
+# bound tracemalloc peaks of whole runs, output files included.
+_RUN_BYTE_BUDGET = 1 << 30
+
+
+def _check_run_bytes(kind: str, terms: dict[str, int]):
+    """Raise CapacityError, naming kind.key of the largest term, when the
+    estimated bytes of a run (each term keyed by the key that drives it)
+    sum past `_RUN_BYTE_BUDGET`. Arithmetic only: nothing is allocated."""
+    total = sum(terms.values())
+    if total > _RUN_BYTE_BUDGET:
+        raise CapacityError(
+            f"{kind}.{max(terms, key=terms.get)}: the run would hold about {-(-total >> 20)} MiB, "
+            f"over the budget of {_RUN_BYTE_BUDGET >> 20} MiB"
+        )
+
+
+def _check_cca1d_capacity(steps: int, p: dict):
+    """One replica at a time: its raster, text and CSV blocks (5 bytes a
+    cell-step) and one step's arrays (600 bytes a cell)."""
+    _check_run_bytes("cca1d", {"cells": 600 * p["cells"], "steps": 5 * p["cells"] * (steps + 1)})
+
+
+def _check_cca2d_capacity(steps: int, p: dict):
+    """Every replica at once: its torus (400 bytes a cell, the neighbor
+    table included) and its series and events (320 bytes a step)."""
+    replicas = p["replicas"]
+    _check_run_bytes("cca2d", {"side": 400 * p["side"] ** 2 * replicas, "steps": 320 * steps * replicas})
+
+
 COMMON = _rows(
     Key("seed", int, 0, None, 0, "master seed"),
     Key("replicas", int, 1, None, 1, "replica count"),
@@ -146,7 +177,7 @@ SCHEMA = {
     "cca1d": _rows(
         Key("rule", str, None, None, REQUIRED, "rule label A-i, e.g. 30-1", lambda v, p: Rule1D.from_label(v)),
         Key("cells", int, 1, None, REQUIRED, "chain length"),
-        Key("steps", int, 0, None, REQUIRED, "number of steps"),
+        Key("steps", int, 0, None, REQUIRED, "number of steps", _check_cca1d_capacity),
         Key("mode", str, None, None, MODE_PROBABILISTIC, "probabilistic or display",
             lambda v, p: _require(v in (MODE_PROBABILISTIC, MODE_DISPLAY),
                                   "expected 'probabilistic' or 'display'")),
@@ -157,7 +188,7 @@ SCHEMA = {
     ),
     "cca2d": _rows(
         Key("side", int, 1, None, REQUIRED, "torus side length"),
-        Key("steps", int, 0, None, REQUIRED, "number of steps"),
+        Key("steps", int, 0, None, REQUIRED, "number of steps", _check_cca2d_capacity),
         Key("initial_chemits", int, 0, None, REQUIRED, "Chemits placed at step 0",
             lambda v, p: _require(v <= p["side"] ** 2, f"must be <= {p['side'] ** 2}")),
         Key("fluct_ratio", NUMBER, 0, 1, DEFAULT_FLUCT_RATIO, "share of cells made FLUCT per step"),

@@ -148,7 +148,10 @@ def build_2sat(clauses, penalty: float = 1.0) -> QuboProblem:
     1..n, negative for negation); each violated clause costs 4A.
     """
     penalty = _check_positive("penalty", penalty)
-    clauses = [tuple(cl) for cl in clauses]
+    try:
+        clauses = [tuple(cl) for cl in clauses]
+    except TypeError:
+        raise ValueError("clauses must be a list of pairs of literals") from None
     if not clauses:
         raise ValueError("clause list must be nonempty")
     n = 0
@@ -291,7 +294,17 @@ def _real_array(name: str, value) -> np.ndarray:
             items += v
         elif not _is_real(v):
             raise ValueError(f"{name} must hold real numbers only, got {v!r}")
-    return np.asarray(value, dtype=float)
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:  # nested lists of unequal lengths
+        raise ValueError(f"{name} must be a rectangular array of numbers") from None
+
+
+def _required(source: dict, key: str):
+    """`source[key]`, or a ValueError that names the missing key."""
+    if key not in source:
+        raise ValueError(f"{key} is required")
+    return source[key]
 
 
 def load_problem(source: dict) -> QuboProblem:
@@ -305,19 +318,19 @@ def load_problem(source: dict) -> QuboProblem:
     kind = source.get("kind")
     penalty = source.get("penalty", 1.0)
     if kind == "partition":
-        return build_partition(source["numbers"], penalty)
+        return build_partition(_required(source, "numbers"), penalty)
     if kind == "2sat":
-        return build_2sat([tuple(c) for c in source["clauses"]], penalty)
+        return build_2sat(_required(source, "clauses"), penalty)
     if kind == "tsp":
         if "distances" in source:
-            d = np.asarray(source["distances"], dtype=float)
+            d = _real_array("distances", source["distances"])
         else:
-            d = distance_matrix_from_coords(source["coords"])
+            d = distance_matrix_from_coords(_real_array("coords", _required(source, "coords")))
         return build_tsp(d, penalty, source.get("scale"))
     if kind == "explicit":
         if "penalty" in source:
             raise ValueError("penalty does not apply to an explicit problem")
-        linear = _real_array("linear", source["linear"])
+        linear = _real_array("linear", _required(source, "linear"))
         n = linear.shape[0]
         if "pairs" in source:
             pairs = source["pairs"]
@@ -331,7 +344,7 @@ def load_problem(source: dict) -> QuboProblem:
                 quad[i, j] += float(c) / 2.0
                 quad[j, i] += float(c) / 2.0
         else:
-            quad = _real_array("quad", source["quad"])
+            quad = _real_array("quad", _required(source, "quad"))
         offset = source.get("offset", 0.0)
         if not _is_real(offset):
             raise ValueError(f"offset must be a real number, got {offset!r}")

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from chemca import harness
+from chemca import cca1d, harness
 from chemca.cca1d import (
     MODE_DISPLAY,
     MODE_PROBABILISTIC,
@@ -214,6 +214,22 @@ def test_asymmetric_interface_rule_differs_statistically():
         s = run_1d(grid, init, sym, 25, rng=np.random.default_rng(seed))
         differing += not np.array_equal(a, s)
     assert differing >= 45
+
+
+def test_run_1d_keeps_the_trace_hook_contract(monkeypatch):
+    # perfbench wraps step_1d by module global: its hook reads the chain
+    # length as args[0].width and the mode from the keywords
+    seen, step = [], cca1d.step_1d
+
+    def hooked(*args, **kwargs):
+        seen.append((args[0].width, kwargs.get("mode", MODE_PROBABILISTIC)))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(cca1d, "step_1d", hooked)
+    for mode in (MODE_PROBABILISTIC, MODE_DISPLAY):
+        seen.clear()
+        run_1d(default_chain(9), single_seed(9), Rule1D(30, 5), 4, mode=mode, rng=np.random.default_rng(0))
+        assert seen == [(9, mode)] * 4
 
 
 def test_run_zero_steps_and_negative():

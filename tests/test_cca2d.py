@@ -4,6 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from chemca import cca2d
 from chemca.cca2d import (
     EVENT_FIELDS,
     ChemitEventCounts,
@@ -330,20 +331,27 @@ def test_batched_update_matches_single_grids(side):
     assert clamped > 0
 
 
-def test_batched_update_keeps_the_trace_hook_contract():
-    # a profiler that wraps cca2d_update reads the cores of its input and sums
-    # the fields of its counts: both cover every torus of a batch
-    rng = np.random.default_rng(17)
-    pwm, cs = random_batch(rng, 3, 10)
-    rows = np.zeros((3, len(EVENT_FIELDS)), int)
-    cores_in = (pwm.classes == CORE).sum()
-    _, counts = cca2d_update(pwm, cs, 10, [np.random.default_rng(k) for k in range(3)], rows)
-    assert cores_in == sum(int((pwm.classes[k] == CORE).sum()) for k in range(3))
-    fields = vars(counts)
-    assert list(fields) == list(EVENT_FIELDS)
-    assert all(type(v) is int for v in fields.values())
-    assert list(fields.values()) == rows.sum(axis=0).tolist()
-    assert counts.random_selection > 0 and counts.propagation + counts.replication > 0
+def test_batched_update_keeps_the_trace_hook_contract(monkeypatch):
+    # perfbench wraps cca2d_update by module global: its hook reads the input
+    # classes from `pwm`, by keyword or as the second argument, and sums the
+    # fields of the counts; both cover every replica of a population run
+    seen, update = [], cca2d.cca2d_update
+
+    def hooked(*args, **kwargs):
+        result = update(*args, **kwargs)
+        pwm = kwargs.get("pwm", args[1] if len(args) > 1 else None)
+        seen.append((int((pwm.classes == CORE).sum()), vars(result[1])))
+        return result
+
+    monkeypatch.setattr(cca2d, "cca2d_update", hooked)
+    res = run_population_experiment(10, 6, 30, [stream_rng(17, k) for k in range(3)])
+    assert [cores for cores, _ in seen] == sum(s.chemit_count[:-1] for s in res.series).tolist()
+    for t, (_, fields) in enumerate(seen):
+        assert list(fields) == list(EVENT_FIELDS)
+        assert all(type(v) is int for v in fields.values())
+        assert list(fields.values()) == sum(s.events[t] for s in res.series).tolist()
+    events = sum(s.events.sum(axis=0) for s in res.series)
+    assert events[EVENT_FIELDS.index("random_selection")] > 0 and events[:2].sum() > 0
 
 
 @pytest.mark.parametrize("side", [3, 10])

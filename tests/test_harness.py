@@ -119,7 +119,6 @@ def test_config_validation_errors():
     ]
     bad_problems = [
         {"kind": "partition", "numbers": 5},
-        {"kind": "2sat", "clauses": [1, 2]},
         {"kind": "tsp", "coords": 5},
         {"kind": "explicit", "linear": [0, 0], "pairs": {"0,5": 1}},
         {"kind": "explicit", "linear": 5, "quad": [[0]]},
@@ -162,6 +161,19 @@ def test_config_validation_errors():
         ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "offset": "1"}, "offset"),
         ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "penalty": "x"}, "penalty"),
         ({"kind": "explicit", "linear": [0, 0], "pairs": {"0,1": 1}, "penalty": 2}, "penalty"),
+        # a missing key, a clause that is no pair, and points or distances that are no numbers
+        ({"kind": "partition"}, "numbers is required"),
+        ({"kind": "2sat"}, "clauses is required"),
+        ({"kind": "tsp"}, "coords is required"),
+        ({"kind": "explicit", "quad": [[0]]}, "linear is required"),
+        ({"kind": "explicit", "linear": [0]}, "quad is required"),
+        ({"kind": "2sat", "clauses": [1, 2]}, "clauses must be a list of pairs"),
+        ({"kind": "2sat", "clauses": 5}, "clauses must be a list of pairs"),
+        ({"kind": "tsp", "distances": "ab"}, "distances"),
+        ({"kind": "tsp", "distances": [[0, 1], [1, None]]}, "distances"),
+        ({"kind": "tsp", "coords": [[0, 0], [1, "a"]]}, "coords"),
+        ({"kind": "tsp", "coords": [[0, 0], [1, True]]}, "coords"),
+        ({"kind": "tsp", "coords": [[0, 0], [1]]}, "coords must be a rectangular array"),
     ]
     for bad, key in named_problems:
         cases.append((dict(solve, problem=bad), f"solve.problem: {key}"))
@@ -392,6 +404,14 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
                                          "offset": True}, "out": str(tmp_path / "no")}), "solve.problem: linear"),
         (["markov"] + config({"problem": {"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]],
                                           "penalty": "x"}, "out": str(tmp_path / "no")}), "markov.problem: penalty"),
+        (["solve"] + config({"problem": {"kind": "partition"}, "out": str(tmp_path / "no")}),
+         "solve.problem: numbers is required"),
+        (["markov"] + config({"problem": {"kind": "2sat", "clauses": [1, 2]}, "out": str(tmp_path / "no")}),
+         "markov.problem: clauses must be a list of pairs"),
+        (["solve"] + config({"problem": {"kind": "tsp", "distances": "ab"}, "out": str(tmp_path / "no")}),
+         "solve.problem: distances"),
+        (["markov"] + config({"problem": {"kind": "tsp", "coords": [[0, 0], [1, "a"]]}, "out": str(tmp_path / "no")}),
+         "markov.problem: coords"),
         (["nope"], "nope"),
         ([], "kind"),
     ]
@@ -538,6 +558,24 @@ def test_cli_count_beyond_int_string_limit(tmp_path, capsys):
     assert main(argv) == EXIT_CAPACITY
     assert "count.n" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_automaton_capacity(tmp_path, capsys):
+    # a run's estimated bytes are checked with the config, before any output
+    out = tmp_path / "o"
+    cases = [
+        (["cca2d", "--side", "2", "--steps", "1000000000000", "--initial-chemits", "1"], "cca2d.steps"),
+        (["cca2d", "--side", "3000", "--steps", "1", "--initial-chemits", "1", "--replicas", "40"], "cca2d.side"),
+        (["cca1d", "--rule", "30-1", "--cells", "1000000", "--steps", "1000000000"], "cca1d.steps"),
+        (["cca1d", "--rule", "30-1", "--cells", "10000000000", "--steps", "0"], "cca1d.cells"),
+    ]
+    for argv, name in cases:
+        assert main(argv + ["--out", str(out), "--quiet"]) == EXIT_CAPACITY, argv
+        assert f"capacity error: {name}: " in capsys.readouterr().err, argv
+        assert not out.exists()
+    # the largest automaton runs of the tests, demos and benchmark: c09 and the cca1d-raster workload
+    ExperimentConfig.from_dict({"kind": "cca2d", "side": 50, "steps": 7000, "initial_chemits": 100, "replicas": 10})
+    ExperimentConfig.from_dict({"kind": "cca1d", "rule": "30-5", "cells": 201, "steps": 500})
 
 
 def test_full_reproducibility_all_kinds(tmp_path):
