@@ -26,12 +26,12 @@ def empty(side):
     return PwmGrid(np.zeros((side, side), np.int8))
 
 
-def chemit_at(row, col, side=5):
-    """Standard 5-cell Chemit: core plus halo ring."""
-    pwm = empty(side)
+def chemit_at(row, col):
+    """Standard 5-cell Chemit, core plus halo ring, on a 5 x 5 torus."""
+    pwm = empty(5)
     pwm.classes[row, col] = CORE
     for dr, dc in ((0, -1), (0, 1), (-1, 0), (1, 0)):
-        pwm.classes[(row + dr) % side, (col + dc) % side] = HALO
+        pwm.classes[(row + dr) % 5, (col + dc) % 5] = HALO
     return pwm
 
 
