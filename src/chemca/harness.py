@@ -148,6 +148,14 @@ def _check_cca1d_capacity(steps: int, p: dict):
     _check_run_bytes("cca1d", {"cells": 600 * p["cells"], "steps": 5 * p["cells"] * (steps + 1)})
 
 
+def _check_solve_capacity(max_steps: int, p: dict):
+    """One run at a time: its trace lists, the Type-1 energy table and the
+    JSONL write, 400 bytes a proposal (tracemalloc peaks of 10,000-proposal
+    TSP4 runs: 265 for Type 1, 142 for Type 2), plus n/4 bytes for the two
+    n-bit config indices a proposal may keep."""
+    _check_run_bytes("solve", {"max_steps": max_steps * (400 + p["problem"].n // 4)})
+
+
 def _check_cca2d_capacity(steps: int, p: dict):
     """Every replica at once: its torus (400 bytes a cell, the neighbor
     table included) and its series and events (320 bytes a step)."""
@@ -201,7 +209,7 @@ SCHEMA = {
         Key("p_chem", NUMBER, 0, 1, SolverParams.p_chem, "deterministic index"),
         Key("k_temp", NUMBER, None, None, SolverParams.k_temp, "Type-1 temperature, > 0",
             lambda v, p: SolverParams(k_temp=v).k_temp),
-        Key("max_steps", int, 0, None, SolverParams.max_steps, "proposals per run"),
+        Key("max_steps", int, 0, None, SolverParams.max_steps, "proposals per run", _check_solve_capacity),
         Key("target_energy", NUMBER, None, None, SolverParams.target_energy, "stop a run at this energy, finite",
             lambda v, p: SolverParams(target_energy=v).target_energy),
     ),
@@ -222,6 +230,12 @@ SCHEMA = {
     ),
 }
 KINDS = tuple(SCHEMA)
+
+# kind -> the version of its output bytes, recorded in every manifest. A
+# change that makes a kind write other bytes for the same config and seed
+# bumps its number, so that run_from_manifest refuses an older manifest
+# instead of re-running it to other bytes. solve 1: one draw per proposal.
+OUTPUT_VERSION = {"count": 0, "cca1d": 0, "cca2d": 0, "solve": 1, "markov": 0, "clock-demo": 0}
 
 
 def _check(kind: str, rows: dict[str, Key], given: dict) -> dict:
@@ -309,6 +323,7 @@ class RunManifest:
     config_hash: str
     master_seed: int
     artifact_version: str
+    output_version: int
     started: str
     finished: str
     env: dict
@@ -412,6 +427,7 @@ def run(cfg: ExperimentConfig, quiet: bool = False) -> RunManifest:
         config_hash(cfg),
         cfg.values["seed"],
         __version__,
+        OUTPUT_VERSION[cfg.kind],
         started,
         time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         _environment(),
@@ -422,13 +438,23 @@ def run(cfg: ExperimentConfig, quiet: bool = False) -> RunManifest:
 
 
 def run_from_manifest(manifest_path, out_dir=None, quiet: bool = True) -> RunManifest:
-    """Re-run the experiment recorded in a manifest (bit-for-bit outputs)."""
+    """Re-run the experiment recorded in a manifest (bit-for-bit outputs).
+
+    A manifest written for another output version of its kind (one without
+    the key is version 0) raises ConfigError before anything is written."""
     with open(manifest_path) as fh:
         recorded = json.load(fh)
     raw = dict(recorded["config"])
     if out_dir is not None:
         raw["out"] = str(out_dir)
-    return run(ExperimentConfig.from_dict(raw), quiet=quiet)
+    cfg = ExperimentConfig.from_dict(raw)
+    version = recorded.get("output_version", 0)
+    if version != OUTPUT_VERSION[cfg.kind]:
+        raise ConfigError(
+            f"manifest.output_version: the manifest records {cfg.kind} outputs of version {version!r}, "
+            f"this code writes version {OUTPUT_VERSION[cfg.kind]}"
+        )
+    return run(cfg, quiet=quiet)
 
 
 def _run_count(cfg: ExperimentConfig, out: Path, quiet: bool) -> list[str]:

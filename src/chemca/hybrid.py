@@ -11,6 +11,12 @@ against the ideal lookup outcome: a check agrees with probability p_chem
 (the deterministic index), a disagreeing check flips the sign of that
 pair's energy contribution, and the move is accepted when the observed
 total is <= 0.
+
+Draws: a proposal makes one draw, u = rng.random(n + 2). The flipped spin
+is h = int(u[0] * n); Type 1 reads its n readouts from u[1:n+1] and its
+acceptance uniform from u[n+1]; Type 2 reads the checks of h's k partners
+from u[1:k+1] (PairwiseChemistry draws its own from the generator). This
+contract is output version 1 of the `solve` kind (harness.OUTPUT_VERSION).
 """
 
 from __future__ import annotations
@@ -159,23 +165,27 @@ def _run(p: QuboProblem, params: SolverParams, rng: np.random.Generator, start: 
     """The run loop of both solvers, from the config of index `start` and
     energy `e`.
 
-    Each step draws the spin `h` and calls `propose(h)`, which returns the
-    observed change, the true change, whether the move was accepted, and
-    the index and energy of the config to record after it. The run stops
-    at the target energy (a success, also before the first step), after
-    `patience` proposals in a row without an accepted move, or after
-    max_steps.
+    Each step makes the proposal's one draw, u = rng.random(n + 2), takes
+    the spin h = int(u[0] * n) (< n for every u[0] < 1) and calls
+    `propose(h, u)`, which reads the rest of its uniforms from u and
+    returns the observed change, the true change, whether the move was
+    accepted, and the index and energy of the config to record after it.
+    The run stops at the target energy (a success, also before the first
+    step), after `patience` proposals in a row without an accepted move,
+    or after max_steps.
     """
-    trace = SolveTrace(p.n, start, best_energy=e, best_config=start)
+    n = p.n
+    trace = SolveTrace(n, start, best_energy=e, best_config=start)
     # QuboProblem bounds every energy, so no run reaches a target of -inf
     target = -math.inf if params.target_energy is None else params.target_energy + 1e-12
-    patience = params.resolved_patience(p.n) or math.inf
+    patience = params.resolved_patience(n) or math.inf
     since_accept = 0
     for _ in range(params.max_steps):
         if trace.best_energy <= target or since_accept >= patience:
             break
-        h = int(rng.integers(p.n))
-        obs_de, true_de, accept, idx, e = propose(h)
+        u = rng.random(n + 2)
+        h = int(u[0] * n)
+        obs_de, true_de, accept, idx, e = propose(h, u)
         since_accept = 0 if accept else since_accept + 1
         trace.record(h, obs_de, true_de, accept, idx, e)
     trace.success = trace.best_energy <= target
@@ -218,14 +228,13 @@ def solve_type1(
     e_read = score(read_idx, read)
     e_cmd = score(cmd_idx, cmd)  # always the energy of cmd as it stands
 
-    def propose(h):
+    def propose(h, u):  # u[1:n+1]: the readouts, u[n+1]: the acceptance
         nonlocal read, read_idx, e_read, cmd_idx, e_cmd
         cmd[h] ^= 1
         cmd_idx ^= 1 << h
         e_cmd_new = score(cmd_idx, cmd)
         true_de = e_cmd_new - e_cmd
-        u = rng.random(p.n + 1)  # n readout draws, then the acceptance draw, made on every proposal
-        new_read = (u[:-1] < law[cmd, read]).view(np.uint8)
+        new_read = (u[1:-1] < law[cmd, read]).view(np.uint8)
         new_idx = config_index(new_read)
         e_new = score(new_idx, new_read)
         obs_de = e_new - e_read
@@ -240,31 +249,23 @@ def solve_type1(
     return _run(p, params, rng, read_idx, e_read, propose)
 
 
-def consistency_signs(u: np.ndarray, p_chem: float) -> np.ndarray:
-    """The Bernoulli consistency checks: +1 where a check agrees (its
-    uniform `u` is below p_chem), -1 where it disagrees."""
-    return np.where(u < p_chem, 1.0, -1.0)
-
-
-def observed_change(
-    lin, terms: np.ndarray, p_chem: float, rng: np.random.Generator | None, signs=None
-):
+def observed_change(lin, terms: np.ndarray, p_chem: float, u=None, signs=None):
     """The Type-2 flip law: the energy change as the consistency checks see it.
 
     Each pairwise term (last axis of `terms`, from qubo.flip_terms) keeps
-    its sign when its check agrees, with probability p_chem, one uniform
-    drawn per term (consistency_signs), and is negated otherwise; the
-    linear term is never negated. Explicit +-1 `signs` replace the draws.
-    At p_chem = 1 nothing is drawn and the result is the true change. The
-    flip is accepted when the result is <= 0.
+    its sign when its check agrees, that is when its uniform in `u` (one
+    per term) is below p_chem, and is negated otherwise; the linear term is
+    never negated. Explicit +-1 `signs` replace the uniforms. At p_chem = 1
+    no uniform is read and the result is the true change. The flip is
+    accepted when the result is <= 0.
     """
-    if signs is None:
-        if p_chem >= 1.0:
-            return lin + terms.sum(axis=-1)
-        signs = consistency_signs(rng.random(terms.shape), p_chem)
-    elif np.shape(signs) != terms.shape:
-        raise ValueError(f"expected {terms.shape} consistency signs, got {np.shape(signs)}")
-    return lin + (signs * terms).sum(axis=-1)
+    if signs is not None:
+        if np.shape(signs) != terms.shape:
+            raise ValueError(f"expected {terms.shape} consistency signs, got {np.shape(signs)}")
+        return lin + (signs * terms).sum(axis=-1)
+    if p_chem >= 1.0:
+        return lin + terms.sum(axis=-1)
+    return lin + np.where(u < p_chem, terms, -terms).sum(axis=-1)
 
 
 class PairwiseChemistry:
@@ -319,7 +320,7 @@ def solve_type2(
     partners = [np.flatnonzero(ising.coupling[h]) for h in range(p.n)]
     e_true = energy(p, x)
 
-    def propose(h):
+    def propose(h, u):  # u[1:k+1]: the checks of the k partners
         nonlocal e_true
         lin, pair = flip_terms(ising, s, h)
         terms = pair[partners[h]]
@@ -328,7 +329,7 @@ def solve_type2(
         if chemistry is not None:
             bits = [chemistry.check(h, int(j), int(x[h] ^ 1), int(x[j]), rng) for j in partners[h]]
             signs = 2.0 * np.array(bits, dtype=float) - 1.0
-        obs_de = observed_change(lin, terms, params.p_chem, rng, signs)
+        obs_de = observed_change(lin, terms, params.p_chem, u[1 : terms.size + 1], signs)
         accept = obs_de <= 0.0
         if accept:
             x[h] ^= 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hybrid import consistency_signs, observed_change
+from .hybrid import observed_change
 from .qubo import (
     CapacityError,
     QuboProblem,
@@ -51,7 +51,7 @@ def acceptance_prob(p: QuboProblem, x, h: int, p_chem: float):
     # contiguous, so each row sums pairwise like the solver's 1-D terms (ties at 0)
     d = np.ascontiguousarray(pair[..., partners])
     if p_chem == 1.0:
-        return (observed_change(lin, d, 1.0, None) <= 0.0).astype(float)
+        return (observed_change(lin, d, 1.0) <= 0.0).astype(float)
     sums = np.zeros(np.shape(lin) + (1,))
     probs = np.ones(1)
     for di in d.T[..., None]:
@@ -225,7 +225,7 @@ def empirical_success(
             accept = table[idx, h]
         else:
             lin, pair = flip_terms(ising, s, h)
-            accept = observed_change(lin, pair, p_chem, None, consistency_signs(u[live], p_chem)) <= 0.0
+            accept = observed_change(lin, pair, p_chem, u[live]) <= 0.0
         flip_rows, flip_cols = np.flatnonzero(accept), h[accept]
         s[flip_rows, flip_cols] = -s[flip_rows, flip_cols]
         idx[accept] ^= np.int64(1) << flip_cols

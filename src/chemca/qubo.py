@@ -179,6 +179,8 @@ def build_2sat(clauses, penalty: float = 1.0) -> QuboProblem:
 
 def distance_matrix_from_coords(coords) -> np.ndarray:
     pts = np.asarray(coords, dtype=float)
+    if pts.ndim != 2:
+        raise ValueError(f"coords must be a list of points, each a list of coordinates; got {pts.ndim} dimensions")
     diff = pts[:, None, :] - pts[None, :, :]
     return np.sqrt((diff**2).sum(axis=-1))
 
@@ -307,13 +309,21 @@ def _required(source: dict, key: str):
     return source[key]
 
 
+def _one_of(source: dict, key: str, other: str) -> bool:
+    """Whether `source` gives `key`; a ValueError naming both keys if it
+    gives both, since each one alone defines the same part of a problem."""
+    if key in source and other in source:
+        raise ValueError(f"{key} and {other} are both given; give one")
+    return key in source
+
+
 def load_problem(source: dict) -> QuboProblem:
     """Build a problem from a spec dict.
 
     Kinds: partition {numbers}, 2sat {clauses}, tsp {coords or distances,
-    scale}, explicit {offset, linear, quad} where quad is either the full
-    symmetric half-weight matrix or {"i,j": c} pairwise coefficients
-    (both conventions accepted; pairwise values are halved on load).
+    scale}, explicit {offset, linear, quad or pairs}, where quad is the
+    full symmetric half-weight matrix and pairs the {"i,j": c} pairwise
+    coefficients (halved on load). Giving both keys of an "or" is an error.
     """
     kind = source.get("kind")
     penalty = source.get("penalty", 1.0)
@@ -322,7 +332,7 @@ def load_problem(source: dict) -> QuboProblem:
     if kind == "2sat":
         return build_2sat(_required(source, "clauses"), penalty)
     if kind == "tsp":
-        if "distances" in source:
+        if _one_of(source, "distances", "coords"):
             d = _real_array("distances", source["distances"])
         else:
             d = distance_matrix_from_coords(_real_array("coords", _required(source, "coords")))
@@ -331,8 +341,8 @@ def load_problem(source: dict) -> QuboProblem:
         if "penalty" in source:
             raise ValueError("penalty does not apply to an explicit problem")
         linear = _real_array("linear", _required(source, "linear"))
-        n = linear.shape[0]
-        if "pairs" in source:
+        n = linear.size  # a linear that is not 1-D is QuboProblem's to reject, by name
+        if _one_of(source, "pairs", "quad"):
             pairs = source["pairs"]
             if not isinstance(pairs, dict):
                 raise ValueError(f"pairs must be an object of 'i,j': coefficient, got {type(pairs).__name__}")

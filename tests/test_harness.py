@@ -174,6 +174,13 @@ def test_config_validation_errors():
         ({"kind": "tsp", "coords": [[0, 0], [1, "a"]]}, "coords"),
         ({"kind": "tsp", "coords": [[0, 0], [1, True]]}, "coords"),
         ({"kind": "tsp", "coords": [[0, 0], [1]]}, "coords must be a rectangular array"),
+        ({"kind": "tsp", "coords": [1, 2, 3]}, "coords must be a list of points"),
+        ({"kind": "explicit", "linear": 5, "quad": [[0]]}, "linear must be 1-D"),
+        # two keys that each define the same part of a problem
+        ({"kind": "tsp", "coords": [[0, 0], [1, 0]], "distances": [[0, 1], [1, 0]]},
+         "distances and coords are both given"),
+        ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "pairs": {"0,1": 1}},
+         "pairs and quad are both given"),
     ]
     for bad, key in named_problems:
         cases.append((dict(solve, problem=bad), f"solve.problem: {key}"))
@@ -258,6 +265,35 @@ def test_solve_run_and_rerun_byte_identical(tmp_path):
     run_from_manifest(tmp_path / "a" / "manifest.json", tmp_path / "b")
     for name in manifest.outputs:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_rerun_refuses_another_output_version(tmp_path):
+    assert set(harness.OUTPUT_VERSION) == set(SCHEMA)
+    raw = {"kind": "solve", "problem": {"kind": "partition", "numbers": [1, 3, 4, 8]}, "max_steps": 20,
+           "out": str(tmp_path / "a")}
+    run(ExperimentConfig.from_dict(raw), quiet=True)
+    path = tmp_path / "a" / "manifest.json"
+    recorded = json.loads(path.read_text())
+    assert recorded["output_version"] == harness.OUTPUT_VERSION["solve"] == 1
+    # an edited version, or none (version 0, from before versions were recorded)
+    for version in (0, 2, "1", None):
+        edited = {k: v for k, v in recorded.items() if k != "output_version" or version is not None}
+        if version is not None:
+            edited["output_version"] = version
+        path.write_text(json.dumps(edited))
+        want = rf"manifest\.output_version: .* solve outputs of version {re.escape(repr(version or 0))}, .* version 1"
+        with pytest.raises(ConfigError, match=want):
+            run_from_manifest(path, tmp_path / "b")
+        assert not (tmp_path / "b").exists(), version
+    # a kind still at version 0 re-runs a manifest without the key
+    raw = {"kind": "count", "n": 3, "cell_levels": 4, "iface_levels": 2, "out": str(tmp_path / "c")}
+    run(ExperimentConfig.from_dict(raw), quiet=True)
+    path = tmp_path / "c" / "manifest.json"
+    recorded = json.loads(path.read_text())
+    assert recorded.pop("output_version") == 0
+    path.write_text(json.dumps(recorded))
+    run_from_manifest(path, tmp_path / "d")
+    assert (tmp_path / "d" / "counts.json").read_bytes() == (tmp_path / "c" / "counts.json").read_bytes()
 
 
 def test_markov_run_outputs(tmp_path):
@@ -576,6 +612,21 @@ def test_cli_automaton_capacity(tmp_path, capsys):
     # the largest automaton runs of the tests, demos and benchmark: c09 and the cca1d-raster workload
     ExperimentConfig.from_dict({"kind": "cca2d", "side": 50, "steps": 7000, "initial_chemits": 100, "replicas": 10})
     ExperimentConfig.from_dict({"kind": "cca1d", "rule": "30-5", "cells": 201, "steps": 500})
+
+
+def test_cli_solve_capacity(tmp_path, capsys):
+    # 400 bytes a proposal plus n/4: a 4-variable problem may run 2^30 // 401 proposals
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": {"kind": "partition", "numbers": [1, 3, 4, 8]}}))
+    out, limit = tmp_path / "o", (1 << 30) // 401
+    assert main(["solve", "--config", str(cfg), "--max-steps", str(limit + 1), "--out", str(out), "--quiet"]) == EXIT_CAPACITY
+    assert "capacity error: solve.max_steps: " in capsys.readouterr().err
+    assert not out.exists()
+    ExperimentConfig.from_dict({"kind": "solve", "problem": {"kind": "partition", "numbers": [1, 3, 4, 8]},
+                                "max_steps": limit})
+    # the largest runs of the tests, demos and benchmark: TSP4 at 60,000 proposals
+    tsp4 = {"kind": "tsp", "coords": [[0, 0], [1, 0], [3, 3], [0, 10]]}
+    ExperimentConfig.from_dict({"kind": "solve", "problem": tsp4, "max_steps": 60_000, "replicas": 100})
 
 
 def test_full_reproducibility_all_kinds(tmp_path):

@@ -277,6 +277,26 @@ def test_chemodel_backend_runs_and_solves():
     assert trace.best_energy == 0.0
 
 
+class TopDraw:
+    """A generator stand-in whose every uniform draw starts at the largest
+    double below 1; the rest of each draw is 0.5."""
+
+    def random(self, size=None):
+        u = np.full(size, 0.5)
+        u[0] = 1.0 - 2.0**-53
+        return u
+
+
+@pytest.mark.parametrize("n", [1, 3, 16, 17])
+def test_flip_spin_below_n_at_top_uniform(n):
+    assert int((1.0 - 2.0**-53) * n) == n - 1
+    p = build_partition(list(range(1, n + 1)))
+    params = SolverParams(max_steps=1, patience=0, p_chem=0.5)
+    for solve in (solve_type1, solve_type2):
+        trace = solve(p, params, TopDraw(), init=np.zeros(n, np.uint8))
+        assert trace.flips == [n - 1], solve.__name__
+
+
 def test_init_respected():
     init = index_config(5, 4)
     trace = solve_type2(P4, SolverParams(max_steps=0), np.random.default_rng(0), init=init)
@@ -288,7 +308,10 @@ def test_init_respected():
 # ---- reference loops ------------------------------------------------------
 # Type 1 as first written: three energy evaluations per proposal, config
 # indices as Python-int sums, one json.dumps per trace line. Type 2 as it
-# stood with its own copy of the run loop. Each solver must reproduce its
+# stood with its own copy of the run loop, its checks as +-1 signs times the
+# terms. Both draw by the one-draw contract: u = random(n + 2) per proposal,
+# h = int(u[0] * n), then the readouts and acceptance uniform (Type 1) or
+# the partner checks (Type 2) from u[1:]. Each solver must reproduce its
 # reference float for float and draw for draw.
 
 def reference_index(x) -> int:
@@ -332,15 +355,15 @@ def reference_type1(p, params, rng):
         trace.success = True
         return trace
     for _ in range(params.max_steps):
-        h = int(rng.integers(p.n))
+        u = rng.random(p.n + 2)
+        h = int(u[0] * p.n)
         e_cmd_old = energy(p, cmd)
         cmd[h] ^= 1
         true_de = energy(p, cmd) - e_cmd_old
-        new_read = (rng.random(p.n) < law[cmd, read]).astype(np.uint8)
+        new_read = (u[1 : p.n + 1] < law[cmd, read]).astype(np.uint8)
         e_new = energy(p, new_read)
         obs_de = e_new - e_read
-        u = rng.random()
-        accept = obs_de <= 0.0 or u < math.exp(-obs_de / params.k_temp)
+        accept = obs_de <= 0.0 or u[p.n + 1] < math.exp(-obs_de / params.k_temp)
         if accept:
             read = new_read
             e_read = e_new
@@ -369,15 +392,17 @@ def reference_type2(p, params, rng, chemistry=None):
         trace.success = True
         return trace
     for _ in range(params.max_steps):
-        h = int(rng.integers(p.n))
+        u = rng.random(p.n + 2)
+        h = int(u[0] * p.n)
         lin, pair = flip_terms(ising, s, h)
         terms = pair[partners[h]]
         true_de = lin + terms.sum()
-        signs = None
         if chemistry is not None:
             bits = [chemistry.check(h, int(j), int(x[h] ^ 1), int(x[j]), rng) for j in partners[h]]
             signs = 2.0 * np.array(bits, dtype=float) - 1.0
-        obs_de = observed_change(lin, terms, params.p_chem, rng, signs)
+        else:  # all +1 at p_chem = 1, where u < 1 always holds
+            signs = np.where(u[1 : len(terms) + 1] < params.p_chem, 1.0, -1.0)
+        obs_de = lin + (signs * terms).sum()
         accept = obs_de <= 0.0
         if accept:
             x[h] ^= 1

@@ -36,6 +36,7 @@ P8 = build_partition([1, 3, 4, 9, 3, 5, 3, 6])
 # move but reach no minimum (the two energy-25 configs swap by flipping the 5)
 P9 = build_partition([22, 32, 29, 33, 30, 26, 5, 37, 39])
 TSP3 = build_tsp(distance_matrix_from_coords([[0, 0], [1, 0], [3, 3]]))
+TSP4 = build_tsp(distance_matrix_from_coords([[0, 0], [1, 0], [3, 3], [0, 10]]))
 SAT4 = build_2sat([(1, 2), (-1, 3), (-2, -3), (3, 4)])
 # two cities share a point: at index 1.0 the solver's partner-term sum accepts
 # flips of true change 0 that a sum over all n columns of flip_terms rounds to
@@ -121,7 +122,31 @@ def test_acceptance_batched_rows_equal_single_config():
                 if p_chem == 1.0:
                     lin, pair = flip_terms(ising, bits_to_spins(x).astype(float), h)
                     terms = pair[np.flatnonzero(ising.coupling[h])]
-                    assert batched[c] == float(observed_change(lin, terms, 1.0, None) <= 0.0)
+                    assert batched[c] == float(observed_change(lin, terms, 1.0) <= 0.0)
+
+
+@pytest.mark.parametrize("name", ["tsp4", "p9"])
+def test_observed_change_uniforms_equal_sign_products(name):
+    # the uniforms form negates each term whose check disagrees; the form it
+    # replaced multiplied the terms by where(u < p_chem, 1, -1). A product
+    # with +-1 is exact, so both sum the same floats: equal bit for bit, on
+    # the Monte Carlo's (R, n) rows and on the solver's 1-D partner terms
+    p = {"tsp4": TSP4, "p9": P9}[name]
+    ising = qubo_to_ising(p)
+    rng = np.random.default_rng(27)
+    configs = rng.integers(0, 2, (2000, p.n)) if p.n > 9 else [index_config(c, p.n) for c in range(1 << p.n)]
+    s = bits_to_spins(configs).astype(float)
+    for p_chem, h in itertools.product((0.95, 0.5, 0.0), range(p.n)):
+        lin, pair = flip_terms(ising, s, np.full(len(s), h))
+        u = rng.random(pair.shape)
+        want = lin + (np.where(u < p_chem, 1.0, -1.0) * pair).sum(axis=-1)
+        got = observed_change(lin, pair, p_chem, u)
+        assert got.tobytes() == want.tobytes(), (p_chem, h)
+        partners = np.flatnonzero(ising.coupling[h])
+        for row in range(0, len(s), 97):
+            terms, v = pair[row, partners], u[row, : partners.size]
+            want = lin[row] + (np.where(v < p_chem, 1.0, -1.0) * terms).sum()
+            assert observed_change(lin[row], terms, p_chem, v) == want, (p_chem, h, row)
 
 
 def test_transition_matrix_n1_descends():
@@ -352,7 +377,7 @@ def _isin_success(p, p_chem, init_index, horizon, runs, rng):
             accept = verdict[idx, h]
         else:
             lin, pair = flip_terms(ising, s, h)
-            accept = observed_change(lin, pair, p_chem, rng) <= 0.0
+            accept = observed_change(lin, pair, p_chem, rng.random((runs, p.n))) <= 0.0
         flip_rows, flip_cols = rows[accept], h[accept]
         s[flip_rows, flip_cols] = -s[flip_rows, flip_cols]
         idx[accept] ^= np.int64(1) << flip_cols
@@ -408,7 +433,7 @@ def _solver_verdict(p):
         for h in range(p.n):
             lin, pair = flip_terms(ising, s, h)
             terms = pair[np.flatnonzero(ising.coupling[h])]
-            verdict[c, h] = observed_change(lin, terms, 1.0, None) <= 0.0
+            verdict[c, h] = observed_change(lin, terms, 1.0) <= 0.0
     return verdict
 
 
