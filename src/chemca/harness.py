@@ -149,10 +149,11 @@ def _check_cca1d_capacity(steps: int, p: dict):
 
 
 def _check_solve_capacity(max_steps: int, p: dict):
-    """One run at a time: its trace lists, the Type-1 energy table and the
-    JSONL write, 400 bytes a proposal (tracemalloc peaks of 10,000-proposal
-    TSP4 runs: 265 for Type 1, 142 for Type 2), plus n/4 bytes for the two
-    n-bit config indices a proposal may keep."""
+    """One run at a time: its trace lists, above 16 variables the per-run
+    dict of energies by config index (hybrid._scorer), and the JSONL write,
+    400 bytes a proposal (tracemalloc peaks of 10,000-proposal TSP4 runs
+    with that dict: 265 for Type 1, 142 for Type 2), plus n/4 bytes for the
+    two n-bit config indices a proposal may keep."""
     _check_run_bytes("solve", {"max_steps": max_steps * (400 + p["problem"].n // 4)})
 
 
@@ -234,8 +235,9 @@ KINDS = tuple(SCHEMA)
 # kind -> the version of its output bytes, recorded in every manifest. A
 # change that makes a kind write other bytes for the same config and seed
 # bumps its number, so that run_from_manifest refuses an older manifest
-# instead of re-running it to other bytes. solve 1: one draw per proposal.
-OUTPUT_VERSION = {"count": 0, "cca1d": 0, "cca2d": 0, "solve": 1, "markov": 0, "clock-demo": 0}
+# instead of re-running it to other bytes. solve 1: one draw per proposal;
+# solve 2 and markov 1: coefficients snapped to a dyadic grid (qubo.QuboProblem).
+OUTPUT_VERSION = {"count": 0, "cca1d": 0, "cca2d": 0, "solve": 2, "markov": 1, "clock-demo": 0}
 
 
 def _check(kind: str, rows: dict[str, Key], given: dict) -> dict:

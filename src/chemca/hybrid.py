@@ -4,8 +4,10 @@ Type 1 treats the chemical states as the spins: each step flips one cell's
 commanded PWM bit, reads every cell back through the hysteresis model, and
 accepts with the Metropolis probability min(exp(-dE/k), 1) on the readout
 energy. It needs two energies per proposal, the commanded configuration's
-(for the true change) and the readout's, and computes each configuration's
-energy at most once per run. Type 2 treats the
+(for the true change) and the readout's. Both solvers read energies by
+config index: up to qubo._TABLE_VARS variables from the problem's energy
+table, above that from qubo.energy, at most once per configuration and
+run; a run's start energy comes from qubo.energy. Type 2 treats the
 commanded PWM bits as the spins and checks each pairwise interaction
 against the ideal lookup outcome: a check agrees with probability p_chem
 (the deterministic index), a disagreeing check flips the sign of that
@@ -16,7 +18,9 @@ Draws: a proposal makes one draw, u = rng.random(n + 2). The flipped spin
 is h = int(u[0] * n); Type 1 reads its n readouts from u[1:n+1] and its
 acceptance uniform from u[n+1]; Type 2 reads the checks of h's k partners
 from u[1:k+1] (PairwiseChemistry draws its own from the generator). This
-contract is output version 1 of the `solve` kind (harness.OUTPUT_VERSION).
+contract dates from output version 1 of the `solve` kind
+(harness.OUTPUT_VERSION); version 2 reads the snapped coefficients of
+qubo.QuboProblem.
 """
 
 from __future__ import annotations
@@ -192,6 +196,31 @@ def _run(p: QuboProblem, params: SolverParams, rng: np.random.Generator, start: 
     return trace
 
 
+def _scorer(p: QuboProblem, start: int, x):
+    """(score, e_start): e_start is the energy of the run's start config x,
+    of index `start`, from energy(); score(idx, y) gives the energy of
+    config y, of index idx.
+
+    Up to qubo._TABLE_VARS variables score reads the problem's table,
+    built on the first read and kept with the problem. Above, it calls
+    energy() and keeps each energy per run by index, the start's included,
+    so a config met again is not scored again.
+    """
+    e_start = energy(p, x)
+    table = p.table
+    if table is not None:
+        return (lambda idx, y: table.item(idx)), e_start  # a Python float, as energy() returns
+    scored = {start: e_start}
+
+    def score(idx, y):
+        e = scored.get(idx)
+        if e is None:
+            e = scored[idx] = energy(p, y)
+        return e
+
+    return score, e_start
+
+
 def solve_type1(
     p: QuboProblem,
     params: SolverParams | None = None,
@@ -207,25 +236,18 @@ def solve_type1(
     the command and keeps the previous readout. With p_read = 1 this is
     exactly Metropolis on the commanded configuration.
 
-    Energies are kept per config index for the run, so a configuration met
-    again, as a command or as a readout, is not scored again; the table
-    grows by at most two entries per proposal.
+    Both energies of a step are read by config index (_scorer): from the
+    problem's energy table, or above its size cap from energy(), at most
+    once per configuration and run. The start's readout is scored by
+    energy().
     """
     params = params or SolverParams()
     rng = rng or np.random.default_rng()
     cmd = _init_bits(p, init, rng)
     law = table_single(params.hysteresis)
     read = (rng.random(p.n) < law[cmd, 0]).astype(np.uint8)
-    scored = {}
-
-    def score(idx, x):
-        e = scored.get(idx)
-        if e is None:
-            e = scored[idx] = energy(p, x)
-        return e
-
     read_idx, cmd_idx = config_index(read), config_index(cmd)
-    e_read = score(read_idx, read)
+    score, e_read = _scorer(p, read_idx, read)
     e_cmd = score(cmd_idx, cmd)  # always the energy of cmd as it stands
 
     def propose(h, u):  # u[1:n+1]: the readouts, u[n+1]: the acceptance
@@ -318,7 +340,8 @@ def solve_type2(
     s = bits_to_spins(x).astype(float)
     ising = qubo_to_ising(p)
     partners = [np.flatnonzero(ising.coupling[h]) for h in range(p.n)]
-    e_true = energy(p, x)
+    start = config_index(x)
+    score, e_true = _scorer(p, start, x)
 
     def propose(h, u):  # u[1:k+1]: the checks of the k partners
         nonlocal e_true
@@ -334,7 +357,9 @@ def solve_type2(
         if accept:
             x[h] ^= 1
             s[h] = -s[h]
-            e_true = energy(p, x)
-        return obs_de, true_de, accept, config_index(x), e_true
+        idx = config_index(x)
+        if accept:
+            e_true = score(idx, x)
+        return obs_de, true_de, accept, idx, e_true
 
-    return _run(p, params, rng, config_index(x), e_true, propose)
+    return _run(p, params, rng, start, e_true, propose)

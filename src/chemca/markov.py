@@ -48,8 +48,7 @@ def acceptance_prob(p: QuboProblem, x, h: int, p_chem: float):
     partners = np.flatnonzero(ising.coupling[h])
     _check_budget(len(np.atleast_2d(x)), p.n, 0 if p_chem == 1.0 else partners.size)
     lin, pair = flip_terms(ising, bits_to_spins(x).astype(float), h)
-    # contiguous, so each row sums pairwise like the solver's 1-D terms (ties at 0)
-    d = np.ascontiguousarray(pair[..., partners])
+    d = pair[..., partners]
     if p_chem == 1.0:
         return (observed_change(lin, d, 1.0) <= 0.0).astype(float)
     sums = np.zeros(np.shape(lin) + (1,))

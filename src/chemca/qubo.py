@@ -10,45 +10,80 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 
-_MAX_VARS = 24  # brute_force_min enumerates at most 2^_MAX_VARS configs
-_CHUNK = 1 << 16  # configs per energies() call in brute_force_min
+_MAX_VARS = 24  # energy_table enumerates at most 2^_MAX_VARS configs
+_TABLE_VARS = 16  # the solvers read energies from QuboProblem.table up to this size
+_EXACT_BITS = 47  # a problem's energy bound S spans at most 2^_EXACT_BITS steps of its grid 2^-q
 
 
 class CapacityError(Exception):
     """Problem size exceeds an enumeration or byte-budget bound."""
 
 
-@dataclass
+def _snap(a, q: int):
+    """`a` rounded to the nearest multiples of 2^-q; -0.0 becomes 0.0."""
+    return np.ldexp(np.rint(np.ldexp(a, q)), -q) + 0.0
+
+
+@dataclass(frozen=True)
 class QuboProblem:
+    """A QUBO with exact sums.
+
+    The coefficients are snapped to multiples of 2^-q, where q = 47 -
+    ceil(log2 S) and S = |offset| + sum |linear| + sum |pairwise| bounds
+    every energy. Each sum of them that the code forms (an energy, the
+    Ising form's 1/8 and 1/4 scalings, a flip's terms and any subset of
+    them with any signs) then stays a multiple of 2^-(q+3) below 2^(50-q)
+    in magnitude, so it is exact whatever its order (Goldberg 1991): tied
+    configs compare equal and every path gives the same flip verdict. An
+    integer problem with q >= 0 keeps its coefficients; a problem with
+    q < 0 is rejected. The arrays are read-only, so what is cached from
+    them (`table`) cannot go stale.
+    """
+
     offset: float
     linear: np.ndarray
     quad: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.linear = np.asarray(self.linear, dtype=float)
-        self.quad = np.asarray(self.quad, dtype=float)
-        if self.linear.ndim != 1:
-            raise ValueError(f"linear must be 1-D, got {self.linear.ndim} dimensions")
-        n = self.linear.shape[0]
+        linear = np.asarray(self.linear, dtype=float)
+        quad = np.asarray(self.quad, dtype=float)
+        if linear.ndim != 1:
+            raise ValueError(f"linear must be 1-D, got {linear.ndim} dimensions")
+        n = linear.shape[0]
         if n < 1:
             raise ValueError("at least one variable required")
-        if self.quad.shape != (n, n):
+        if quad.shape != (n, n):
             raise ValueError("quadratic matrix shape does not match variable count")
-        if not all(np.isfinite(c).all() for c in (self.offset, self.linear, self.quad)):
+        if not all(np.isfinite(c).all() for c in (self.offset, linear, quad)):
             raise ValueError("offset, linear and quadratic coefficients must be finite")
         with np.errstate(over="ignore"):
-            bound = abs(self.offset) + np.abs(self.linear).sum() + np.abs(self.pairwise()).sum()
+            bound = abs(self.offset) + np.abs(linear).sum() + 2.0 * np.abs(quad).sum()
         if not np.isfinite(bound):
             raise ValueError("energies overflow: |offset| + sum |linear| + sum |pairwise| is not finite")
-        if not np.allclose(self.quad, self.quad.T):
+        if not np.allclose(quad, quad.T):
             raise ValueError("quadratic matrix must be symmetric")
-        if np.any(np.diag(self.quad) != 0):
+        if np.any(np.diag(quad) != 0):
             raise ValueError("quadratic diagonal must be zero (fold it into linear)")
+        q = 0  # an all-zero problem stays as it is
+        if bound > 0:
+            mantissa, exp = math.frexp(bound)
+            q = _EXACT_BITS - (exp - (mantissa == 0.5))  # exp - (mantissa == 0.5) = ceil(log2 bound)
+            if q < 0:
+                raise ValueError(
+                    f"coefficients too large for exact sums: |offset| + sum |linear| + sum |pairwise| "
+                    f"= {bound:.6g} exceeds 2^{_EXACT_BITS}"
+                )
+        linear, quad = _snap(linear, q), _snap(quad, q)
+        linear.flags.writeable = quad.flags.writeable = False
+        object.__setattr__(self, "offset", float(_snap(self.offset, q)))
+        object.__setattr__(self, "linear", linear)
+        object.__setattr__(self, "quad", quad)
 
     @property
     def n(self) -> int:
@@ -59,18 +94,19 @@ class QuboProblem:
         expanded Hamiltonian)."""
         return 2.0 * self.quad
 
+    @cached_property
+    def table(self) -> np.ndarray | None:
+        """energy_table(self), built on the first read and kept, for a
+        problem of at most _TABLE_VARS variables (2^16 energies, 512 KiB);
+        None above. The solvers read it; brute_force_min builds its own."""
+        return energy_table(self) if self.n <= _TABLE_VARS else None
+
 
 def energy(p: QuboProblem, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
         raise ValueError(f"config length {x.shape} does not match n={p.n}")
     return float(p.offset + p.linear @ x + x @ p.quad @ x)
-
-
-def energies(p: QuboProblem, bits: np.ndarray) -> np.ndarray:
-    """Energies of a (m, n) bit matrix in one shot."""
-    bits = np.asarray(bits, dtype=float)
-    return p.offset + bits @ p.linear + np.einsum("ij,ij->i", bits @ p.quad, bits)
 
 
 def config_index(x) -> int:
@@ -230,21 +266,37 @@ def tour_from_config(x, n_city: int) -> list[int] | None:
     return [int(np.argmax(row)) for row in m]
 
 
-def brute_force_min(p: QuboProblem):
-    """Exhaustive oracle: the minimum energy and the sorted indices of all
-    configs within a relative 1e-9 of it (1e-9 absolute below |E| = 1), so
-    that symmetric encodings whose float sums differ in the last places are
-    all reported. One pass over all 2^n energies, _CHUNK configs at a time.
+def energy_table(p: QuboProblem) -> np.ndarray:
+    """All 2^n energies: entry i is energy(p, index_config(i, n)), bit for bit.
+
+    The low a = n // 2 bits and the high n - a bits are enumerated apart.
+    The (2^(n-a), 2^a) table, whose row-major order is the index order, is
+    the cross term of the two halves (one matmul), plus each half's own
+    energy, added in place. Every sum is exact (QuboProblem), so its order
+    is free. Raises CapacityError above _MAX_VARS variables.
     """
     if p.n > _MAX_VARS:
-        raise CapacityError(f"brute force capped at {_MAX_VARS} variables, got {p.n}")
-    total = 1 << p.n
-    e = np.empty(total)
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        e[lo:hi] = energies(p, config_bits(p.n, lo, hi))
-    emin = float(e.min())
-    return emin, np.flatnonzero(e <= emin + 1e-9 * max(1.0, abs(emin))).tolist()
+        raise CapacityError(f"energy table capped at {_MAX_VARS} variables, got {p.n}")
+    a = p.n // 2
+    lo = config_bits(a, 0, 1 << a).astype(float)
+    hi = config_bits(p.n - a, 0, 1 << (p.n - a)).astype(float)
+
+    def own(bits, half):  # each config's energy over one half's variables alone
+        return bits @ p.linear[half] + np.einsum("ij,ij->i", bits @ p.quad[half, half], bits)
+
+    table = hi @ (p.quad[a:, :a] + p.quad[:a, a:].T) @ lo.T
+    table += own(hi, slice(a, None))[:, None]
+    table += (own(lo, slice(0, a)) + p.offset)[None, :]
+    return table.reshape(-1)
+
+
+def brute_force_min(p: QuboProblem):
+    """Exhaustive oracle: the minimum of energy_table(p) and the sorted
+    indices of every config whose energy equals it. Energies are exact, so
+    symmetric encodings of one solution tie exactly."""
+    e = energy_table(p)
+    emin = e.min()
+    return float(emin), np.flatnonzero(e == emin).tolist()
 
 
 @dataclass
@@ -317,15 +369,30 @@ def _one_of(source: dict, key: str, other: str) -> bool:
     return key in source
 
 
+# problem kind -> the keys of its spec besides "kind"
+_PROBLEM_KEYS = {
+    "partition": ("numbers", "penalty"),
+    "2sat": ("clauses", "penalty"),
+    "tsp": ("coords", "distances", "scale", "penalty"),
+    "explicit": ("offset", "linear", "quad", "pairs"),
+}
+
+
 def load_problem(source: dict) -> QuboProblem:
     """Build a problem from a spec dict.
 
-    Kinds: partition {numbers}, 2sat {clauses}, tsp {coords or distances,
-    scale}, explicit {offset, linear, quad or pairs}, where quad is the
-    full symmetric half-weight matrix and pairs the {"i,j": c} pairwise
-    coefficients (halved on load). Giving both keys of an "or" is an error.
+    Kinds: partition {numbers, penalty}, 2sat {clauses, penalty}, tsp
+    {coords or distances, scale, penalty}, explicit {offset, linear, quad
+    or pairs}, where quad is the full symmetric half-weight matrix and pairs
+    the {"i,j": c} pairwise coefficients (halved on load). Any other key,
+    or both keys of an "or", is an error.
     """
     kind = source.get("kind")
+    if not isinstance(kind, str) or kind not in _PROBLEM_KEYS:
+        raise ValueError(f"unknown problem kind: {kind!r}")
+    unknown = [str(key) for key in source if key != "kind" and key not in _PROBLEM_KEYS[kind]]
+    if unknown:
+        raise ValueError(f"{', '.join(unknown)}: unknown key; kind {kind} takes {', '.join(_PROBLEM_KEYS[kind])}")
     penalty = source.get("penalty", 1.0)
     if kind == "partition":
         return build_partition(_required(source, "numbers"), penalty)
@@ -337,26 +404,23 @@ def load_problem(source: dict) -> QuboProblem:
         else:
             d = distance_matrix_from_coords(_real_array("coords", _required(source, "coords")))
         return build_tsp(d, penalty, source.get("scale"))
-    if kind == "explicit":
-        if "penalty" in source:
-            raise ValueError("penalty does not apply to an explicit problem")
-        linear = _real_array("linear", _required(source, "linear"))
-        n = linear.size  # a linear that is not 1-D is QuboProblem's to reject, by name
-        if _one_of(source, "pairs", "quad"):
-            pairs = source["pairs"]
-            if not isinstance(pairs, dict):
-                raise ValueError(f"pairs must be an object of 'i,j': coefficient, got {type(pairs).__name__}")
-            quad = np.zeros((n, n))
-            for key, c in pairs.items():
-                i, j = _pair_key(key, n)
-                if not _is_real(c):
-                    raise ValueError(f"pairs key {key!r}: coefficient must be a real number, got {c!r}")
-                quad[i, j] += float(c) / 2.0
-                quad[j, i] += float(c) / 2.0
-        else:
-            quad = _real_array("quad", _required(source, "quad"))
-        offset = source.get("offset", 0.0)
-        if not _is_real(offset):
-            raise ValueError(f"offset must be a real number, got {offset!r}")
-        return QuboProblem(float(offset), linear, quad, {"kind": "explicit"})
-    raise ValueError(f"unknown problem kind: {kind!r}")
+    # kind == "explicit"
+    linear = _real_array("linear", _required(source, "linear"))
+    n = linear.size  # a linear that is not 1-D is QuboProblem's to reject, by name
+    if _one_of(source, "pairs", "quad"):
+        pairs = source["pairs"]
+        if not isinstance(pairs, dict):
+            raise ValueError(f"pairs must be an object of 'i,j': coefficient, got {type(pairs).__name__}")
+        quad = np.zeros((n, n))
+        for key, c in pairs.items():
+            i, j = _pair_key(key, n)
+            if not _is_real(c):
+                raise ValueError(f"pairs key {key!r}: coefficient must be a real number, got {c!r}")
+            quad[i, j] += float(c) / 2.0
+            quad[j, i] += float(c) / 2.0
+    else:
+        quad = _real_array("quad", _required(source, "quad"))
+    offset = source.get("offset", 0.0)
+    if not _is_real(offset):
+        raise ValueError(f"offset must be a real number, got {offset!r}")
+    return QuboProblem(float(offset), linear, quad, {"kind": "explicit"})

@@ -181,6 +181,13 @@ def test_config_validation_errors():
          "distances and coords are both given"),
         ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "pairs": {"0,1": 1}},
          "pairs and quad are both given"),
+        # a key that the problem's kind does not take
+        ({"kind": "partition", "numbers": [1, 2], "nmbers": [5]}, "nmbers: unknown key; kind partition takes"),
+        ({"kind": "2sat", "clauses": [[1, 2]], "extra": 3}, "extra: unknown key; kind 2sat takes"),
+        ({"kind": "tsp", "coords": [[0, 0], [1, 0]], "numbers": [1]}, "numbers: unknown key; kind tsp takes"),
+        # coefficients whose sums |offset| + sum |linear| + sum |pairwise| pass 2^47
+        ({"kind": "partition", "numbers": [10000000, 10000000]}, "coefficients too large for exact sums"),
+        ({"kind": "explicit", "linear": [2.0**47, 1], "quad": [[0, 0], [0, 0]]}, "coefficients too large"),
     ]
     for bad, key in named_problems:
         cases.append((dict(solve, problem=bad), f"solve.problem: {key}"))
@@ -274,14 +281,14 @@ def test_rerun_refuses_another_output_version(tmp_path):
     run(ExperimentConfig.from_dict(raw), quiet=True)
     path = tmp_path / "a" / "manifest.json"
     recorded = json.loads(path.read_text())
-    assert recorded["output_version"] == harness.OUTPUT_VERSION["solve"] == 1
+    assert recorded["output_version"] == harness.OUTPUT_VERSION["solve"] == 2
     # an edited version, or none (version 0, from before versions were recorded)
-    for version in (0, 2, "1", None):
+    for version in (0, 1, 3, "2", None):
         edited = {k: v for k, v in recorded.items() if k != "output_version" or version is not None}
         if version is not None:
             edited["output_version"] = version
         path.write_text(json.dumps(edited))
-        want = rf"manifest\.output_version: .* solve outputs of version {re.escape(repr(version or 0))}, .* version 1"
+        want = rf"manifest\.output_version: .* solve outputs of version {re.escape(repr(version or 0))}, .* version 2"
         with pytest.raises(ConfigError, match=want):
             run_from_manifest(path, tmp_path / "b")
         assert not (tmp_path / "b").exists(), version
@@ -448,6 +455,14 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
          "solve.problem: distances"),
         (["markov"] + config({"problem": {"kind": "tsp", "coords": [[0, 0], [1, "a"]]}, "out": str(tmp_path / "no")}),
          "markov.problem: coords"),
+        (["solve"] + config({"problem": {"kind": "partition", "numbers": [1, 2], "nmbers": [5]},
+                             "out": str(tmp_path / "no")}), "solve.problem: nmbers: unknown key"),
+        (["markov"] + config({"problem": {"kind": "2sat", "clauses": [[1, 2]], "extra": 3},
+                              "out": str(tmp_path / "no")}), "markov.problem: extra: unknown key"),
+        (["solve"] + config({"problem": {"kind": "partition", "numbers": [10000000, 10000000]},
+                             "out": str(tmp_path / "no")}), "solve.problem: coefficients too large"),
+        (["markov"] + config({"problem": {"kind": "partition", "numbers": [10000000, 10000000]},
+                              "out": str(tmp_path / "no")}), "markov.problem: coefficients too large"),
         (["nope"], "nope"),
         ([], "kind"),
     ]

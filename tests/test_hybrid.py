@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from chemca import hybrid
+from chemca import hybrid, qubo
 from chemca.chemodel import SingleCellHysteresisParams, table_single
 from chemca.hybrid import (
     PairwiseChemistry,
@@ -30,6 +30,7 @@ from chemca.qubo import (
 )
 
 from .spin_bits import spins_to_bits
+from .test_qubo import explicit_float
 
 P4 = build_partition([1, 3, 4, 8])
 P6 = build_partition([1, 3, 4, 6, 5, 1])
@@ -422,6 +423,8 @@ REFERENCE_PROBLEMS = {
     "p4": P4,
     "tsp4": build_tsp(distance_matrix_from_coords(CITIES)),
     "2sat": build_2sat([(1, 2), (2, -4), (3, 4), (1, -3), (-1, -2)]),
+    # above qubo._TABLE_VARS: the solvers score configs through energy()
+    "explicit17": explicit_float(qubo._TABLE_VARS + 1, 17),
 }
 TYPE1_CASES = {
     "pread0.9": dict(hysteresis=SingleCellHysteresisParams(0.9)),
@@ -459,24 +462,30 @@ def test_type1_matches_reference_loop(name, case, tmp_path):
 
 
 def test_type1_scores_each_config_once(monkeypatch):
-    # the reference loop scores three configs per proposal; the solver makes
-    # one energy() call per distinct one of them and one config_index() call
-    # per proposal, plus the start's
-    p, real_energy = REFERENCE_PROBLEMS["tsp4"], energy
+    # the reference loop scores three configs per proposal. Up to
+    # qubo._TABLE_VARS variables the solver reads them all from the
+    # problem's table and calls energy() for the start's readout alone;
+    # above, it makes one energy() call per distinct config. Either way one
+    # config_index() call per proposal, plus the start's
+    real_energy = energy
     params = SolverParams(max_steps=3000, patience=0, hysteresis=SingleCellHysteresisParams(0.9))
-    want = []
-    monkeypatch.setitem(globals(), "energy", lambda q, x: want.append(reference_index(x)) or real_energy(q, x))
-    reference_type1(p, params, np.random.default_rng(7))
-    monkeypatch.undo()
-    got, indexed = [], []
-    monkeypatch.setattr(hybrid, "energy", lambda q, x: got.append(reference_index(x)) or real_energy(q, x))
-    monkeypatch.setattr(hybrid, "config_index", lambda x: indexed.append(1) or config_index(x))
-    trace = solve_type1(p, params, np.random.default_rng(7))
-    assert trace.n_steps == 3000 and len(want) == 3 * 3000 + 1
-    assert len(got) == len(set(got)) and set(got) == set(want)
-    for cfg, e in zip(trace.configs, trace.energies):
-        assert e == real_energy(p, index_config(cfg, p.n))
-    assert trace.n_steps <= len(indexed) <= trace.n_steps + 2
+    for name in ("tsp4", "explicit17"):
+        p, want, got, indexed = REFERENCE_PROBLEMS[name], [], [], []
+        monkeypatch.setitem(globals(), "energy", lambda q, x: want.append(reference_index(x)) or real_energy(q, x))
+        reference_type1(p, params, np.random.default_rng(7))
+        monkeypatch.undo()
+        monkeypatch.setattr(hybrid, "energy", lambda q, x: got.append(reference_index(x)) or real_energy(q, x))
+        monkeypatch.setattr(hybrid, "config_index", lambda x: indexed.append(1) or config_index(x))
+        trace = solve_type1(p, params, np.random.default_rng(7))
+        monkeypatch.undo()
+        assert trace.n_steps == 3000 and len(want) == 3 * 3000 + 1
+        if p.n <= qubo._TABLE_VARS:
+            assert got == [trace.init_config], name
+        else:
+            assert len(got) == len(set(got)) and set(got) == set(want)
+        for cfg, e in zip(trace.configs, trace.energies):
+            assert e == real_energy(p, index_config(cfg, p.n))
+        assert trace.n_steps <= len(indexed) <= trace.n_steps + 2
 
 
 @pytest.mark.parametrize("case", list(TYPE2_CASES))

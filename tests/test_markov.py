@@ -38,9 +38,9 @@ P9 = build_partition([22, 32, 29, 33, 30, 26, 5, 37, 39])
 TSP3 = build_tsp(distance_matrix_from_coords([[0, 0], [1, 0], [3, 3]]))
 TSP4 = build_tsp(distance_matrix_from_coords([[0, 0], [1, 0], [3, 3], [0, 10]]))
 SAT4 = build_2sat([(1, 2), (-1, 3), (-2, -3), (3, 4)])
-# two cities share a point: at index 1.0 the solver's partner-term sum accepts
-# flips of true change 0 that a sum over all n columns of flip_terms rounds to
-# +4.4e-16; only through such flips do configs 76, 97, 100, 101 and 108 reach a minimum
+# two cities share a point, so many flips change the energy by exactly 0: only
+# through such flips do configs 76, 97, 100, 101 and 108 reach a minimum at
+# index 1.0 (unsnapped coefficients rounded some of those changes to +4.4e-16)
 TSP3_DEGENERATE = build_tsp(distance_matrix_from_coords([[3, 2], [3, 0], [3, 2]]))
 
 
@@ -108,9 +108,7 @@ def test_acceptance_matches_monte_carlo():
 
 def test_acceptance_batched_rows_equal_single_config():
     # one config per row is the same law as one config at a time, and at
-    # index 1 the same law as the solver's 1-D partner terms (a strided
-    # gather of the pairwise terms sums its rows sequentially and breaks
-    # ties at a true change of 0 differently)
+    # index 1 the same law as the solver's 1-D partner terms
     for p in (P8, TSP3):
         ising = qubo_to_ising(p)
         configs = np.array([index_config(c, p.n) for c in range(1 << p.n)])
@@ -123,6 +121,27 @@ def test_acceptance_batched_rows_equal_single_config():
                     lin, pair = flip_terms(ising, bits_to_spins(x).astype(float), h)
                     terms = pair[np.flatnonzero(ising.coupling[h])]
                     assert batched[c] == float(observed_change(lin, terms, 1.0) <= 0.0)
+
+
+@pytest.mark.parametrize("p", [TSP3, TSP3_DEGENERATE], ids=["tsp3", "tsp3_degenerate"])
+def test_transition_matrix_equals_solver_sign_patterns(p):
+    # entry (c, h) at index 0.95 is the summed probability of the sign
+    # patterns of h's partner terms that observed_change accepts; at true
+    # ties every order of summation must give the same verdict (unsnapped
+    # TSP3 coefficients broke 768 of 4608 entries)
+    p_chem = 0.95
+    ising = qubo_to_ising(p)
+    table = build_transition_matrix(p, p_chem)
+    want = np.empty_like(table)
+    for h in range(p.n):
+        partners = np.flatnonzero(ising.coupling[h])
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=partners.size)))
+        probs = np.prod(np.where(signs > 0, p_chem, 1.0 - p_chem), axis=1)
+        for c in range(1 << p.n):
+            lin, pair = flip_terms(ising, bits_to_spins(index_config(c, p.n)).astype(float), h)
+            terms = np.broadcast_to(pair[partners], signs.shape)
+            want[c, h] = probs[observed_change(lin, terms, p_chem, signs=signs) <= 0.0].sum()
+    assert np.count_nonzero(np.abs(table - want) > 1e-12) == 0
 
 
 @pytest.mark.parametrize("name", ["tsp4", "p9"])

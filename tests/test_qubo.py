@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from chemca import qubo
 from chemca.qubo import (
     CapacityError,
     QuboProblem,
@@ -18,6 +19,7 @@ from chemca.qubo import (
     config_index,
     distance_matrix_from_coords,
     energy,
+    energy_table,
     flip_terms,
     index_config,
     load_problem,
@@ -233,7 +235,8 @@ def _tsp_quad_loops(d, penalty, scale):
 def test_tsp_quad_matches_loop_reference_bytes():
     # 2 cities: the tour term and its transpose land on the same entries;
     # integer coords give coincident cities, the nudge a distance matrix
-    # symmetric only to allclose
+    # symmetric only to allclose. The loop form goes through the same snap,
+    # as a problem with build_tsp's offset and linear terms
     rng = np.random.default_rng(5)
     for trial in range(400):
         n_city = 2 + trial % 5
@@ -244,7 +247,9 @@ def test_tsp_quad_matches_loop_reference_bytes():
         penalty = (0.5, 1.0, 3.7, 1e6)[trial % 4]
         scale = (None, 0.37, 1.0)[trial % 3]  # None only on nudged, nonzero distances
         got = build_tsp(d, penalty, scale).quad
-        assert got.tobytes() == _tsp_quad_loops(d, penalty, scale).tobytes(), (trial, n_city, penalty, scale)
+        n = n_city * n_city
+        want = QuboProblem(2.0 * penalty * n_city, np.full(n, -2.0 * penalty), _tsp_quad_loops(d, penalty, scale)).quad
+        assert got.tobytes() == want.tobytes(), (trial, n_city, penalty, scale)
 
 
 def test_oracle_partition_4():
@@ -284,8 +289,8 @@ def test_oracle_tsp_min_energy():
 
 
 def test_oracle_partition_18_crosses_chunks():
-    # 2^18 configs span four energies() chunks; minima come in complement
-    # pairs, so half of them lie past the first chunk
+    # 2^18 configs, enumerated as two halves of 9 bits; minima come in
+    # complement pairs, so half of them have their top bit set
     numbers = np.random.default_rng(18).integers(1, 60, 18)
     p = build_partition(numbers.tolist())
     idx = np.arange(1 << 18)
@@ -294,7 +299,76 @@ def test_oracle_partition_18_crosses_chunks():
     emin, minima = brute_force_min(p)
     assert emin == float(ref.min())
     assert minima == np.flatnonzero(ref == ref.min()).tolist()
-    assert minima[-1] >= 1 << 16
+    assert minima[-1] >= 1 << 17
+
+
+def explicit_float(n, seed):
+    """An explicit problem with seeded, non-dyadic float coefficients."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.normal(size=(n, n)), 1)
+    return QuboProblem(rng.normal(), rng.normal(size=n), upper + upper.T)
+
+
+@pytest.mark.parametrize("name", ["tsp3", "tsp4", "tsp3_degenerate", "p9", "2sat", "explicit"])
+def test_energy_table_equals_energy_bitwise(name):
+    p = {
+        "tsp3": lambda: build_tsp(distance_matrix_from_coords(CITIES[:3])),
+        "tsp4": lambda: build_tsp(distance_matrix_from_coords(CITIES)),
+        "tsp3_degenerate": lambda: build_tsp(distance_matrix_from_coords([[3, 2], [3, 0], [3, 2]])),
+        "p9": lambda: build_partition([22, 32, 29, 33, 30, 26, 5, 37, 39]),
+        "2sat": lambda: build_2sat(SAT2),
+        "explicit": lambda: explicit_float(11, 28),
+    }[name]()
+    want = np.array([energy(p, x) for x in config_bits(p.n, 0, 1 << p.n)])
+    assert energy_table(p).tobytes() == want.tobytes()
+    assert p.table.tobytes() == want.tobytes()
+
+
+def test_snap_moves_floats_to_the_nearest_grid_step():
+    # integer problems keep their coefficients (the printed-coefficient tests)
+    rng = np.random.default_rng(28)
+    offset, linear, upper = rng.normal(), rng.normal(size=6), np.triu(rng.normal(size=(6, 6)), 1)
+    p = QuboProblem(offset, linear, upper + upper.T)
+    bound = abs(offset) + np.abs(linear).sum() + 2 * np.abs(upper + upper.T).sum()
+    step = 2.0 ** -(47 - math.ceil(math.log2(bound)))
+    for got, raw in ((p.offset, offset), (p.linear, linear), (p.quad, upper + upper.T)):
+        assert np.all(np.abs(got - raw) <= step / 2)
+        assert np.all(np.mod(got, step) == 0)
+
+
+def test_problem_arrays_are_read_only():
+    p = build_partition([1, 3, 4, 8])
+    for write in (lambda: p.linear.__setitem__(0, 1.0), lambda: p.quad.__setitem__((0, 1), 1.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            write()
+    with pytest.raises(AttributeError):
+        p.linear = np.zeros(4)
+    # the caller's arrays stay writable and unchanged
+    linear = np.array([0.1, 0.2])
+    QuboProblem(0.0, linear, np.zeros((2, 2)))
+    linear[0] = 5.0
+    assert linear.tolist() == [5.0, 0.2]
+
+
+def test_problem_too_large_for_exact_sums():
+    with pytest.raises(ValueError, match=r"coefficients too large for exact sums: .* exceeds 2\^47"):
+        build_partition([10000000, 10000000])
+    # 2^47 exactly is the largest bound kept, with integer coefficients
+    p = QuboProblem(0.0, [2.0**46, 2.0**46], np.zeros((2, 2)))
+    assert p.linear.tolist() == [2.0**46, 2.0**46]
+    with pytest.raises(ValueError, match="too large"):
+        QuboProblem(1.0, [2.0**46, 2.0**46], np.zeros((2, 2)))
+    zero = QuboProblem(-0.0, [-0.0, 0.0], np.zeros((2, 2)))
+    assert str(zero.offset) == "0.0" and zero.linear.tolist() == [0.0, 0.0]
+
+
+def test_table_cached_up_to_the_cap():
+    p = build_tsp(distance_matrix_from_coords(CITIES[:3]))
+    brute_force_min(p)
+    assert "table" not in vars(p)  # the oracle builds its own, so a solver's first read pays for it
+    assert p.table is p.table and p.table.size == 1 << 9
+    big = QuboProblem(0.0, np.ones(qubo._TABLE_VARS + 1), np.zeros((qubo._TABLE_VARS + 1,) * 2))
+    assert big.table is None
 
 
 def test_oracle_capacity():
