@@ -124,9 +124,10 @@ def _check_markov_capacity(spec: dict, p: dict):
     return problem
 
 
-# The estimated peak of one cca1d or cca2d run, in bytes, may not exceed
-# this (1 GiB). Each estimate is a sum of per-cell and per-step terms that
-# bound tracemalloc peaks of whole runs, output files included.
+# The estimated peak of one cca1d, cca2d, solve or clock-demo run, in
+# bytes, may not exceed this (1 GiB). Each estimate is a sum of per-cell
+# and per-step terms that bound tracemalloc peaks of whole runs, output
+# files included.
 _RUN_BYTE_BUDGET = 1 << 30
 
 
@@ -151,9 +152,12 @@ def _check_cca1d_capacity(steps: int, p: dict):
 def _check_solve_capacity(max_steps: int, p: dict):
     """One run at a time: its trace lists, above 16 variables the per-run
     dict of energies by config index (hybrid._scorer), and the JSONL write,
-    400 bytes a proposal (tracemalloc peaks of 10,000-proposal TSP4 runs
-    with that dict: 265 for Type 1, 142 for Type 2), plus n/4 bytes for the
-    two n-bit config indices a proposal may keep."""
+    400 bytes a proposal, plus n/4 bytes for the two n-bit config indices
+    a proposal may keep. Tracemalloc peaks of 10,000-proposal runs with the
+    write, per proposal: TSP4 with its energy table built in the run, 239
+    for Type 1 and 218-224 for Type 2 (p_chem 1 and 0.95); TSP5 (25
+    variables) with the dict, 254 for Type 1 and 173 for Type 2. The
+    write's blocks add a fixed 0.4 MB or so to each."""
     _check_run_bytes("solve", {"max_steps": max_steps * (400 + p["problem"].n // 4)})
 
 
@@ -162,6 +166,22 @@ def _check_cca2d_capacity(steps: int, p: dict):
     table included) and its series and events (320 bytes a step)."""
     replicas = p["replicas"]
     _check_run_bytes("cca2d", {"side": 400 * p["side"] ** 2 * replicas, "steps": 320 * steps * replicas})
+
+
+def _check_clock_demo_capacity(v: dict):
+    """Every frame of every cell at once, in the trace lists and the
+    decoding (24 bytes a frame-cell, at most period + 5 * jitter frames a
+    cycle), plus 800 bytes a cell and 600 a cycle (the bank, the targets
+    and the decisions). Tracemalloc peaks of whole runs (confirmations 1
+    and 2) read 7-18 bytes a frame-cell with 10-2,000 cells, 630-780 a
+    cell with 20,000-40,000 cells in one cycle, and 290-490 a cycle with
+    one cell: 0.26-0.72 of this estimate, above a fixed 0.2 MB. The
+    frame term is named after its largest factor."""
+    cells, cycles, period, jitter = (v[k] for k in ("cells", "cycles", "period", "jitter"))
+    terms = {"cells": 800 * cells, "cycles": 600 * cycles}
+    factor = max((cells, "cells"), (cycles, "cycles"), (period, "period"), (5 * jitter, "jitter"))[1]
+    terms[factor] = terms.get(factor, 0) + 24 * cells * cycles * (period + 5 * jitter)
+    _check_run_bytes("clock-demo", terms)
 
 
 COMMON = _rows(
@@ -309,6 +329,8 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"{', '.join(unknown)}: unknown key")
         values = _check(kind, rows, raw)
+        if kind == "clock-demo":  # every key has a default, and a row's check sees only given values
+            _check_clock_demo_capacity(values)
         params = {k: v for k, v in raw.items() if k in SCHEMA[kind] and k not in COMMON}
         return cls(kind, params, values)
 

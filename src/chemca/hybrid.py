@@ -75,6 +75,7 @@ class SolverParams:
 
 
 _JSON_BOOL = ("false", "true")
+_JSONL_BLOCK = 1024  # trace rows per block of SolveTrace.write_jsonl
 
 
 def _json_floats(values):
@@ -126,22 +127,34 @@ class SolveTrace:
 
     def write_jsonl(self, path):
         """One JSON object per proposal step, byte for byte as
-        json.dumps(row, sort_keys=True) writes it."""
-        rows = zip(
-            self.accepted,
-            _json_floats(self.best_energies),
-            self.configs,
-            _json_floats(self.energies),
-            self.flips,
-            _json_floats(self.observed_de),
-            _json_floats(self.true_de),
-        )
+        json.dumps(row, sort_keys=True) writes it.
+
+        The rows go out in blocks of _JSONL_BLOCK. A block's four float
+        columns are stacked into one array, and each distinct bit pattern
+        in it is formatted once: a solve trace repeats its energies, and
+        the 56,000 floats of the 14,000 TSP4 rows of an ising-solve
+        benchmark pass need 18,387 texts. Keying on the bits, not the
+        values, keeps -0.0 apart from 0.0."""
         with open(path, "w") as fh:
-            fh.writelines(
-                f'{{"accepted": {_JSON_BOOL[acc]}, "best_energy": {best}, "config": {cfg}, '
-                f'"energy": {e}, "flip": {h}, "observed_de": {obs}, "step": {t}, "true_de": {true}}}\n'
-                for t, (acc, best, cfg, e, h, obs, true) in enumerate(rows)
-            )
+            for start in range(0, self.n_steps, _JSONL_BLOCK):
+                stop = start + _JSONL_BLOCK
+                block = np.array(
+                    [self.best_energies[start:stop], self.energies[start:stop],
+                     self.observed_de[start:stop], self.true_de[start:stop]],
+                    dtype=np.float64,
+                )
+                bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+                texts = np.array(list(_json_floats(bits.view(np.float64).tolist())), dtype=object)
+                best_col, e_col, obs_col, true_col = texts[inverse].reshape(block.shape).tolist()
+                rows = zip(
+                    self.accepted[start:stop], best_col, self.configs[start:stop], e_col,
+                    self.flips[start:stop], obs_col, true_col,
+                )
+                fh.writelines(
+                    f'{{"accepted": {_JSON_BOOL[acc]}, "best_energy": {best}, "config": {cfg}, '
+                    f'"energy": {e}, "flip": {h}, "observed_de": {obs}, "step": {t}, "true_de": {true}}}\n'
+                    for t, (acc, best, cfg, e, h, obs, true) in enumerate(rows, start)
+                )
 
     def summary(self) -> dict:
         return {

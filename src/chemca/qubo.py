@@ -29,7 +29,7 @@ def _snap(a, q: int):
     return np.ldexp(np.rint(np.ldexp(a, q)), -q) + 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuboProblem:
     """A QUBO with exact sums.
 
@@ -42,7 +42,8 @@ class QuboProblem:
     configs compare equal and every path gives the same flip verdict. An
     integer problem with q >= 0 keeps its coefficients; a problem with
     q < 0 is rejected. The arrays are read-only, so what is cached from
-    them (`table`) cannot go stale.
+    them (`table`) cannot go stale. Equality and hashing are by identity:
+    a problem equals only itself.
     """
 
     offset: float

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -301,6 +302,61 @@ def test_rerun_refuses_another_output_version(tmp_path):
     path.write_text(json.dumps(recorded))
     run_from_manifest(path, tmp_path / "d")
     assert (tmp_path / "d" / "counts.json").read_bytes() == (tmp_path / "c" / "counts.json").read_bytes()
+
+
+# One tiny config per kind (solve once per solver type; Type 1 writes 2,100
+# trace rows, past two blocks of hybrid.SolveTrace.write_jsonl), the output
+# version of its kind and the SHA-256 of its outputs (_outputs_digest). A
+# change that moves a digest bumps that kind's harness.OUTPUT_VERSION and
+# re-pins it here. numpy may change its Generator streams between
+# versions, so the digests hold for PINNED_NUMPY only.
+PINNED_NUMPY = "2.4.6"
+PINNED_OUTPUTS = [
+    ({"kind": "count", "n": 3, "cell_levels": 4, "iface_levels": 2}, 0,
+     "cef8efc1f0554d73352c6affe1ca2bae4930a268337f46c8ad248a674e2b249a"),
+    ({"kind": "cca1d", "rule": "110-7", "cells": 9, "steps": 15, "seed": 8}, 0,
+     "bf8e7d87350b77ec270484df28cb53cb1f48a85cf488b4aa016410fdf9d89567"),
+    ({"kind": "cca2d", "side": 8, "steps": 20, "initial_chemits": 2, "seed": 8}, 0,
+     "02763c1d9ad5445f99b9a0ad0c5e63a968e7796a12c491bec9b3580fc1b45f42"),
+    ({"kind": "solve", "problem": {"kind": "partition", "numbers": [1, 3, 4, 8]}, "solver": 1,
+      "max_steps": 2100, "seed": 8}, 2,
+     "c6edbe97b60d03c1541b4ae0ef2738126ac43c1a91b03bb9b36a1f2cf65d8021"),
+    ({"kind": "solve", "problem": {"kind": "tsp", "coords": [[0, 0], [1, 0], [3, 3]]}, "solver": 2,
+      "p_chem": 0.9, "max_steps": 300, "replicas": 2, "seed": 8}, 2,
+     "fcf814dc0513e96b18e757a5fa6d0b5e28624e6a27f1c44e54435f236f6c42c7"),
+    ({"kind": "markov", "problem": {"kind": "tsp", "coords": [[0, 0], [1, 0], [3, 3]]},
+      "deterministic_indices": [1.0, 0.95], "horizon": 50}, 1,
+     "975e02b0adfed3d248ac23bf94f0f1e6439c5da548655059137b67bc1366c869"),
+    ({"kind": "clock-demo", "cells": 4, "cycles": 3, "jitter": 1, "seed": 8}, 0,
+     "d9b98a11982471b80a382122bafae024aea1b5e427782bfd081f08cf916985c0"),
+]
+
+
+def _outputs_digest(out: Path, manifest) -> str:
+    """SHA-256 over the manifest without its started, finished and env
+    (which differ between runs and hosts) and over every listed output,
+    each after its name."""
+    recorded = json.loads((out / "manifest.json").read_text())
+    for key in ("started", "finished", "env"):
+        del recorded[key]
+    digest = hashlib.sha256(json.dumps(recorded, sort_keys=True).encode())
+    for name in manifest.outputs:
+        digest.update(b"\0" + name.encode() + b"\0" + (out / name).read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("i", range(len(PINNED_OUTPUTS)))
+def test_output_digests_pinned(i, tmp_path):
+    raw, version, want = PINNED_OUTPUTS[i]
+    assert harness.OUTPUT_VERSION[raw["kind"]] == version, "re-pin the digest with the version"
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"output digests pinned on numpy {PINNED_NUMPY}, this is numpy {np.__version__}")
+    manifest = run(ExperimentConfig.from_dict(dict(raw, out=str(tmp_path))), quiet=True)
+    assert _outputs_digest(tmp_path, manifest) == want, raw["kind"]
+
+
+def test_pinned_outputs_cover_every_kind():
+    assert {raw["kind"] for raw, _, _ in PINNED_OUTPUTS} == set(SCHEMA)
 
 
 def test_markov_run_outputs(tmp_path):
@@ -642,6 +698,27 @@ def test_cli_solve_capacity(tmp_path, capsys):
     # the largest runs of the tests, demos and benchmark: TSP4 at 60,000 proposals
     tsp4 = {"kind": "tsp", "coords": [[0, 0], [1, 0], [3, 3], [0, 10]]}
     ExperimentConfig.from_dict({"kind": "solve", "problem": tsp4, "max_steps": 60_000, "replicas": 100})
+
+
+def test_cli_clock_demo_capacity(tmp_path, capsys):
+    # 800 bytes a cell, 600 a cycle and 24 a frame-cell: at the default 7
+    # cells and 12 frames a cycle, 5,600 + 2,616 bytes a cycle
+    out, limit = tmp_path / "o", ((1 << 30) - 5600) // 2616
+    cases = [
+        (["--cycles", str(limit + 1)], "clock-demo.cycles"),
+        (["--cells", "1400000"], "clock-demo.cells"),
+        (["--period", "4000000", "--cycles", "2"], "clock-demo.period"),
+        (["--jitter", "800000", "--cycles", "2"], "clock-demo.jitter"),
+    ]
+    for argv, name in cases:
+        assert main(["clock-demo", *argv, "--out", str(out), "--quiet"]) == EXIT_CAPACITY, argv
+        assert f"capacity error: {name}: " in capsys.readouterr().err, argv
+        assert not out.exists()
+    ExperimentConfig.from_dict({"kind": "clock-demo", "cycles": limit})
+    # the defaults and the demo_clocking.py run
+    ExperimentConfig.from_dict({"kind": "clock-demo"})
+    ExperimentConfig.from_dict({"kind": "clock-demo", "cells": 7, "cycles": 6, "period": 12, "jitter": 1,
+                                "confirmations": 2})
 
 
 def test_full_reproducibility_all_kinds(tmp_path):

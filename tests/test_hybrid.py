@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chemca import hybrid, qubo
 from chemca.chemodel import SingleCellHysteresisParams, table_single
@@ -547,3 +548,43 @@ def test_jsonl_lines_equal_json_dumps_on_edge_values(values, tmp_path):
     want = (tmp_path / "want.jsonl").read_text().splitlines(keepends=True)
     assert len(got) == trace.n_steps
     assert got == want  # each line is json.dumps(row, sort_keys=True) + "\n"
+
+
+EDGE_POOL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, -2.5]
+
+
+# The writer works in blocks of hybrid._JSONL_BLOCK (1024) rows, so the
+# lengths straddle block edges. Each column draws from a small pool of
+# values (many repeats); the rows before `finite_rows` draw its finite
+# values only, so that some blocks are all finite and others are not.
+@settings(max_examples=60, deadline=None)
+@example(pool=EDGE_POOL, length=2049, finite_rows=0, seed=0)
+@example(pool=EDGE_POOL, length=2049, finite_rows=1030, seed=1)
+@example(pool=[0.0, -0.0], length=1024, finite_rows=0, seed=2)
+@given(
+    pool=st.lists(st.floats() | st.sampled_from(EDGE_POOL), min_size=1, max_size=12),
+    length=st.sampled_from([0, 1, 2, 1023, 1024, 1025, 2049]),
+    finite_rows=st.integers(0, 2049),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_jsonl_blocks_equal_json_dumps(pool, length, finite_rows, seed, tmp_path_factory):
+    rng = np.random.default_rng(seed)
+    values = np.array(pool, dtype=float)
+    columns = values[rng.integers(0, len(pool), (4, length))]  # fancy indexing keeps each value's bits
+    head = columns[:, :finite_rows]
+    head[~np.isfinite(head)] = 0.5
+    best, energies, observed, true = columns.tolist()
+    trace = SolveTrace(
+        5, 0,
+        flips=rng.integers(0, 5, length).tolist(),
+        observed_de=observed,
+        true_de=true,
+        accepted=(rng.random(length) < 0.5).tolist(),
+        configs=[(1 << 70) + c for c in rng.integers(0, 32, length).tolist()],
+        energies=energies,
+        best_energies=best,
+    )
+    folder = tmp_path_factory.mktemp("jsonl")
+    trace.write_jsonl(folder / "got.jsonl")
+    reference_write_jsonl(trace, folder / "want.jsonl")
+    assert (folder / "got.jsonl").read_bytes() == (folder / "want.jsonl").read_bytes()

@@ -362,6 +362,14 @@ def test_problem_too_large_for_exact_sums():
     assert str(zero.offset) == "0.0" and zero.linear.tolist() == [0.0, 0.0]
 
 
+def test_problem_equality_is_identity():
+    p, same = build_partition([1, 3, 4, 8]), build_partition([1, 3, 4, 8])
+    assert p == p and not p != p
+    assert (p == same) is False and p != same  # answered, not numpy's ambiguous truth value
+    assert hash(p) == hash(p) and {p: 1}[p] == 1 and len({p, same}) == 2
+    assert p.table is p.table  # the cached table still lands on the instance
+
+
 def test_table_cached_up_to_the_cap():
     p = build_tsp(distance_matrix_from_coords(CITIES[:3]))
     brute_force_min(p)
