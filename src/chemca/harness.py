@@ -35,7 +35,7 @@ from .cca2d import DEFAULT_FLUCT_RATIO, EVENT_FIELDS, PopulationSeries, run_popu
 from .chemodel import ChemModel2DParams
 from .lattice import chemical_state_count, expansion_ratio, format_scientific, input_state_count, line
 from .markov import build_transition_matrix, check_capacity, success_probabilities
-from .qubo import CapacityError, brute_force_min, index_config, load_problem
+from .qubo import CapacityError, brute_force_min, index_config, load_problem, problem_vars
 from .signals import ClockedCellBank, ColorState, decode_trace, synthesize_trace
 from .hybrid import SolverParams, solve_type1, solve_type2
 
@@ -115,7 +115,7 @@ def _check_markov_capacity(spec: dict, p: dict):
     markov.deterministic_indices, when its acceptance table at one of the
     indices exceeds the Markov byte budget: before the oracle runs or any
     output is written."""
-    problem = load_problem(spec)
+    problem = _load_problem("markov", spec)
     for idx in p["deterministic_indices"]:
         try:
             check_capacity(problem, float(idx))
@@ -143,6 +143,23 @@ def _check_run_bytes(kind: str, terms: dict[str, int]):
         )
 
 
+# Bytes a problem of n variables may take per variable pair while it is
+# built and put in Ising form. Tracemalloc peaks of load_problem at 400 to
+# 1,600 variables read 41 bytes a pair for tsp (its Kronecker terms) and
+# 25 for the other kinds; qubo_to_ising peaks at 24 on the built problem.
+_PROBLEM_PAIR_BYTES = 48
+
+
+def _load_problem(kind: str, spec: dict):
+    """The problem of `spec`, built once its price passed: raise
+    CapacityError, naming kind.problem.<key>, when _PROBLEM_PAIR_BYTES per
+    variable pair would pass the run budget. The variable count is read
+    from the spec (qubo.problem_vars), so nothing is allocated first."""
+    key, n = problem_vars(spec)
+    _check_run_bytes(f"{kind}.problem", {key: _PROBLEM_PAIR_BYTES * n * n})
+    return load_problem(spec)
+
+
 def _check_cca1d_capacity(steps: int, p: dict):
     """One replica at a time: its raster, text and CSV blocks (5 bytes a
     cell-step) and one step's arrays (600 bytes a cell)."""
@@ -154,10 +171,12 @@ def _check_solve_capacity(max_steps: int, p: dict):
     dict of energies by config index (hybrid._scorer), and the JSONL write,
     400 bytes a proposal, plus n/4 bytes for the two n-bit config indices
     a proposal may keep. Tracemalloc peaks of 10,000-proposal runs with the
-    write, per proposal: TSP4 with its energy table built in the run, 239
-    for Type 1 and 218-224 for Type 2 (p_chem 1 and 0.95); TSP5 (25
-    variables) with the dict, 254 for Type 1 and 173 for Type 2. The
-    write's blocks add a fixed 0.4 MB or so to each."""
+    write (seed 1, patience 0), per proposal: TSP4 with its energy table
+    built in the run, 309 for Type 1 (p_read 0.9) and 218-223 for Type 2
+    (p_chem 1 and 0.95); TSP5 (25 variables) with the dict, 261 for Type 1
+    and 166-173 for Type 2. These include the run loop's block of
+    uniforms (hybrid._run, at most 64 KiB) and the write's blocks, which
+    add a fixed 0.4 MB or so to each."""
     _check_run_bytes("solve", {"max_steps": max_steps * (400 + p["problem"].n // 4)})
 
 
@@ -225,7 +244,7 @@ SCHEMA = {
             lambda v, p: ChemModel2DParams(**v)),
     ),
     "solve": _rows(
-        Key("problem", dict, None, None, REQUIRED, "problem spec", lambda v, p: load_problem(v)),
+        Key("problem", dict, None, None, REQUIRED, "problem spec", lambda v, p: _load_problem("solve", v)),
         Key("solver", int, 1, 2, 2, "hybrid solver type, 1 or 2"),
         Key("p_chem", NUMBER, 0, 1, SolverParams.p_chem, "deterministic index"),
         Key("k_temp", NUMBER, None, None, SolverParams.k_temp, "Type-1 temperature, > 0",

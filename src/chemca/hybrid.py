@@ -14,13 +14,18 @@ against the ideal lookup outcome: a check agrees with probability p_chem
 pair's energy contribution, and the move is accepted when the observed
 total is <= 0.
 
-Draws: a proposal makes one draw, u = rng.random(n + 2). The flipped spin
-is h = int(u[0] * n); Type 1 reads its n readouts from u[1:n+1] and its
-acceptance uniform from u[n+1]; Type 2 reads the checks of h's k partners
-from u[1:k+1] (PairwiseChemistry draws its own from the generator). This
-contract dates from output version 1 of the `solve` kind
-(harness.OUTPUT_VERSION); version 2 reads the snapped coefficients of
-qubo.QuboProblem.
+Draws: a proposal reads one row of uniforms, u, as rng.random(n + 2)
+would draw it. The flipped spin is h = int(u[0] * n); Type 1 reads its n
+readouts from u[1:n+1] and its acceptance uniform from u[n+1]; Type 2
+reads the checks of h's k partners from u[1:k+1] (PairwiseChemistry draws
+its own from the generator). The run loop draws the rows a block at a
+time, rng.random((rows, n + 2)), which yields the same doubles in the same
+order; a run that stops inside a block rewinds the generator to its state
+before the block and draws again only the rows it used. So the order of
+the uniforms, and the generator's state after a run, are those of one
+draw per proposal. This contract dates from output version 1 of the
+`solve` kind (harness.OUTPUT_VERSION) and the blocks leave it unchanged;
+version 2 reads the snapped coefficients of qubo.QuboProblem.
 """
 
 from __future__ import annotations
@@ -76,6 +81,14 @@ class SolverParams:
 
 _JSON_BOOL = ("false", "true")
 _JSONL_BLOCK = 1024  # trace rows per block of SolveTrace.write_jsonl
+_DRAW_ROWS = 256  # proposals per block of uniforms in _run
+_DRAW_BYTES = 1 << 16  # at most this many bytes of uniforms per block, unless one row is more
+
+
+def _block_rows(n: int) -> int:
+    """Rows of n + 2 uniforms per block of _run: _DRAW_ROWS, fewer where
+    they would pass _DRAW_BYTES, at least one."""
+    return max(1, min(_DRAW_ROWS, _DRAW_BYTES // (8 * (n + 2))))
 
 
 def _json_floats(values):
@@ -178,18 +191,26 @@ def _init_bits(p: QuboProblem, init, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
-def _run(p: QuboProblem, params: SolverParams, rng: np.random.Generator, start: int, e, propose) -> SolveTrace:
+def _run(p: QuboProblem, params: SolverParams, rng: np.random.Generator, start: int, e, propose,
+         block: int | None = None) -> SolveTrace:
     """The run loop of both solvers, from the config of index `start` and
     energy `e`.
 
-    Each step makes the proposal's one draw, u = rng.random(n + 2), takes
-    the spin h = int(u[0] * n) (< n for every u[0] < 1) and calls
+    Each step takes the proposal's uniforms u, one row of n + 2, and the
+    spin h = int(u[0] * n) (< n for every u[0] < 1), and calls
     `propose(h, u)`, which reads the rest of its uniforms from u and
     returns the observed change, the true change, whether the move was
     accepted, and the index and energy of the config to record after it.
     The run stops at the target energy (a success, also before the first
     step), after `patience` proposals in a row without an accepted move,
     or after max_steps.
+
+    The rows are drawn `block` at a time (default _block_rows(n)), in one
+    rng.random((rows, n + 2)) each, which yields the doubles of as many
+    rng.random(n + 2) calls, in order. A run that stops inside a block
+    restores the generator to its state before the block and draws the
+    rows it used again, so the generator ends where one draw per proposal
+    leaves it, with any bit generator.
     """
     n = p.n
     trace = SolveTrace(n, start, best_energy=e, best_config=start)
@@ -197,14 +218,22 @@ def _run(p: QuboProblem, params: SolverParams, rng: np.random.Generator, start: 
     target = -math.inf if params.target_energy is None else params.target_energy + 1e-12
     patience = params.resolved_patience(n) or math.inf
     since_accept = 0
-    for _ in range(params.max_steps):
-        if trace.best_energy <= target or since_accept >= patience:
-            break
-        u = rng.random(n + 2)
-        h = int(u[0] * n)
-        obs_de, true_de, accept, idx, e = propose(h, u)
-        since_accept = 0 if accept else since_accept + 1
-        trace.record(h, obs_de, true_de, accept, idx, e)
+    block = block or _block_rows(n)
+    left = params.max_steps
+    while left > 0 and trace.best_energy > target and since_accept < patience:
+        size = min(block, left)
+        left -= size
+        # the stop is checked before each draw, so a block of one is never rewound
+        saved = rng.bit_generator.state if size > 1 else None
+        rows = rng.random((size, n + 2))
+        for i, (h, u) in enumerate(zip((rows[:, 0] * n).astype(np.intp).tolist(), rows)):
+            if trace.best_energy <= target or since_accept >= patience:
+                rng.bit_generator.state = saved
+                rng.random((i, n + 2))
+                break
+            obs_de, true_de, accept, idx, e = propose(h, u)
+            since_accept = 0 if accept else since_accept + 1
+            trace.record(h, obs_de, true_de, accept, idx, e)
     trace.success = trace.best_energy <= target
     return trace
 
@@ -262,14 +291,18 @@ def solve_type1(
     read_idx, cmd_idx = config_index(read), config_index(cmd)
     score, e_read = _scorer(p, read_idx, read)
     e_cmd = score(cmd_idx, cmd)  # always the energy of cmd as it stands
+    # law[cmd, read] as one flat read: law.ravel()[2 * cmd + read], with
+    # cmd2 = 2 * cmd flipped alongside cmd
+    flat_law, cmd2 = law.ravel(), 2 * cmd.astype(np.intp)
 
     def propose(h, u):  # u[1:n+1]: the readouts, u[n+1]: the acceptance
         nonlocal read, read_idx, e_read, cmd_idx, e_cmd
         cmd[h] ^= 1
+        cmd2[h] ^= 2
         cmd_idx ^= 1 << h
         e_cmd_new = score(cmd_idx, cmd)
         true_de = e_cmd_new - e_cmd
-        new_read = (u[1:-1] < law[cmd, read]).view(np.uint8)
+        new_read = (u[1:-1] < flat_law[cmd2 + read]).view(np.uint8)
         new_idx = config_index(new_read)
         e_new = score(new_idx, new_read)
         obs_de = e_new - e_read
@@ -278,6 +311,7 @@ def solve_type1(
             read, read_idx, e_read, e_cmd = new_read, new_idx, e_new, e_cmd_new
         else:
             cmd[h] ^= 1
+            cmd2[h] ^= 2
             cmd_idx ^= 1 << h
         return obs_de, true_de, accept, read_idx, e_read
 
@@ -375,4 +409,5 @@ def solve_type2(
             e_true = score(idx, x)
         return obs_de, true_de, accept, idx, e_true
 
-    return _run(p, params, rng, start, e_true, propose)
+    # PairwiseChemistry draws from rng between proposals: one row per block
+    return _run(p, params, rng, start, e_true, propose, 1 if chemistry is not None else None)

@@ -26,6 +26,7 @@ from .qubo import (
 )
 
 _BYTE_BUDGET = 1 << 28  # one (configs, max(N, 2^k)) float enumeration
+_DEAD_ROWS = 64  # steps of flip indices per draw of empirical_success once no chain is live
 
 
 def _check_budget(rows: int, n: int, k: int):
@@ -185,7 +186,10 @@ def empirical_success(
     draws one flip index per chain and, for p_chem < 1, one uniform per
     chain and spin, until the horizon or until every chain has hit a
     minimum. So the estimate and the state of `rng` do not depend on which
-    chains were skipped. Bad arguments raise ValueError, and at p_chem = 1
+    chains were skipped. Once no chain is live short of that, the flip
+    indices of the remaining steps are drawn _DEAD_ROWS steps a call: one
+    (rows, runs) draw yields the values and end state of `rows` draws of
+    `runs`. Bad arguments raise ValueError, and at p_chem = 1
     a problem whose acceptance table exceeds the byte budget raises
     CapacityError, all before anything is drawn.
     """
@@ -212,14 +216,18 @@ def empirical_success(
     hits = runs * int(is_min[init_index])
     keep = ~settled[idx]
     s, idx, live = s[keep], idx[keep], live[keep]
-    for _ in range(horizon):
+    for t in range(horizon):
         if hits == runs:
             break
-        h = rng.integers(p.n, size=runs)
-        u = None if greedy else rng.random((runs, p.n))
         if not live.size:
-            continue
-        h = h[live]
+            # every chain left is doomed (greedy only: below 1 a chain
+            # leaves `live` only at a minimum), so only flip indices are
+            # left to draw: the rest of the horizon's, _DEAD_ROWS steps a call
+            for start in range(t, horizon, _DEAD_ROWS):
+                rng.integers(p.n, size=(min(_DEAD_ROWS, horizon - start), runs))
+            break
+        h = rng.integers(p.n, size=runs)[live]
+        u = None if greedy else rng.random((runs, p.n))
         if greedy:
             accept = table[idx, h]
         else:

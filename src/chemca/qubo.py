@@ -379,6 +379,35 @@ _PROBLEM_KEYS = {
 }
 
 
+def problem_vars(source: dict) -> tuple[str, int]:
+    """(key, n): the variable count n of the problem that load_problem
+    builds from `source`, and the spec key that sets it, read from the spec
+    alone, before any array is made: partition len(numbers), 2sat the
+    largest |literal|, tsp the number of cities squared (coords or
+    distances), explicit len(linear). What the spec leaves unreadable
+    counts 0, for load_problem to name."""
+
+    def length(key):
+        value = source.get(key)
+        return len(value) if isinstance(value, (list, tuple)) else 0
+
+    kind = source.get("kind")
+    if kind == "2sat":
+        clauses = source.get("clauses")
+        clauses = clauses if isinstance(clauses, (list, tuple)) else ()
+        literals = [lit for cl in clauses if isinstance(cl, (list, tuple)) for lit in cl]
+        integral = (lit for lit in literals if isinstance(lit, (int, np.integer)) and not isinstance(lit, bool))
+        return "clauses", max(map(abs, map(int, integral)), default=0)
+    if kind == "tsp":
+        key = "distances" if "distances" in source else "coords"
+        return key, length(key) ** 2
+    if kind == "partition":
+        return "numbers", length("numbers")
+    if kind == "explicit":
+        return "linear", length("linear")
+    return "kind", 0
+
+
 def load_problem(source: dict) -> QuboProblem:
     """Build a problem from a spec dict.
 

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -698,6 +699,38 @@ def test_cli_solve_capacity(tmp_path, capsys):
     # the largest runs of the tests, demos and benchmark: TSP4 at 60,000 proposals
     tsp4 = {"kind": "tsp", "coords": [[0, 0], [1, 0], [3, 3], [0, 10]]}
     ExperimentConfig.from_dict({"kind": "solve", "problem": tsp4, "max_steps": 60_000, "replicas": 100})
+
+
+# 48 bytes a variable pair: a problem may have 4,729 variables, 68 cities
+PROBLEM_VARS_LIMIT = 4729
+# problem kind -> (the spec key that sets the variable count, a spec with n of them; cities for tsp)
+PROBLEM_SPECS = {
+    "partition": ("numbers", lambda n: {"kind": "partition", "numbers": [1] * n}),
+    "2sat": ("clauses", lambda n: {"kind": "2sat", "clauses": [[1, -2], [2, n]]}),
+    "tsp-coords": ("coords", lambda c: {"kind": "tsp", "coords": [[i, 0] for i in range(c)]}),
+    "tsp-distances": ("distances", lambda c: {"kind": "tsp", "distances": [[0] * c for _ in range(c)]}),
+    "explicit": ("linear", lambda n: {"kind": "explicit", "linear": [0] * n, "pairs": {}}),
+}
+
+
+@pytest.mark.parametrize("name", list(PROBLEM_SPECS))
+def test_cli_problem_capacity(name, tmp_path, capsys, monkeypatch):
+    key, spec = PROBLEM_SPECS[name]
+    over, under = (69, 68) if name.startswith("tsp") else (PROBLEM_VARS_LIMIT + 1, PROBLEM_VARS_LIMIT)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg.write_text(json.dumps({"problem": spec(over)}))
+    for kind in ("solve", "markov"):
+        tracemalloc.start()
+        code = main([kind, "--config", str(cfg), "--out", str(out), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert code == EXIT_CAPACITY, kind
+        assert f"capacity error: {kind}.problem.{key}: " in capsys.readouterr().err, kind
+        assert not out.exists()
+        assert peak < 4 << 20, (kind, peak)  # priced from the spec, before its n x n arrays
+    # one variable (city) fewer passes the price; building it is not tried here
+    monkeypatch.setattr(harness, "load_problem", lambda spec: None)
+    harness._load_problem("solve", spec(under))
 
 
 def test_cli_clock_demo_capacity(tmp_path, capsys):

@@ -280,12 +280,12 @@ def test_chemodel_backend_runs_and_solves():
 
 
 class TopDraw:
-    """A generator stand-in whose every uniform draw starts at the largest
-    double below 1; the rest of each draw is 0.5."""
+    """A generator stand-in whose every uniform draw, or each row of a 2-D
+    draw, starts at the largest double below 1; the rest is 0.5."""
 
     def random(self, size=None):
         u = np.full(size, 0.5)
-        u[0] = 1.0 - 2.0**-53
+        u[..., 0] = 1.0 - 2.0**-53
         return u
 
 
@@ -510,6 +510,94 @@ def test_type2_matches_reference_loop(name, case):
             assert got_rng.bit_generator.state == want_rng.bit_generator.state, where
             if pairwise:
                 assert got_chem.cs.tolist() == want_chem.cs.tolist(), where
+
+
+# ---- block draws ----------------------------------------------------------
+# _run draws the rows of u in blocks and rewinds the generator when a run
+# stops inside one, so the traces and the end state of any bit generator
+# are those of the reference loops' one draw per proposal.
+
+def same_state(a: dict, b: dict) -> bool:
+    """Bit-generator states equal, array fields (MT19937's key) included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def assert_blocks_match(solve, p, params, make_rng, pairwise=False):
+    """solve's trace and end state equal its reference loop's; returns the trace."""
+    got_rng, want_rng = make_rng(), make_rng()
+    if solve is solve_type1:
+        got, want = solve_type1(p, params, got_rng), reference_type1(p, params, want_rng)
+    else:
+        got_chem, want_chem = (PairwiseChemistry(p.n, SingleCellHysteresisParams(0.95)) if pairwise else None
+                               for _ in range(2))
+        got = solve_type2(p, params, got_rng, chemistry=got_chem)
+        want = reference_type2(p, params, want_rng, want_chem)
+    for attr in TRACE_LISTS:
+        assert getattr(got, attr) == getattr(want, attr), attr
+    assert got.summary() == want.summary()
+    assert same_state(got_rng.bit_generator.state, want_rng.bit_generator.state)
+    return got
+
+
+SOLVER_CASES = {  # solver, SolverParams keywords of a run that draws readouts or checks
+    "type1": (solve_type1, dict(hysteresis=SingleCellHysteresisParams(0.9))),
+    "type2": (solve_type2, dict(p_chem=0.95)),
+}
+TSP4 = REFERENCE_PROBLEMS["tsp4"]
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])  # PCG64: the reference-loop tests
+@pytest.mark.parametrize("solver", list(SOLVER_CASES))
+def test_block_draws_on_any_bit_generator(solver, bit_generator):
+    solve, kw = SOLVER_CASES[solver]
+    for stop, stop_kw in stop_params(TSP4).items():
+        params = SolverParams(max_steps=600, **kw, **stop_kw)
+        for seed in range(2):
+            assert_blocks_match(solve, TSP4, params, lambda: np.random.Generator(bit_generator(seed)))
+
+
+@pytest.mark.parametrize("max_steps", [1, 255, 256, 257])
+@pytest.mark.parametrize("solver", list(SOLVER_CASES))
+def test_block_draws_at_block_edges(solver, max_steps):
+    solve, kw = SOLVER_CASES[solver]
+    params = SolverParams(max_steps=max_steps, patience=0, **kw)
+    trace = assert_blocks_match(solve, TSP4, params, lambda: np.random.default_rng(3))
+    assert trace.n_steps == max_steps
+
+
+@pytest.mark.parametrize("solver", list(SOLVER_CASES))
+def test_block_draws_rewound_mid_block(solver):
+    # runs that stop inside a block, at the target and on patience
+    solve, kw = SOLVER_CASES[solver]
+    emin, _ = brute_force_min(TSP4)
+    for stop_kw in (dict(target_energy=emin), dict(patience=20)):
+        stops = []
+        for seed in range(4):
+            params = SolverParams(max_steps=5000, **kw, **stop_kw)
+            trace = assert_blocks_match(solve, TSP4, params, lambda: np.random.default_rng(seed))
+            stops.append(trace.n_steps)
+        assert any(0 < t < 5000 and t % hybrid._DRAW_ROWS for t in stops), (stop_kw, stops)
+
+
+def test_block_draws_pairwise_chemistry():
+    # the chemical-loop backend draws between proposals, so its blocks hold one row
+    params = SolverParams(max_steps=700, patience=0)
+    for seed in range(2):
+        trace = assert_blocks_match(solve_type2, TSP4, params, lambda: np.random.default_rng(seed), pairwise=True)
+        assert trace.n_steps == 700
+
+
+def test_block_draws_capped_in_bytes():
+    # 40 variables: 42 uniforms a row, so 64 KiB hold 195 rows, not 256
+    p = explicit_float(40, 5)
+    rows = hybrid._block_rows(p.n)
+    assert rows == 195 < hybrid._DRAW_ROWS and 8 * (p.n + 2) * rows <= hybrid._DRAW_BYTES
+    for solver, (solve, kw) in SOLVER_CASES.items():
+        for stop_kw in (dict(patience=0), dict(patience=25)):
+            params = SolverParams(max_steps=2 * rows + 1, **kw, **stop_kw)
+            assert_blocks_match(solve, p, params, lambda: np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("case", list(TYPE2_CASES))

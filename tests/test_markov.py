@@ -427,6 +427,8 @@ def test_empirical_success_matches_isin_loop():
     ]
     stuck = _trapped_stuck_start(P8)
     cases += [(P8, 1.0, stuck, horizon, runs) for horizon, runs in ((60, 300), (60, 1), (0, 5))]
+    # no chain is ever live: the flip indices go in chunks of 64, 64 and 1 steps
+    cases += [(P8, 1.0, stuck, 129, 7)]
     # benchmark starts in zero-change cycles (350 never reaches a minimum, 459
     # sometimes does), and a 2-SAT start whose every accepted flip is a zero change
     assert {true_delta(SAT4, index_config(6, 4), h) for h in range(4)} == {0.0}

@@ -23,6 +23,7 @@ from chemca.qubo import (
     flip_terms,
     index_config,
     load_problem,
+    problem_vars,
     qubo_to_ising,
     tour_from_config,
 )
@@ -510,3 +511,14 @@ def test_solution_json(tmp_path):
     assert data["min_energy"] == 0.0
     assert data["argmin_indices"] == [7, 8]
     assert data["argmin_configs"] == [[1, 1, 1, 0], [0, 0, 0, 1]]
+
+
+def test_problem_vars_read_from_spec():
+    assert problem_vars({"kind": "partition", "numbers": [1, 3, 4, 8]}) == ("numbers", 4)
+    assert problem_vars({"kind": "2sat", "clauses": [[1, -7], [2, 3]]}) == ("clauses", 7)
+    assert problem_vars({"kind": "tsp", "coords": [[0, 0], [1, 0], [3, 3]]}) == ("coords", 9)
+    assert problem_vars({"kind": "explicit", "linear": [0, 1], "quad": [[0, 0], [0, 0]]}) == ("linear", 2)
+    # what is unreadable counts 0, and load_problem names the fault
+    assert problem_vars({"kind": "2sat", "clauses": [[1, 2.5], [True, 3], "x"]}) == ("clauses", 3)
+    assert problem_vars({"kind": "partition", "numbers": 5}) == ("numbers", 0)
+    assert problem_vars({"kind": "knapsack"})[1] == 0
