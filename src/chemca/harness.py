@@ -7,8 +7,8 @@ data; every output file's format is written here, except the solver's
 JSONL trace (`hybrid.SolveTrace.write_jsonl`). Re-running a manifest
 reproduces every output byte-for-byte; only the manifest's timestamps
 differ, and its `env` on another machine. `SCHEMA` lists each kind's keys
-(type, bounds, default, help): it checks every config and gives the CLI
-one flag per scalar key. Each key is parsed once, while the config is
+(type, bounds, default, help), and `PROBLEMS` each problem kind's: they
+check every config, and `SCHEMA` gives the CLI one flag per scalar key. Each key is parsed once, while the config is
 checked (a rule label into a `Rule1D`, a problem spec into a
 `QuboProblem`); the runners read those values from
 `ExperimentConfig.values`.
@@ -34,8 +34,8 @@ from .cca1d import MODE_DISPLAY, MODE_PROBABILISTIC, Rule1D, run_1d, raster_to_t
 from .cca2d import DEFAULT_FLUCT_RATIO, EVENT_FIELDS, PopulationSeries, run_population_experiment
 from .chemodel import ChemModel2DParams
 from .lattice import chemical_state_count, expansion_ratio, format_scientific, input_state_count, line
-from .markov import build_transition_matrix, check_capacity, success_probabilities
-from .qubo import CapacityError, brute_force_min, index_config, load_problem, problem_vars
+from .markov import _BYTE_BUDGET as _MARKOV_BYTE_BUDGET, build_transition_matrix, check_capacity, success_probabilities
+from .qubo import CapacityError, brute_force_min, index_config, load_problem
 from .signals import ClockedCellBank, ColorState, decode_trace, synthesize_trace
 from .hybrid import SolverParams, solve_type1, solve_type2
 
@@ -110,20 +110,6 @@ def _check_indices(indices: list, p: dict):
         seen[tag] = idx
 
 
-def _check_markov_capacity(spec: dict, p: dict):
-    """Load the problem and return it; raise CapacityError, naming
-    markov.deterministic_indices, when its acceptance table at one of the
-    indices exceeds the Markov byte budget: before the oracle runs or any
-    output is written."""
-    problem = _load_problem("markov", spec)
-    for idx in p["deterministic_indices"]:
-        try:
-            check_capacity(problem, float(idx))
-        except CapacityError as exc:
-            raise CapacityError(f"markov.deterministic_indices: index {idx}: {exc}") from None
-    return problem
-
-
 # The estimated peak of one cca1d, cca2d, solve or clock-demo run, in
 # bytes, may not exceed this (1 GiB). Each estimate is a sum of per-cell
 # and per-step terms that bound tracemalloc peaks of whole runs, output
@@ -150,14 +136,53 @@ def _check_run_bytes(kind: str, terms: dict[str, int]):
 _PROBLEM_PAIR_BYTES = 48
 
 
-def _load_problem(kind: str, spec: dict):
-    """The problem of `spec`, built once its price passed: raise
+def _problem_vars(kind: str, v: dict) -> tuple[str, int]:
+    """(key, n): the variable count n of the problem of the checked values
+    `v` of a `kind` spec, and the key that sets it, before anything is
+    built: partition len(numbers), 2sat the largest integer |literal|, tsp
+    the number of cities squared, explicit len(linear)."""
+    if kind == "2sat":
+        literals = (lit for clause in v["clauses"] if isinstance(clause, list) for lit in clause)
+        return "clauses", max((abs(lit) for lit in literals if _is_a(lit, int)), default=0)
+    if kind == "tsp":
+        key = "coords" if v["coords"] is not None else "distances"
+        return key, len(v[key]) ** 2
+    key = "numbers" if kind == "partition" else "linear"
+    return key, len(v[key])
+
+
+def _check_problem(kind: str, spec: dict, p: dict):
+    """The problem of a solve or markov spec, built once its keys passed
+    PROBLEMS (messages name kind.problem.<key>) and its size is priced:
     CapacityError, naming kind.problem.<key>, when _PROBLEM_PAIR_BYTES per
-    variable pair would pass the run budget. The variable count is read
-    from the spec (qubo.problem_vars), so nothing is allocated first."""
-    key, n = problem_vars(spec)
-    _check_run_bytes(f"{kind}.problem", {key: _PROBLEM_PAIR_BYTES * n * n})
-    return load_problem(spec)
+    variable pair pass the run budget; and with markov's indices in `p`,
+    naming kind.deterministic_indices, when the acceptance table at an
+    index passes the Markov byte budget. The least table of any index, 8
+    bytes a config and variable (max(n, 2^k) >= n), is priced before the
+    build, each index's own after it."""
+    name, problem_kind = f"{kind}.problem", spec.get("kind")
+    if not isinstance(problem_kind, str) or problem_kind not in PROBLEMS:
+        raise ConfigError(f"{name}.kind: expected one of {tuple(PROBLEMS)}, got {problem_kind!r}")
+    values = _check(name, PROBLEMS[problem_kind], spec)
+    if problem_kind in _ONE_OF:
+        a, b = _ONE_OF[problem_kind]
+        if (values[a] is None) == (values[b] is None):
+            raise ConfigError(f"{name}.{a}: give exactly one of {a} and {b}")
+    key, n = _problem_vars(problem_kind, values)
+    _check_run_bytes(name, {key: _PROBLEM_PAIR_BYTES * n * n})
+    indices = p.get("deterministic_indices", ())
+    if indices and 8 * n << n > _MARKOV_BYTE_BUDGET:
+        raise CapacityError(
+            f"{kind}.deterministic_indices: the table of 2^{n} configs of {n} variables takes at least "
+            f"8 * 2^{n} * {n} bytes at any index, over {_MARKOV_BYTE_BUDGET}"
+        )
+    problem = load_problem(spec)
+    for idx in indices:
+        try:
+            check_capacity(problem, float(idx))
+        except CapacityError as exc:
+            raise CapacityError(f"{kind}.deterministic_indices: index {idx}: {exc}") from None
+    return problem
 
 
 def _check_cca1d_capacity(steps: int, p: dict):
@@ -244,7 +269,7 @@ SCHEMA = {
             lambda v, p: ChemModel2DParams(**v)),
     ),
     "solve": _rows(
-        Key("problem", dict, None, None, REQUIRED, "problem spec", lambda v, p: _load_problem("solve", v)),
+        Key("problem", dict, None, None, REQUIRED, "problem spec", lambda v, p: _check_problem("solve", v, p)),
         Key("solver", int, 1, 2, 2, "hybrid solver type, 1 or 2"),
         Key("p_chem", NUMBER, 0, 1, SolverParams.p_chem, "deterministic index"),
         Key("k_temp", NUMBER, None, None, SolverParams.k_temp, "Type-1 temperature, > 0",
@@ -257,7 +282,7 @@ SCHEMA = {
         _ONE_STREAM,
         Key("deterministic_indices", list, None, None, (1.0,), "indices to analyse", _check_indices),
         # after the indices, so that its capacity check sees them checked (or their default)
-        Key("problem", dict, None, None, REQUIRED, "problem spec", _check_markov_capacity),
+        Key("problem", dict, None, None, REQUIRED, "problem spec", lambda v, p: _check_problem("markov", v, p)),
         Key("horizon", int, 0, None, None, "proposals (default 100 * n)"),
     ),
     "clock-demo": _rows(
@@ -271,6 +296,35 @@ SCHEMA = {
 }
 KINDS = tuple(SCHEMA)
 
+_PENALTY = Key("penalty", NUMBER, None, None, 1.0, "penalty weight A, finite and > 0")
+
+# problem kind -> the keys of its spec besides "kind", in checking order (the
+# `problem` of solve and markov); the builders check the values
+PROBLEMS = {
+    "partition": _rows(
+        Key("numbers", list, None, None, REQUIRED, "positive numbers to split into two halves of equal sum"),
+        _PENALTY,
+    ),
+    "2sat": _rows(
+        Key("clauses", list, None, None, REQUIRED, "pairs of nonzero DIMACS literals"),
+        _PENALTY,
+    ),
+    "tsp": _rows(
+        Key("coords", list, None, None, None, "city points"),
+        Key("distances", list, None, None, None, "symmetric distance matrix"),
+        Key("scale", NUMBER, None, None, None, "distance scale, finite and > 0 (default 0.1 / the largest)"),
+        _PENALTY,
+    ),
+    "explicit": _rows(
+        Key("linear", list, None, None, REQUIRED, "linear coefficients"),
+        Key("quad", list, None, None, None, "symmetric half-weight matrix"),
+        Key("pairs", dict, None, None, None, 'pairwise coefficients by "i,j"'),
+        Key("offset", NUMBER, None, None, 0.0, "constant energy"),
+    ),
+}
+# problem kind -> its two keys that each define the same part of a problem: give exactly one
+_ONE_OF = {"tsp": ("coords", "distances"), "explicit": ("quad", "pairs")}
+
 # kind -> the version of its output bytes, recorded in every manifest. A
 # change that makes a kind write other bytes for the same config and seed
 # bumps its number, so that run_from_manifest refuses an older manifest
@@ -281,8 +335,12 @@ OUTPUT_VERSION = {"count": 0, "cca1d": 0, "cca2d": 0, "solve": 2, "markov": 1, "
 
 def _check(kind: str, rows: dict[str, Key], given: dict) -> dict:
     """Check `given` against every row in order and return every key's
-    value: parsed by its row's check, as given, or defaulted. Messages name
-    kind.key."""
+    value: parsed by its row's check, as given, or defaulted. A key that no
+    row names, besides "kind", is an error. Messages name kind.key; the
+    ConfigError of a row's check that runs a table of its own passes as it is."""
+    unknown = [f"{kind}.{key}" for key in given if key != "kind" and key not in rows]
+    if unknown:
+        raise ConfigError(f"{', '.join(unknown)}: unknown key")
     values = {}
     for row in rows.values():
         name = f"{kind}.{row.key}"
@@ -301,7 +359,9 @@ def _check(kind: str, rows: dict[str, Key], given: dict) -> dict:
         if row.check is not None:
             try:
                 parsed = row.check(value, values)
-            except (TypeError, ValueError, KeyError, IndexError) as exc:
+            except ConfigError:
+                raise
+            except (TypeError, ValueError, KeyError, IndexError, OverflowError) as exc:
                 raise ConfigError(f"{name}: {exc}") from None
             if parsed is not None:
                 value = parsed
@@ -343,11 +403,7 @@ class ExperimentConfig:
         kind = raw.get("kind")
         if kind not in KINDS:
             raise ConfigError(f"kind: expected one of {KINDS}, got {kind!r}")
-        rows = {**COMMON, **SCHEMA[kind]}
-        unknown = [f"{kind}.{key}" for key in raw if key != "kind" and key not in rows]
-        if unknown:
-            raise ConfigError(f"{', '.join(unknown)}: unknown key")
-        values = _check(kind, rows, raw)
+        values = _check(kind, {**COMMON, **SCHEMA[kind]}, raw)
         if kind == "clock-demo":  # every key has a default, and a row's check sees only given values
             _check_clock_demo_capacity(values)
         params = {k: v for k, v in raw.items() if k in SCHEMA[kind] and k not in COMMON}

@@ -20,6 +20,7 @@ from .qubo import (
     QuboProblem,
     bits_to_spins,
     config_bits,
+    energy_table,
     flip_terms,
     index_config,
     qubo_to_ising,
@@ -173,7 +174,8 @@ def empirical_success(
     """Monte-Carlo estimate of the success probability for one start.
 
     Runs `runs` independent chains of the solver's flip law for `horizon`
-    proposals; a chain succeeds when it visits any global-minimum config.
+    proposals; a chain succeeds when it visits any global-minimum config
+    (read from p.table, or energy_table(p) above its size).
     At p_chem = 1 a step reads the exact chain's acceptance table
     (build_transition_matrix(p, 1.0)); below 1 it runs flip_terms and
     hybrid.observed_change, batched over chains, as an independent reference.
@@ -193,8 +195,6 @@ def empirical_success(
     a problem whose acceptance table exceeds the byte budget raises
     CapacityError, all before anything is drawn.
     """
-    from .qubo import brute_force_min
-
     if not 0.0 <= p_chem <= 1.0:
         raise ValueError(f"p_chem must be in [0, 1], got {p_chem}")
     if not 0 <= init_index < 1 << p.n:
@@ -205,8 +205,8 @@ def empirical_success(
         raise ValueError(f"runs must be >= 1, got {runs}")
     greedy = p_chem == 1.0
     table = build_transition_matrix(p, 1.0) == 1.0 if greedy else None
-    is_min = np.zeros(1 << p.n, dtype=bool)
-    is_min[brute_force_min(p)[1]] = True
+    energies = energy_table(p) if p.table is None else p.table
+    is_min = energies == energies.min()
     ising = qubo_to_ising(p)
     settled = is_min | _doomed(table, is_min) if greedy else is_min
 

@@ -355,102 +355,38 @@ def _real_array(name: str, value) -> np.ndarray:
         raise ValueError(f"{name} must be a rectangular array of numbers") from None
 
 
-def _required(source: dict, key: str):
-    """`source[key]`, or a ValueError that names the missing key."""
-    if key not in source:
-        raise ValueError(f"{key} is required")
-    return source[key]
-
-
-def _one_of(source: dict, key: str, other: str) -> bool:
-    """Whether `source` gives `key`; a ValueError naming both keys if it
-    gives both, since each one alone defines the same part of a problem."""
-    if key in source and other in source:
-        raise ValueError(f"{key} and {other} are both given; give one")
-    return key in source
-
-
-# problem kind -> the keys of its spec besides "kind"
-_PROBLEM_KEYS = {
-    "partition": ("numbers", "penalty"),
-    "2sat": ("clauses", "penalty"),
-    "tsp": ("coords", "distances", "scale", "penalty"),
-    "explicit": ("offset", "linear", "quad", "pairs"),
-}
-
-
-def problem_vars(source: dict) -> tuple[str, int]:
-    """(key, n): the variable count n of the problem that load_problem
-    builds from `source`, and the spec key that sets it, read from the spec
-    alone, before any array is made: partition len(numbers), 2sat the
-    largest |literal|, tsp the number of cities squared (coords or
-    distances), explicit len(linear). What the spec leaves unreadable
-    counts 0, for load_problem to name."""
-
-    def length(key):
-        value = source.get(key)
-        return len(value) if isinstance(value, (list, tuple)) else 0
-
-    kind = source.get("kind")
-    if kind == "2sat":
-        clauses = source.get("clauses")
-        clauses = clauses if isinstance(clauses, (list, tuple)) else ()
-        literals = [lit for cl in clauses if isinstance(cl, (list, tuple)) for lit in cl]
-        integral = (lit for lit in literals if isinstance(lit, (int, np.integer)) and not isinstance(lit, bool))
-        return "clauses", max(map(abs, map(int, integral)), default=0)
-    if kind == "tsp":
-        key = "distances" if "distances" in source else "coords"
-        return key, length(key) ** 2
-    if kind == "partition":
-        return "numbers", length("numbers")
-    if kind == "explicit":
-        return "linear", length("linear")
-    return "kind", 0
-
-
 def load_problem(source: dict) -> QuboProblem:
-    """Build a problem from a spec dict.
-
-    Kinds: partition {numbers, penalty}, 2sat {clauses, penalty}, tsp
-    {coords or distances, scale, penalty}, explicit {offset, linear, quad
-    or pairs}, where quad is the full symmetric half-weight matrix and pairs
-    the {"i,j": c} pairwise coefficients (halved on load). Any other key,
-    or both keys of an "or", is an error.
+    """Build a problem from a spec dict: partition {numbers, penalty}, 2sat
+    {clauses, penalty}, tsp {coords or distances, scale, penalty} or
+    explicit {linear, quad or pairs, offset}, where quad is the full
+    symmetric half-weight matrix and pairs the {"i,j": c} pairwise
+    coefficients (halved on load); a key given as None counts as absent.
+    The builders check the values. The keys, their presence and types are
+    checked by harness.PROBLEMS, before a config's spec gets here.
     """
-    kind = source.get("kind")
-    if not isinstance(kind, str) or kind not in _PROBLEM_KEYS:
-        raise ValueError(f"unknown problem kind: {kind!r}")
-    unknown = [str(key) for key in source if key != "kind" and key not in _PROBLEM_KEYS[kind]]
-    if unknown:
-        raise ValueError(f"{', '.join(unknown)}: unknown key; kind {kind} takes {', '.join(_PROBLEM_KEYS[kind])}")
-    penalty = source.get("penalty", 1.0)
+    kind, penalty = source["kind"], source.get("penalty", 1.0)
     if kind == "partition":
-        return build_partition(_required(source, "numbers"), penalty)
+        return build_partition(source["numbers"], penalty)
     if kind == "2sat":
-        return build_2sat(_required(source, "clauses"), penalty)
+        return build_2sat(source["clauses"], penalty)
     if kind == "tsp":
-        if _one_of(source, "distances", "coords"):
+        if source.get("distances") is not None:
             d = _real_array("distances", source["distances"])
         else:
-            d = distance_matrix_from_coords(_real_array("coords", _required(source, "coords")))
+            d = distance_matrix_from_coords(_real_array("coords", source["coords"]))
         return build_tsp(d, penalty, source.get("scale"))
-    # kind == "explicit"
-    linear = _real_array("linear", _required(source, "linear"))
+    if kind != "explicit":
+        raise ValueError(f"unknown problem kind: {kind!r}")
+    linear = _real_array("linear", source["linear"])
     n = linear.size  # a linear that is not 1-D is QuboProblem's to reject, by name
-    if _one_of(source, "pairs", "quad"):
-        pairs = source["pairs"]
-        if not isinstance(pairs, dict):
-            raise ValueError(f"pairs must be an object of 'i,j': coefficient, got {type(pairs).__name__}")
+    if source.get("pairs") is not None:
         quad = np.zeros((n, n))
-        for key, c in pairs.items():
+        for key, c in source["pairs"].items():
             i, j = _pair_key(key, n)
             if not _is_real(c):
                 raise ValueError(f"pairs key {key!r}: coefficient must be a real number, got {c!r}")
             quad[i, j] += float(c) / 2.0
             quad[j, i] += float(c) / 2.0
     else:
-        quad = _real_array("quad", _required(source, "quad"))
-    offset = source.get("offset", 0.0)
-    if not _is_real(offset):
-        raise ValueError(f"offset must be a real number, got {offset!r}")
-    return QuboProblem(float(offset), linear, quad, {"kind": "explicit"})
+        quad = _real_array("quad", source["quad"])
+    return QuboProblem(float(source.get("offset", 0.0)), linear, quad, {"kind": "explicit"})

@@ -2,17 +2,20 @@ import ast
 import hashlib
 import json
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chemca import harness
 from chemca.cca1d import Rule1D
 from chemca.chemodel import ChemModel2DParams
 from chemca.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USER, _assemble, build_parser, main
 from chemca.harness import (
+    PROBLEMS,
     SCHEMA,
     ConfigError,
     ExperimentConfig,
@@ -21,6 +24,7 @@ from chemca.harness import (
     run_from_manifest,
     stream_rng,
 )
+from chemca.qubo import CapacityError
 
 
 def test_derive_seed_pure_and_distinct():
@@ -143,54 +147,74 @@ def test_config_validation_errors():
         {"kind": "tsp", "coords": [[0, 0], [1, 0], [3, 3], [0, 10]], "scale": float("inf")},
         {"kind": "tsp", "coords": [[0, 0], [1, 0], [3, 3], [0, 10]], "scale": float("nan")},
     ]
-    # penalty, scale and pairs are named when their type is wrong; a bool is no number
+    # a key that is missing, of the wrong type (a bool is no number) or unknown, and a bad kind, named
+    # under kind.problem; a key given as null counts as absent where its default is
+    key_problems = [
+        ({"kind": "tsp", "coords": [[0, 0], [1, 0], [0, 1]], "scale": "x"}, "scale: wrong type str"),
+        ({"kind": "tsp", "coords": [[0, 0], [1, 0], [0, 1]], "scale": True}, "scale: wrong type bool"),
+        ({"kind": "tsp", "coords": [[0, 0], [1, 0], [0, 1]], "penalty": True}, "penalty: wrong type bool"),
+        ({"kind": "partition", "numbers": [1, 3, 4, 8], "penalty": True}, "penalty: wrong type bool"),
+        ({"kind": "partition", "numbers": [1, 3, 4, 8], "penalty": "2"}, "penalty: wrong type str"),
+        ({"kind": "partition", "numbers": [1, 3, 4, 8], "penalty": None}, "penalty: wrong type NoneType"),
+        ({"kind": "2sat", "clauses": [[1, 2]], "penalty": False}, "penalty: wrong type bool"),
+        ({"kind": "explicit", "linear": [0, 0], "pairs": [1, 2]}, "pairs: wrong type list"),
+        # the keys are checked before the builder reads any value
+        ({"kind": "explicit", "linear": [True, 0], "quad": [[0, False], [False, 0]], "offset": True},
+         "offset: wrong type bool"),
+        ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "offset": True}, "offset: wrong type bool"),
+        ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "offset": "1"}, "offset: wrong type str"),
+        ({"kind": "explicit", "linear": 5, "quad": [[0]]}, "linear: wrong type int"),
+        ({"kind": "partition"}, "numbers: required"),
+        ({"kind": "2sat"}, "clauses: required"),
+        ({"kind": "explicit", "quad": [[0]]}, "linear: required"),
+        ({"kind": "2sat", "clauses": 5}, "clauses: wrong type int"),
+        ({"kind": "tsp", "distances": "ab"}, "distances: wrong type str"),
+        # two keys that each define the same part of a problem: exactly one of them
+        ({"kind": "tsp"}, "coords: give exactly one of coords and distances"),
+        ({"kind": "tsp", "coords": None, "distances": None}, "coords: give exactly one of coords and distances"),
+        ({"kind": "explicit", "linear": [0]}, "quad: give exactly one of quad and pairs"),
+        ({"kind": "tsp", "coords": [[0, 0], [1, 0]], "distances": [[0, 1], [1, 0]]},
+         "coords: give exactly one of coords and distances"),
+        ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "pairs": {"0,1": 1}},
+         "quad: give exactly one of quad and pairs"),
+        # a key that the problem's kind does not take
+        ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "penalty": "x"}, "penalty: unknown key"),
+        ({"kind": "explicit", "linear": [0, 0], "pairs": {"0,1": 1}, "penalty": 2}, "penalty: unknown key"),
+        ({"kind": "partition", "numbers": [1, 2], "nmbers": [5]}, "nmbers: unknown key"),
+        ({"kind": "2sat", "clauses": [[1, 2]], "extra": 3}, "extra: unknown key"),
+        ({"kind": "tsp", "coords": [[0, 0], [1, 0]], "numbers": [1]}, "numbers: unknown key"),
+        # the spec's own kind, checked before its keys
+        ({"kind": "knapsack", "numbers": [1]}, "kind: expected one of"),
+        ({"kind": ["x"]}, "kind: expected one of"),
+        ({"numbers": [1, 2]}, "kind: expected one of"),
+    ]
+    # a value that the builder rejects, named by the builder
     named_problems = [
-        ({"kind": "tsp", "coords": [[0, 0], [1, 0], [0, 1]], "scale": "x"}, "scale"),
-        ({"kind": "tsp", "coords": [[0, 0], [1, 0], [0, 1]], "scale": True}, "scale"),
-        ({"kind": "tsp", "coords": [[0, 0], [1, 0], [0, 1]], "penalty": True}, "penalty"),
-        ({"kind": "partition", "numbers": [1, 3, 4, 8], "penalty": True}, "penalty"),
-        ({"kind": "partition", "numbers": [1, 3, 4, 8], "penalty": "2"}, "penalty"),
-        ({"kind": "2sat", "clauses": [[1, 2]], "penalty": False}, "penalty"),
-        ({"kind": "explicit", "linear": [0, 0], "pairs": [1, 2]}, "pairs"),
         ({"kind": "explicit", "linear": [0, 0], "pairs": {"0,1": True}}, "pairs key '0,1'"),
         ({"kind": "explicit", "linear": [0, 0], "pairs": {"0,1": "2"}}, "pairs key '0,1'"),
-        # explicit coefficients are real numbers, and an explicit problem takes no penalty
-        ({"kind": "explicit", "linear": [True, 0], "quad": [[0, False], [False, 0]], "offset": True}, "linear"),
+        # explicit coefficients are real numbers
+        ({"kind": "explicit", "linear": [True, 0], "quad": [[0, False], [False, 0]]}, "linear"),
         ({"kind": "explicit", "linear": [0, "1"], "quad": [[0, 0], [0, 0]]}, "linear"),
         ({"kind": "explicit", "linear": [0, 0], "quad": [[0, False], [False, 0]]}, "quad"),
         ({"kind": "explicit", "linear": [0, 0], "quad": [[0, None], [0, 0]]}, "quad"),
-        ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "offset": True}, "offset"),
-        ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "offset": "1"}, "offset"),
-        ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "penalty": "x"}, "penalty"),
-        ({"kind": "explicit", "linear": [0, 0], "pairs": {"0,1": 1}, "penalty": 2}, "penalty"),
-        # a missing key, a clause that is no pair, and points or distances that are no numbers
-        ({"kind": "partition"}, "numbers is required"),
-        ({"kind": "2sat"}, "clauses is required"),
-        ({"kind": "tsp"}, "coords is required"),
-        ({"kind": "explicit", "quad": [[0]]}, "linear is required"),
-        ({"kind": "explicit", "linear": [0]}, "quad is required"),
+        # a clause that is no pair, and points or distances that are no numbers
         ({"kind": "2sat", "clauses": [1, 2]}, "clauses must be a list of pairs"),
-        ({"kind": "2sat", "clauses": 5}, "clauses must be a list of pairs"),
-        ({"kind": "tsp", "distances": "ab"}, "distances"),
         ({"kind": "tsp", "distances": [[0, 1], [1, None]]}, "distances"),
         ({"kind": "tsp", "coords": [[0, 0], [1, "a"]]}, "coords"),
         ({"kind": "tsp", "coords": [[0, 0], [1, True]]}, "coords"),
         ({"kind": "tsp", "coords": [[0, 0], [1]]}, "coords must be a rectangular array"),
         ({"kind": "tsp", "coords": [1, 2, 3]}, "coords must be a list of points"),
-        ({"kind": "explicit", "linear": 5, "quad": [[0]]}, "linear must be 1-D"),
-        # two keys that each define the same part of a problem
-        ({"kind": "tsp", "coords": [[0, 0], [1, 0]], "distances": [[0, 1], [1, 0]]},
-         "distances and coords are both given"),
-        ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "pairs": {"0,1": 1}},
-         "pairs and quad are both given"),
-        # a key that the problem's kind does not take
-        ({"kind": "partition", "numbers": [1, 2], "nmbers": [5]}, "nmbers: unknown key; kind partition takes"),
-        ({"kind": "2sat", "clauses": [[1, 2]], "extra": 3}, "extra: unknown key; kind 2sat takes"),
-        ({"kind": "tsp", "coords": [[0, 0], [1, 0]], "numbers": [1]}, "numbers: unknown key; kind tsp takes"),
+        ({"kind": "explicit", "linear": [[0, 0]], "quad": [[0]]}, "linear must be 1-D"),
         # coefficients whose sums |offset| + sum |linear| + sum |pairwise| pass 2^47
         ({"kind": "partition", "numbers": [10000000, 10000000]}, "coefficients too large for exact sums"),
         ({"kind": "explicit", "linear": [2.0**47, 1], "quad": [[0, 0], [0, 0]]}, "coefficients too large"),
+        # an integer too large for a float
+        ({"kind": "partition", "numbers": [1, 10**400]}, "int too large to convert to float"),
+        ({"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]], "offset": 10**400}, "int too large"),
     ]
+    for bad, tail in key_problems:
+        cases.append((dict(solve, problem=bad), f"solve.problem.{tail}"))
+        cases.append((dict(markov, problem=bad), f"markov.problem.{tail}"))
     for bad, key in named_problems:
         cases.append((dict(solve, problem=bad), f"solve.problem: {key}"))
         cases.append((dict(markov, problem=bad), f"markov.problem: {key}"))
@@ -207,6 +231,12 @@ def test_config_validation_errors():
             ExperimentConfig.from_dict(raw)
     for raw in (count, cca1d, cca2d, solve, markov, dict(markov, horizon=None)):
         ExperimentConfig.from_dict(raw)
+    # null counts as absent for the problem keys whose default is absent
+    for problem in ({"kind": "tsp", "coords": [[0, 0], [1, 0]], "distances": None, "scale": None},
+                    {"kind": "tsp", "coords": None, "distances": [[0, 1], [1, 0]]},
+                    {"kind": "explicit", "linear": [0, 0], "quad": None, "pairs": {"0,1": 1}}):
+        for raw in (solve, markov):
+            assert ExperimentConfig.from_dict(dict(raw, problem=problem)).values["problem"].n in (2, 4)
     for raw in (dict(count, replicas=1), dict(markov, seed=5, replicas=1), {"kind": "clock-demo", "replicas": 1}):
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.values["replicas"] == 1 and "replicas" not in cfg.params
@@ -497,25 +527,25 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
         (["solve"] + config({"problem": {"kind": "explicit", "linear": [0, 0, 0], "pairs": {"-1,0": 2}},
                              "out": str(tmp_path / "no")}), "solve.problem: pairs key '-1,0'"),
         (["solve"] + config({"problem": {"kind": "explicit", "linear": [0, 0], "pairs": [1, 2]},
-                             "out": str(tmp_path / "no")}), "solve.problem: pairs"),
+                             "out": str(tmp_path / "no")}), "solve.problem.pairs: wrong type list"),
         (["markov"] + config({"problem": {"kind": "partition", "numbers": [1, 3], "penalty": True},
-                              "out": str(tmp_path / "no")}), "markov.problem: penalty"),
+                              "out": str(tmp_path / "no")}), "markov.problem.penalty: wrong type bool"),
         (["solve"] + config({"problem": {"kind": "explicit", "linear": [True, 0], "quad": [[0, False], [False, 0]],
-                                         "offset": True}, "out": str(tmp_path / "no")}), "solve.problem: linear"),
+                                         "offset": True}, "out": str(tmp_path / "no")}), "solve.problem.offset: wrong type bool"),
         (["markov"] + config({"problem": {"kind": "explicit", "linear": [0, 0], "quad": [[0, 0], [0, 0]],
-                                          "penalty": "x"}, "out": str(tmp_path / "no")}), "markov.problem: penalty"),
+                                          "penalty": "x"}, "out": str(tmp_path / "no")}), "markov.problem.penalty: unknown key"),
         (["solve"] + config({"problem": {"kind": "partition"}, "out": str(tmp_path / "no")}),
-         "solve.problem: numbers is required"),
+         "solve.problem.numbers: required"),
         (["markov"] + config({"problem": {"kind": "2sat", "clauses": [1, 2]}, "out": str(tmp_path / "no")}),
          "markov.problem: clauses must be a list of pairs"),
         (["solve"] + config({"problem": {"kind": "tsp", "distances": "ab"}, "out": str(tmp_path / "no")}),
-         "solve.problem: distances"),
+         "solve.problem.distances: wrong type str"),
         (["markov"] + config({"problem": {"kind": "tsp", "coords": [[0, 0], [1, "a"]]}, "out": str(tmp_path / "no")}),
          "markov.problem: coords"),
         (["solve"] + config({"problem": {"kind": "partition", "numbers": [1, 2], "nmbers": [5]},
-                             "out": str(tmp_path / "no")}), "solve.problem: nmbers: unknown key"),
+                             "out": str(tmp_path / "no")}), "solve.problem.nmbers: unknown key"),
         (["markov"] + config({"problem": {"kind": "2sat", "clauses": [[1, 2]], "extra": 3},
-                              "out": str(tmp_path / "no")}), "markov.problem: extra: unknown key"),
+                              "out": str(tmp_path / "no")}), "markov.problem.extra: unknown key"),
         (["solve"] + config({"problem": {"kind": "partition", "numbers": [10000000, 10000000]},
                              "out": str(tmp_path / "no")}), "solve.problem: coefficients too large"),
         (["markov"] + config({"problem": {"kind": "partition", "numbers": [10000000, 10000000]},
@@ -599,14 +629,20 @@ def test_cli_flag_per_scalar_key(tmp_path):
 
 
 def test_readme_key_table_matches_schema():
+    # README's two-column tables, by header: the kind table and the problem-kind table
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    table = {}
+    tables, header = {}, None
     for line in readme.splitlines():
-        cells = line.split("|")
-        if len(cells) == 4 and cells[1].strip().startswith("`"):
-            kind, keys = cells[1].strip().strip("`"), cells[2]
-            table[kind] = set(re.findall(r"`([a-z_]+)`", keys))
-    assert table == {kind: set(rows) for kind, rows in SCHEMA.items()}
+        cells = [cell.strip() for cell in line.split("|")]
+        if len(cells) != 4:
+            header = None
+        elif cells[1].startswith("`"):
+            tables[header][cells[1].strip("`")] = set(re.findall(r"`([a-z_]+)`", cells[2]))
+        elif not cells[1].startswith("-"):
+            header = cells[1]
+            tables[header] = {}
+    assert tables["kind"] == {kind: set(rows) for kind, rows in SCHEMA.items()}
+    assert tables["problem kind"] == {kind: set(rows) for kind, rows in PROBLEMS.items()}
 
 
 def test_cli_capacity_error(tmp_path, capsys):
@@ -730,7 +766,90 @@ def test_cli_problem_capacity(name, tmp_path, capsys, monkeypatch):
         assert peak < 4 << 20, (kind, peak)  # priced from the spec, before its n x n arrays
     # one variable (city) fewer passes the price; building it is not tried here
     monkeypatch.setattr(harness, "load_problem", lambda spec: None)
-    harness._load_problem("solve", spec(under))
+    harness._check_problem("solve", spec(under), {})
+
+
+@pytest.mark.parametrize("n", [1000, PROBLEM_VARS_LIMIT])
+def test_cli_markov_table_priced_before_build(n, tmp_path, capsys):
+    # every index needs at least the index-1.0 table, 8 * 2^n * n bytes, priced from the spec
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg.write_text(json.dumps({"problem": {"kind": "partition", "numbers": [1] * n}}))
+    tracemalloc.start()
+    code = main(["markov", "--config", str(cfg), "--out", str(out), "--quiet"])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == EXIT_CAPACITY
+    assert err.startswith("capacity error: markov.deterministic_indices: ") and f"2^{n} " in err
+    assert len(err) < 200 and peak < 4 << 20, (len(err), peak)
+    assert not out.exists()
+    # with no index, the problem is built and no table is priced
+    ExperimentConfig.from_dict({"kind": "markov", "problem": {"kind": "partition", "numbers": [1] * 30},
+                                "deterministic_indices": []})
+
+
+# JSON values: null, bools, ints, floats (nan and inf included), strings, lists and objects. The ints
+# are small or huge: a 2sat literal between them builds arrays of up to the 1 GiB that
+# test_cli_problem_capacity prices, or a markov table of up to 256 MiB; 10^400 passes the float range
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-12, 12) | st.sampled_from([2**31, -(2**63), 10**400]) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# per problem key, values that its builder may accept, and now and then 10^400, which no float holds
+PLAUSIBLE = {
+    "numbers": st.lists(st.sampled_from([*range(1, 10), 10**400]), min_size=1, max_size=5),
+    "clauses": st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2), min_size=1, max_size=4),
+    "coords": st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=2), min_size=2, max_size=4),
+    "distances": st.sampled_from([[[0, 1], [1, 0]], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]]),
+    "scale": st.floats(0.01, 1.0),
+    "penalty": st.sampled_from([0.5, 1, 1.5, 2.0, 10**400]),
+    "linear": st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    "quad": st.sampled_from([[[0]], [[0, 1], [1, 0]]]),
+    "pairs": st.dictionaries(st.sampled_from(["0,1", "1,2", "0,2"]), st.integers(-3, 3), max_size=2),
+    "offset": st.sampled_from([*range(-3, 4), 10**400]),
+}
+
+
+@st.composite
+def problem_specs(draw):
+    """A kind (mostly one of PROBLEMS; else another string or no string) and a random subset of
+    every problem key and one unknown key, mostly of the kind's own keys; each value mostly a
+    plausible one, else any JSON value."""
+    kind = draw(st.sampled_from([*PROBLEMS, None]))
+    spec = {"kind": kind if kind is not None else draw(st.text(max_size=4) | JSON_VALUES)}
+    own = list(PROBLEMS.get(kind, ()))
+    others = [key for key in PLAUSIBLE if key not in own] + ["bogus"]
+    keys = {key for key in own if draw(st.integers(0, 3))}
+    if not draw(st.integers(0, 3)):  # now and then keys of other kinds, or one that no kind takes
+        keys |= draw(st.sets(st.sampled_from(others), min_size=1, max_size=3))
+    for key in keys:
+        spec[key] = draw(PLAUSIBLE[key]) if key in PLAUSIBLE and draw(st.integers(0, 3)) else draw(JSON_VALUES)
+    return spec
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["solve", "markov"]), spec=problem_specs())
+def test_problem_spec_errors_name_the_problem(kind, spec):
+    # a problem spec is accepted, or rejected by a message that names it (or markov's table)
+    try:
+        ExperimentConfig.from_dict({"kind": kind, "problem": spec})
+    except (ConfigError, CapacityError) as exc:
+        names = (f"{kind}.problem", "markov.deterministic_indices") if kind == "markov" else (f"{kind}.problem",)
+        assert str(exc).startswith(names), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["solve", "markov"]), spec=problem_specs(), size=st.integers(0, 5))
+def test_cli_problem_specs_exit_codes(kind, spec, size):
+    config = {"problem": spec, **({"max_steps": 4 * size} if kind == "solve" else {"horizon": size})}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "o"
+        cfg.write_text(json.dumps(config))
+        code = main([kind, "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code in (EXIT_OK, EXIT_USER, EXIT_CAPACITY)
+        assert out.exists() == (code == EXIT_OK)
 
 
 def test_cli_clock_demo_capacity(tmp_path, capsys):
