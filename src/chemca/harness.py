@@ -35,7 +35,7 @@ from .cca2d import DEFAULT_FLUCT_RATIO, EVENT_FIELDS, PopulationSeries, run_popu
 from .chemodel import ChemModel2DParams
 from .lattice import chemical_state_count, expansion_ratio, format_scientific, input_state_count, line
 from .markov import _BYTE_BUDGET as _MARKOV_BYTE_BUDGET, build_transition_matrix, check_capacity, success_probabilities
-from .qubo import CapacityError, brute_force_min, index_config, load_problem
+from .qubo import _MAX_VARS, CapacityError, brute_force_min, index_config, load_problem
 from .signals import ClockedCellBank, ColorState, decode_trace, synthesize_trace
 from .hybrid import SolverParams, solve_type1, solve_type2
 
@@ -120,12 +120,13 @@ _RUN_BYTE_BUDGET = 1 << 30
 def _check_run_bytes(kind: str, terms: dict[str, int]):
     """Raise CapacityError, naming kind.key of the largest term, when the
     estimated bytes of a run (each term keyed by the key that drives it)
-    sum past `_RUN_BYTE_BUDGET`. Arithmetic only: nothing is allocated."""
+    sum past `_RUN_BYTE_BUDGET`, written as a power of two so that any
+    total prints. Arithmetic only: nothing is allocated."""
     total = sum(terms.values())
     if total > _RUN_BYTE_BUDGET:
         raise CapacityError(
-            f"{kind}.{max(terms, key=terms.get)}: the run would hold about {-(-total >> 20)} MiB, "
-            f"over the budget of {_RUN_BYTE_BUDGET >> 20} MiB"
+            f"{kind}.{max(terms, key=terms.get)}: the run would hold about 2^{math.log2(total):.1f} bytes, "
+            f"over the budget of 2^{_RUN_BYTE_BUDGET.bit_length() - 1} bytes"
         )
 
 
@@ -159,7 +160,9 @@ def _check_problem(kind: str, spec: dict, p: dict):
     naming kind.deterministic_indices, when the acceptance table at an
     index passes the Markov byte budget. The least table of any index, 8
     bytes a config and variable (max(n, 2^k) >= n), is priced before the
-    build, each index's own after it."""
+    build, each index's own after it. A markov problem, with or without
+    indices, also names kind.problem.<key> past the _MAX_VARS variables
+    that its oracle (brute_force_min) enumerates."""
     name, problem_kind = f"{kind}.problem", spec.get("kind")
     if not isinstance(problem_kind, str) or problem_kind not in PROBLEMS:
         raise ConfigError(f"{name}.kind: expected one of {tuple(PROBLEMS)}, got {problem_kind!r}")
@@ -176,6 +179,8 @@ def _check_problem(kind: str, spec: dict, p: dict):
             f"{kind}.deterministic_indices: the table of 2^{n} configs of {n} variables takes at least "
             f"8 * 2^{n} * {n} bytes at any index, over {_MARKOV_BYTE_BUDGET}"
         )
+    if kind == "markov" and n > _MAX_VARS:
+        raise CapacityError(f"{name}.{key}: the oracle enumerates at most 2^{_MAX_VARS} configs, got 2^{n}")
     problem = load_problem(spec)
     for idx in indices:
         try:

@@ -3,9 +3,9 @@
 The solver's proposal law (uniform single-spin flip, pairwise consistency
 signs iid with probability p_chem, accept when the observed change is
 <= 0) defines a discrete-time chain over all 2^N spin configurations.
-Acceptance probabilities are computed exactly by enumerating the sign
-patterns into a plain (2^N, N) array; success is absorption on the
-global minima.
+Its (2^N, N) acceptance array is exact: at index 1.0 it compares entries
+of the energy table, below it enumerates the sign patterns. Success is
+absorption on the global minima.
 """
 
 from __future__ import annotations
@@ -48,14 +48,11 @@ def acceptance_prob(p: QuboProblem, x, h: int, p_chem: float):
     x = np.asarray(x, dtype=np.uint8)
     ising = qubo_to_ising(p)
     partners = np.flatnonzero(ising.coupling[h])
-    _check_budget(len(np.atleast_2d(x)), p.n, 0 if p_chem == 1.0 else partners.size)
+    _check_budget(len(np.atleast_2d(x)), p.n, partners.size)
     lin, pair = flip_terms(ising, bits_to_spins(x).astype(float), h)
-    d = pair[..., partners]
-    if p_chem == 1.0:
-        return (observed_change(lin, d, 1.0) <= 0.0).astype(float)
     sums = np.zeros(np.shape(lin) + (1,))
     probs = np.ones(1)
-    for di in d.T[..., None]:
+    for di in pair[..., partners].T[..., None]:
         sums = np.concatenate([sums + di, sums - di], axis=-1)
         probs = np.concatenate([probs * p_chem, probs * (1.0 - p_chem)])
     return np.where(lin[..., None] + sums <= 0.0, probs, 0.0).sum(axis=-1)
@@ -72,17 +69,25 @@ def _neighbours(n: int) -> np.ndarray:
     return np.arange(1 << n)[:, None] ^ (1 << np.arange(n))
 
 
+def _greedy(p: QuboProblem):
+    """(e, accept): the energies of p (p.table, or energy_table(p) above its
+    size) and the bool acceptance table at index 1.0, e[c ^ 2^h] <= e[c]: the
+    solver's verdict, as the sums are exact. Raises CapacityError first."""
+    check_capacity(p, 1.0)
+    e = energy_table(p) if p.table is None else p.table
+    return e, e[_neighbours(p.n)] <= e[:, None]
+
+
 def build_transition_matrix(p: QuboProblem, p_chem: float) -> np.ndarray:
     """(2^n, n) acceptance table of the Type-2 chain: accept[c, h] / n is the
-    probability of c -> c xor 2^h, and the rejected mass stays at c. One
-    acceptance_prob call over all configs per flipped spin. Raises
-    CapacityError before allocating."""
+    probability of c -> c xor 2^h, and the rejected mass stays at c. At
+    index 1.0 it is _greedy's; below, one acceptance_prob call over all
+    configs per flipped spin. Raises CapacityError before allocating."""
+    if p_chem == 1.0:
+        return _greedy(p)[1].astype(float)
     check_capacity(p, p_chem)
     configs = config_bits(p.n, 0, 1 << p.n)
-    accept = np.empty((1 << p.n, p.n))
-    for h in range(p.n):
-        accept[:, h] = acceptance_prob(p, configs, h, p_chem)
-    return accept
+    return np.stack([acceptance_prob(p, configs, h, p_chem) for h in range(p.n)], axis=1)
 
 
 @dataclass
@@ -153,7 +158,7 @@ def success_probabilities(
 def _doomed(accept, is_min) -> np.ndarray:
     """(2^n,) bool: True where no config of is_min can be reached through the
     flips marked in accept, the (2^n, n) bool p_chem = 1 acceptance table of
-    build_transition_matrix; a backward fixed point from is_min."""
+    _greedy; a backward fixed point from is_min."""
     neighbours = _neighbours(accept.shape[1])
     reach = is_min.copy()
     while True:
@@ -176,8 +181,8 @@ def empirical_success(
     Runs `runs` independent chains of the solver's flip law for `horizon`
     proposals; a chain succeeds when it visits any global-minimum config
     (read from p.table, or energy_table(p) above its size).
-    At p_chem = 1 a step reads the exact chain's acceptance table
-    (build_transition_matrix(p, 1.0)); below 1 it runs flip_terms and
+    At p_chem = 1 a step reads the exact chain's acceptance table, and its
+    minima, from one energies read (_greedy); below 1 it runs flip_terms and
     hybrid.observed_change, batched over chains, as an independent reference.
 
     A chain is settled once its config is in one table: a global minimum,
@@ -204,10 +209,11 @@ def empirical_success(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     greedy = p_chem == 1.0
-    table = build_transition_matrix(p, 1.0) == 1.0 if greedy else None
-    energies = energy_table(p) if p.table is None else p.table
+    if greedy:
+        energies, table = _greedy(p)
+    else:
+        energies, ising = energy_table(p) if p.table is None else p.table, qubo_to_ising(p)
     is_min = energies == energies.min()
-    ising = qubo_to_ising(p)
     settled = is_min | _doomed(table, is_min) if greedy else is_min
 
     s = np.tile(bits_to_spins(index_config(init_index, p.n)).astype(float), (runs, 1))
@@ -227,15 +233,13 @@ def empirical_success(
                 rng.integers(p.n, size=(min(_DEAD_ROWS, horizon - start), runs))
             break
         h = rng.integers(p.n, size=runs)[live]
-        u = None if greedy else rng.random((runs, p.n))
         if greedy:
             accept = table[idx, h]
         else:
             lin, pair = flip_terms(ising, s, h)
-            accept = observed_change(lin, pair, p_chem, u[live]) <= 0.0
-        flip_rows, flip_cols = np.flatnonzero(accept), h[accept]
-        s[flip_rows, flip_cols] = -s[flip_rows, flip_cols]
-        idx[accept] ^= np.int64(1) << flip_cols
+            accept = observed_change(lin, pair, p_chem, rng.random((runs, p.n))[live]) <= 0.0
+        s[accept, h[accept]] *= -1.0
+        idx[accept] ^= np.int64(1) << h[accept]
         hits += int(np.count_nonzero(is_min[idx]))
         keep = ~settled[idx]
         if not keep.all():

@@ -746,13 +746,17 @@ PROBLEM_SPECS = {
     "tsp-coords": ("coords", lambda c: {"kind": "tsp", "coords": [[i, 0] for i in range(c)]}),
     "tsp-distances": ("distances", lambda c: {"kind": "tsp", "distances": [[0] * c for _ in range(c)]}),
     "explicit": ("linear", lambda n: {"kind": "explicit", "linear": [0] * n, "pairs": {}}),
+    # a literal of 2,200 nines: its price has more digits than Python converts to a string
+    "2sat-digits": ("clauses", lambda n: {"kind": "2sat", "clauses": [[1, n]]}),
 }
+# problem spec name -> (the smallest size over the price, the largest one under it)
+PROBLEM_SIZES = {"tsp-coords": (69, 68), "tsp-distances": (69, 68), "2sat-digits": (int("9" * 2200), PROBLEM_VARS_LIMIT)}
 
 
 @pytest.mark.parametrize("name", list(PROBLEM_SPECS))
 def test_cli_problem_capacity(name, tmp_path, capsys, monkeypatch):
     key, spec = PROBLEM_SPECS[name]
-    over, under = (69, 68) if name.startswith("tsp") else (PROBLEM_VARS_LIMIT + 1, PROBLEM_VARS_LIMIT)
+    over, under = PROBLEM_SIZES.get(name, (PROBLEM_VARS_LIMIT + 1, PROBLEM_VARS_LIMIT))
     cfg, out = tmp_path / "cfg.json", tmp_path / "o"
     cfg.write_text(json.dumps({"problem": spec(over)}))
     for kind in ("solve", "markov"):
@@ -783,8 +787,12 @@ def test_cli_markov_table_priced_before_build(n, tmp_path, capsys):
     assert err.startswith("capacity error: markov.deterministic_indices: ") and f"2^{n} " in err
     assert len(err) < 200 and peak < 4 << 20, (len(err), peak)
     assert not out.exists()
-    # with no index, the problem is built and no table is priced
-    ExperimentConfig.from_dict({"kind": "markov", "problem": {"kind": "partition", "numbers": [1] * 30},
+    # with no index, no table is priced, but the oracle enumerates at most 2^24 configs
+    cfg.write_text(json.dumps({"problem": {"kind": "partition", "numbers": [1] * 30}, "deterministic_indices": []}))
+    assert main(["markov", "--config", str(cfg), "--out", str(out), "--quiet"]) == EXIT_CAPACITY
+    assert capsys.readouterr().err.startswith("capacity error: markov.problem.numbers: ")
+    assert not out.exists()
+    ExperimentConfig.from_dict({"kind": "markov", "problem": {"kind": "partition", "numbers": [1] * 24},
                                 "deterministic_indices": []})
 
 

@@ -108,7 +108,8 @@ def test_acceptance_matches_monte_carlo():
 
 def test_acceptance_batched_rows_equal_single_config():
     # one config per row is the same law as one config at a time, and at
-    # index 1 the same law as the solver's 1-D partner terms
+    # index 1 the sign-pattern enumeration gives the solver's verdict on its
+    # 1-D partner terms
     for p in (P8, TSP3):
         ising = qubo_to_ising(p)
         configs = np.array([index_config(c, p.n) for c in range(1 << p.n)])
@@ -123,13 +124,23 @@ def test_acceptance_batched_rows_equal_single_config():
                     assert batched[c] == float(observed_change(lin, terms, 1.0) <= 0.0)
 
 
-@pytest.mark.parametrize("p", [TSP3, TSP3_DEGENERATE], ids=["tsp3", "tsp3_degenerate"])
-def test_transition_matrix_equals_solver_sign_patterns(p):
-    # entry (c, h) at index 0.95 is the summed probability of the sign
-    # patterns of h's partner terms that observed_change accepts; at true
-    # ties every order of summation must give the same verdict (unsnapped
-    # TSP3 coefficients broke 768 of 4608 entries)
-    p_chem = 0.95
+# variable 3 has no partners: its flip has no sign pattern but the empty one
+LONE = QuboProblem(0.5, np.array([1.0, -2.0, 0.5, -0.25]),
+                   np.array([[0, 1, 0, 0], [1, 0, -2, 0], [0, -2, 0, 0], [0, 0, 0, 0.0]]))
+
+
+@pytest.mark.parametrize("p, p_chem", [
+    pytest.param(TSP3, 0.95, id="tsp3"), pytest.param(TSP3, 1.0, id="tsp3-1.0"),
+    pytest.param(TSP3_DEGENERATE, 0.95, id="tsp3_degenerate"),
+    pytest.param(TSP3_DEGENERATE, 1.0, id="tsp3_degenerate-1.0"),
+    pytest.param(LONE, 0.95, id="lone"), pytest.param(LONE, 1.0, id="lone-1.0"),
+])
+def test_transition_matrix_equals_solver_sign_patterns(p, p_chem):
+    # entry (c, h) is the summed probability of the sign patterns of h's
+    # partner terms that observed_change accepts; at true ties every order of
+    # summation must give the same verdict (unsnapped TSP3 coefficients broke
+    # 768 of 4608 entries). At index 1.0 the table is read from the energy
+    # table, and must equal the enumeration byte for byte.
     ising = qubo_to_ising(p)
     table = build_transition_matrix(p, p_chem)
     want = np.empty_like(table)
@@ -142,6 +153,8 @@ def test_transition_matrix_equals_solver_sign_patterns(p):
             terms = np.broadcast_to(pair[partners], signs.shape)
             want[c, h] = probs[observed_change(lin, terms, p_chem, signs=signs) <= 0.0].sum()
     assert np.count_nonzero(np.abs(table - want) > 1e-12) == 0
+    if p_chem == 1.0:
+        assert table.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["tsp4", "p9"])
@@ -328,6 +341,9 @@ def test_dense_capacity_cap():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    # acceptance_prob enumerates the 2^13 patterns at index 1.0 too, and prices them alike
+    with pytest.raises(CapacityError):
+        acceptance_prob(build_partition(list(range(1, 15))), np.zeros((1 << 14, 14)), 0, 1.0)
     # the Monte-Carlo cross-check at index 1.0 has the same cap, checked before any draw
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
